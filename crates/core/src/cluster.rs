@@ -21,6 +21,7 @@ use omx_hw::cpu::category;
 use omx_hw::ioat::ChannelProbe;
 use omx_hw::{CacheModel, CoreId, CpuSet, HwParams, IoatEngine, Topology};
 use omx_mx::MxParams;
+use omx_sim::instruments as ins;
 use omx_sim::{Metrics, Ps, Sim, SplitMix64};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -356,12 +357,13 @@ impl Cluster {
     }
 
     fn build_world(p: ClusterParams, my: usize, parts: usize) -> Self {
+        // One dense slot per (node, instrument), allocated here once.
         let metrics = if !p.cfg.metrics {
             Metrics::disabled()
         } else if p.cfg.trace_capacity > 0 {
-            Metrics::with_trace(p.cfg.trace_capacity)
+            Metrics::with_trace(p.nodes, p.cfg.trace_capacity)
         } else {
-            Metrics::new()
+            Metrics::new(p.nodes)
         };
         // The one place the user-supplied seed enters the simulation;
         // every other stream derives from this root by a pure tag.
@@ -582,7 +584,8 @@ impl Cluster {
         );
         let next = (rto * 2 + jitter).min(self.p.cfg.rto_max);
         self.stats.backoff_escalations += 1;
-        self.metrics.count(node.0, "driver.backoff_escalations", 1);
+        self.metrics
+            .count(node.0, ins::DRIVER_BACKOFF_ESCALATIONS, 1);
         next
     }
 
@@ -625,8 +628,8 @@ impl Cluster {
     /// Count one offload-to-memcpy fallback of `bytes` bytes.
     pub(crate) fn record_ioat_fallback(&mut self, node: NodeId, at: Ps, bytes: u64) {
         self.stats.ioat_fallback_copies += 1;
-        self.metrics.count(node.0, "ioat.fallback_copies", 1);
-        self.metrics.count(node.0, "ioat.fallback_bytes", bytes);
+        self.metrics.count(node.0, ins::IOAT_FALLBACK_COPIES, 1);
+        self.metrics.count(node.0, ins::IOAT_FALLBACK_BYTES, bytes);
         self.metrics
             .trace(at, node.0, "ioat", "memcpy_fallback", bytes, 0);
     }
@@ -985,13 +988,13 @@ impl Cluster {
             };
             if disp.dropped {
                 c.stats.frames_lost += 1;
-                c.metrics.count(src.0, "fault.frames_dropped", 1);
+                c.metrics.count(src.0, ins::FAULT_FRAMES_DROPPED, 1);
                 return;
             }
             let mut frame = EthFrame::new(src.0, dst.0, payload);
             if disp.corrupted {
                 frame.fcs_corrupt = true;
-                c.metrics.count(src.0, "fault.frames_corrupted", 1);
+                c.metrics.count(src.0, ins::FAULT_FRAMES_CORRUPTED, 1);
             }
             c.ensure_link(src, dst);
             // Direct field access keeps the link borrow disjoint from
@@ -1003,14 +1006,14 @@ impl Cluster {
                 // sent right behind it overtake it on arrival.
                 arrival += link.serialization_time(&frame) * disp.reorder_extra as u64;
                 c.stats.frames_reordered += 1;
-                c.metrics.count(src.0, "fault.frames_reordered", 1);
+                c.metrics.count(src.0, ins::FAULT_FRAMES_REORDERED, 1);
             }
             let dup = if disp.duplicated {
                 // The duplicate occupies real wire time like any frame.
                 let dup = frame.clone();
                 let dup_arrival = link.transmit_with_overhead(s.now(), &dup, extra);
                 c.stats.frames_duplicated += 1;
-                c.metrics.count(src.0, "fault.frames_duplicated", 1);
+                c.metrics.count(src.0, ins::FAULT_FRAMES_DUPLICATED, 1);
                 Some((dup_arrival, dup))
             } else {
                 None
@@ -1143,7 +1146,7 @@ impl Cluster {
                 let same = key.is_some() && key == train;
                 train = key;
                 if same {
-                    self.metrics.count(node.0, "bh.gro_coalesced", 1);
+                    self.metrics.count(node.0, ins::BH_GRO_COALESCED, 1);
                 }
                 same
             } else {
@@ -1343,8 +1346,8 @@ mod tests {
             assert_eq!(bh.backlog(), 0, "skbuff stranded in a BH queue");
             assert!(!bh.is_scheduled(), "BH left scheduled with no run");
         }
-        assert_eq!(c.metrics.counter(0, "nic.irqs"), 1);
-        assert_eq!(c.metrics.counter(0, "nic.irqs_coalesced"), 1);
+        assert_eq!(c.metrics.counter(0, ins::NIC_IRQS), 1);
+        assert_eq!(c.metrics.counter(0, ins::NIC_IRQS_COALESCED), 1);
         assert_eq!(c.ep(rx).counters.rx_tiny, 2, "both frames delivered");
     }
 

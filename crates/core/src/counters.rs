@@ -6,65 +6,45 @@
 //! equivalent: every protocol path increments a counter, and the
 //! harnesses/tests read them to assert *how* data moved, not just that
 //! it arrived.
+//!
+//! The field list is the `omx_sim::endpoint_counters!` table, which
+//! also declares each field's `counters.<field>` gauge in the metrics
+//! registry.
 
-use omx_sim::Metrics;
+use omx_sim::{instruments, Metrics};
 use serde::{Deserialize, Serialize};
 
-/// Counters of one endpoint (sender and receiver sides).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counters {
-    /// Tiny messages sent.
-    pub tx_tiny: u64,
-    /// Small messages sent.
-    pub tx_small: u64,
-    /// Medium messages sent.
-    pub tx_medium: u64,
-    /// Medium fragments sent.
-    pub tx_medium_frags: u64,
-    /// Large (rendezvous) messages sent.
-    pub tx_large: u64,
-    /// Large fragments sent (pull replies).
-    pub tx_large_frags: u64,
-    /// Payload bytes sent.
-    pub tx_bytes: u64,
-    /// Tiny messages received.
-    pub rx_tiny: u64,
-    /// Small messages received.
-    pub rx_small: u64,
-    /// Medium fragments received.
-    pub rx_medium_frags: u64,
-    /// Large fragments received.
-    pub rx_large_frags: u64,
-    /// Rendezvous announcements received.
-    pub rx_rndv: u64,
-    /// Payload bytes delivered to the application.
-    pub rx_bytes: u64,
-    /// Receive copies done by the CPU (memcpy path).
-    pub copies_memcpy: u64,
-    /// Receive copies submitted to the I/OAT engine.
-    pub copies_offloaded: u64,
-    /// Copies that fell back from the I/OAT engine to the CPU — either
-    /// steered away from a quarantined channel at submit time or
-    /// rescued after a stuck channel tripped the completion-poll
-    /// deadline.
-    pub copies_fallback: u64,
-    /// Bytes copied by memcpy.
-    pub bytes_memcpy: u64,
-    /// Bytes copied by the DMA engine.
-    pub bytes_offloaded: u64,
-    /// Shared-memory (local) messages sent.
-    pub shm_tx: u64,
-    /// Shared-memory one-copy transfers performed as the receiver.
-    pub shm_pulls: u64,
-    /// Events pushed to this endpoint's ring.
-    pub events: u64,
-    /// Messages that arrived with no matching receive posted.
-    pub unexpected: u64,
-    /// Registration-cache hits.
-    pub regcache_hits: u64,
-    /// Full registrations (cache misses).
-    pub regcache_misses: u64,
+/// Expands the endpoint counter table (`omx_sim::endpoint_counters!`)
+/// into the struct and the two per-field operations, so every field is
+/// merged and published without a hand-kept list.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Counters of one endpoint (sender and receiver sides).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct Counters {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl Counters {
+            /// Accumulate another endpoint's counters into this one (the
+            /// cluster-wide aggregation behind [`crate::cluster::Stats`]).
+            pub fn merge(&mut self, o: &Counters) {
+                $(self.$field += o.$field;)*
+            }
+
+            /// Set every field's `counters.<field>` gauge of `scope` in
+            /// `metrics` (idempotent), so the counters show up in the
+            /// observability layer next to the busy/trace series.
+            pub fn publish(&self, metrics: &Metrics, scope: u32) {
+                for (k, v) in [$(self.$field),*].into_iter().enumerate() {
+                    metrics.gauge_set(scope, instruments::COUNTERS.at(k), v as i64);
+                }
+            }
+        }
+    };
 }
+
+omx_sim::endpoint_counters!(counters);
 
 impl Counters {
     /// Fraction of receive-copied bytes that the DMA engine moved.
@@ -79,73 +59,6 @@ impl Counters {
     /// Sum of messages sent across classes.
     pub fn tx_messages(&self) -> u64 {
         self.tx_tiny + self.tx_small + self.tx_medium + self.tx_large + self.shm_tx
-    }
-
-    /// Accumulate another endpoint's counters into this one (the
-    /// cluster-wide aggregation behind [`crate::cluster::Stats`]).
-    ///
-    /// Every field of the struct must appear here — `omx-lint`'s D3
-    /// rule cross-checks the field list against the registry names in
-    /// [`Self::publish`].
-    pub fn merge(&mut self, o: &Counters) {
-        self.tx_tiny += o.tx_tiny;
-        self.tx_small += o.tx_small;
-        self.tx_medium += o.tx_medium;
-        self.tx_medium_frags += o.tx_medium_frags;
-        self.tx_large += o.tx_large;
-        self.tx_large_frags += o.tx_large_frags;
-        self.tx_bytes += o.tx_bytes;
-        self.rx_tiny += o.rx_tiny;
-        self.rx_small += o.rx_small;
-        self.rx_medium_frags += o.rx_medium_frags;
-        self.rx_large_frags += o.rx_large_frags;
-        self.rx_rndv += o.rx_rndv;
-        self.rx_bytes += o.rx_bytes;
-        self.copies_memcpy += o.copies_memcpy;
-        self.copies_offloaded += o.copies_offloaded;
-        self.copies_fallback += o.copies_fallback;
-        self.bytes_memcpy += o.bytes_memcpy;
-        self.bytes_offloaded += o.bytes_offloaded;
-        self.shm_tx += o.shm_tx;
-        self.shm_pulls += o.shm_pulls;
-        self.events += o.events;
-        self.unexpected += o.unexpected;
-        self.regcache_hits += o.regcache_hits;
-        self.regcache_misses += o.regcache_misses;
-    }
-
-    /// Register every counter with the metrics registry under
-    /// `scope` as an idempotent gauge named `counters.<field>`.
-    ///
-    /// This is what makes the counters visible to the observability
-    /// layer next to the busy/trace series; `omx-lint` (rule D3)
-    /// requires one registry name per public field of this struct.
-    pub fn publish(&self, metrics: &Metrics, scope: u32) {
-        let g = |name: &'static str, v: u64| metrics.gauge_set(scope, name, v as i64);
-        g("counters.tx_tiny", self.tx_tiny);
-        g("counters.tx_small", self.tx_small);
-        g("counters.tx_medium", self.tx_medium);
-        g("counters.tx_medium_frags", self.tx_medium_frags);
-        g("counters.tx_large", self.tx_large);
-        g("counters.tx_large_frags", self.tx_large_frags);
-        g("counters.tx_bytes", self.tx_bytes);
-        g("counters.rx_tiny", self.rx_tiny);
-        g("counters.rx_small", self.rx_small);
-        g("counters.rx_medium_frags", self.rx_medium_frags);
-        g("counters.rx_large_frags", self.rx_large_frags);
-        g("counters.rx_rndv", self.rx_rndv);
-        g("counters.rx_bytes", self.rx_bytes);
-        g("counters.copies_memcpy", self.copies_memcpy);
-        g("counters.copies_offloaded", self.copies_offloaded);
-        g("counters.copies_fallback", self.copies_fallback);
-        g("counters.bytes_memcpy", self.bytes_memcpy);
-        g("counters.bytes_offloaded", self.bytes_offloaded);
-        g("counters.shm_tx", self.shm_tx);
-        g("counters.shm_pulls", self.shm_pulls);
-        g("counters.events", self.events);
-        g("counters.unexpected", self.unexpected);
-        g("counters.regcache_hits", self.regcache_hits);
-        g("counters.regcache_misses", self.regcache_misses);
     }
 }
 

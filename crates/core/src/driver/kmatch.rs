@@ -16,6 +16,7 @@ use bytes::Bytes;
 use omx_hw::cpu::category;
 use omx_hw::ioat::CopyHandle;
 use omx_hw::CoreId;
+use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
@@ -111,7 +112,7 @@ impl Cluster {
             let submit = self.ioat_submit_cost(ndesc, coalesced);
             let work = self.bh_frag_cost(coalesced) + submit;
             let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "ioat.submit_cpu", submit);
+            self.metrics.busy(node.0, ins::IOAT_SUBMIT_CPU, submit);
             let hw = self.p.hw.clone();
             let n = self.node_mut(node);
             let h = n.ioat.submit(&hw, submit_fin, ch, len, ndesc);
@@ -128,8 +129,8 @@ impl Cluster {
             let copy = self.bh_copy_cost(len);
             let work = self.bh_frag_cost(coalesced) + copy;
             let (_, f) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "bh.copy", copy);
-            self.metrics.count(node.0, "bh.copy_bytes", len);
+            self.metrics.busy(node.0, ins::BH_COPY, copy);
+            self.metrics.count(node.0, ins::BH_COPY_BYTES, len);
             f
         };
         // Apply the bytes.
@@ -174,7 +175,7 @@ impl Cluster {
         if let Some(t) = last {
             let wait = t.saturating_sub(fin) + self.p.hw.ioat_poll_cost;
             let (_, f) = self.run_core(node, core, fin, wait, category::BH);
-            self.metrics.busy(node.0, "ioat.poll_wait", wait);
+            self.metrics.busy(node.0, ins::IOAT_POLL_WAIT, wait);
             fin = f;
         }
         let asm = self

@@ -19,6 +19,7 @@ use crate::{EpAddr, NodeId, ReqId};
 use bytes::Bytes;
 use omx_hw::cpu::category;
 use omx_hw::CoreId;
+use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
@@ -321,7 +322,7 @@ impl Cluster {
             let submit = self.ioat_submit_cost(ndesc, coalesced);
             let work = self.bh_frag_cost(coalesced) + submit;
             let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "ioat.submit_cpu", submit);
+            self.metrics.busy(node.0, ins::IOAT_SUBMIT_CPU, submit);
             fin = submit_fin;
             let hw = self.p.hw.clone();
             let n = self.node_mut(node);
@@ -335,8 +336,8 @@ impl Cluster {
             let copy = self.bh_copy_cost_chunked(len, chunk_eff);
             let work = self.bh_frag_cost(coalesced) + copy;
             let (_, f) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "bh.copy", copy);
-            self.metrics.count(node.0, "bh.copy_bytes", len);
+            self.metrics.busy(node.0, ins::BH_COPY, copy);
+            self.metrics.count(node.0, ins::BH_COPY_BYTES, len);
             fin = f;
             let c = &mut self.ep_mut(me).counters;
             c.copies_memcpy += 1;
@@ -480,7 +481,7 @@ impl Cluster {
         for pc in stuck.drain(..) {
             let copy = self.bh_copy_cost(pc.bytes);
             let (_, f) = self.run_core(node, core, fin, copy, category::BH);
-            self.metrics.busy(node.0, "bh.copy", copy);
+            self.metrics.busy(node.0, ins::BH_COPY, copy);
             fin = f;
             self.record_ioat_fallback(node, fin, pc.bytes);
             if let Some(ep) = ep {
@@ -518,7 +519,7 @@ impl Cluster {
             // Busy-poll until every pending copy completed.
             let wait = t.saturating_sub(fin) + self.p.hw.ioat_poll_cost;
             let (_, f) = self.run_core(node, core, fin, wait, category::BH);
-            self.metrics.busy(node.0, "ioat.poll_wait", wait);
+            self.metrics.busy(node.0, ins::IOAT_POLL_WAIT, wait);
             fin = f;
         }
         let pull = self
@@ -783,7 +784,7 @@ impl Cluster {
         d.credits.waiters.push_back(handle);
         if d.credits.outstanding >= d.credits.budget {
             self.stats.credit_stalls += 1;
-            self.metrics.count(node.0, "credit.stalls", 1);
+            self.metrics.count(node.0, ins::CREDIT_STALLS, 1);
         }
     }
 
@@ -920,7 +921,7 @@ impl Cluster {
         cr.budget += 1;
         cr.last_regrow = now;
         self.stats.credit_regrows += 1;
-        self.metrics.count(node.0, "credit.regrows", 1);
+        self.metrics.count(node.0, ins::CREDIT_REGROWS, 1);
     }
 
     /// The RX ring dropped a frame: shed load. Shrinks the budget
@@ -940,7 +941,7 @@ impl Cluster {
             return;
         }
         self.stats.credit_shrinks += 1;
-        self.metrics.count(node.0, "credit.shrinks", 1);
+        self.metrics.count(node.0, ins::CREDIT_SHRINKS, 1);
         let Some((frag_src_ep, frag_dst_ep, recv_handle)) = peek else {
             return;
         };
@@ -960,7 +961,7 @@ impl Cluster {
         };
         self.send_packet(sim, node, src_node, &pkt, now);
         self.stats.credit_nacks += 1;
-        self.metrics.count(node.0, "credit.nacks", 1);
+        self.metrics.count(node.0, ins::CREDIT_NACKS, 1);
     }
 
     /// Occupancy probe on the frame-queued path: crossing the high
@@ -974,7 +975,7 @@ impl Cluster {
             && self.credit_shrink(node, now)
         {
             self.stats.credit_shrinks += 1;
-            self.metrics.count(node.0, "credit.shrinks", 1);
+            self.metrics.count(node.0, ins::CREDIT_SHRINKS, 1);
         }
     }
 }

@@ -13,6 +13,7 @@ use omx_ethernet::Skbuff;
 use omx_hw::cpu::category;
 use omx_hw::mem::{CopyContext, MemModel};
 use omx_hw::{CoreId, Distance, IoatEngine};
+use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
@@ -333,7 +334,8 @@ impl Cluster {
             st.rto = next_rto;
         }
         self.stats.retransmissions += 1;
-        self.metrics.count(me.node.0, "driver.retransmissions", 1);
+        self.metrics
+            .count(me.node.0, ins::DRIVER_RETRANSMISSIONS, 1);
         self.metrics.trace(
             sim.now(),
             me.node.0,
@@ -397,7 +399,7 @@ impl Cluster {
             self.node_mut(me.node).driver.tx_large.remove(&h);
         }
         self.stats.sends_failed += 1;
-        self.metrics.count(me.node.0, "driver.send_failures", 1);
+        self.metrics.count(me.node.0, ins::DRIVER_SEND_FAILURES, 1);
         self.metrics.trace(
             sim.now(),
             me.node.0,
@@ -582,7 +584,7 @@ impl Cluster {
         // Counted in the registry, not `Counters`: the counter struct
         // is embedded verbatim in committed result JSON, and this path
         // is unreachable with credits off (byte-identity).
-        self.metrics.count(node.0, "credit.nacks_received", 1);
+        self.metrics.count(node.0, ins::CREDIT_NACKS_RECEIVED, 1);
         let reqs: Vec<ReqId> = if sender_handle != 0 {
             self.node(node)
                 .driver
@@ -704,9 +706,9 @@ impl Cluster {
         let copy = self.bh_copy_cost(data.len() as u64);
         let process = self.p.cfg.bh_frag_process + copy;
         let (_, fin) = self.run_core(node, core, sim.now(), process, category::BH);
-        self.metrics.busy(node.0, "bh.copy", copy);
+        self.metrics.busy(node.0, ins::BH_COPY, copy);
         self.metrics
-            .count(node.0, "bh.copy_bytes", data.len() as u64);
+            .count(node.0, ins::BH_COPY_BYTES, data.len() as u64);
         {
             let c = &mut self.ep_mut(me).counters;
             c.copies_memcpy += 1;
@@ -824,7 +826,7 @@ impl Cluster {
             let submit = self.ioat_submit_cost(ndesc, coalesced);
             work += submit;
             let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "ioat.submit_cpu", submit);
+            self.metrics.busy(node.0, ins::IOAT_SUBMIT_CPU, submit);
             let hw = self.p.hw.clone();
             let ch = self.pick_healthy_channel(node, submit_fin);
             let handle = self
@@ -842,8 +844,8 @@ impl Cluster {
                 SimSanitizer::release(handle.san);
                 let copy = self.bh_copy_cost(len);
                 let (_, f) = self.run_core(node, core, submit_fin, copy, category::BH);
-                self.metrics.busy(node.0, "bh.copy", copy);
-                self.metrics.count(node.0, "bh.copy_bytes", len);
+                self.metrics.busy(node.0, ins::BH_COPY, copy);
+                self.metrics.count(node.0, ins::BH_COPY_BYTES, len);
                 fin = f;
                 self.record_ioat_fallback(node, fin, len);
                 let c = &mut self.ep_mut(me).counters;
@@ -854,7 +856,7 @@ impl Cluster {
                 // Busy-poll until the copy completes.
                 let wait = handle.finish.saturating_sub(submit_fin) + self.p.hw.ioat_poll_cost;
                 let (_, f) = self.run_core(node, core, submit_fin, wait, category::BH);
-                self.metrics.busy(node.0, "ioat.poll_wait", wait);
+                self.metrics.busy(node.0, ins::IOAT_POLL_WAIT, wait);
                 fin = f;
                 // Busy-polled to completion: reap the descriptor.
                 SimSanitizer::complete(handle.san);
@@ -867,8 +869,8 @@ impl Cluster {
             let copy = self.bh_copy_cost(len);
             work += copy;
             let (_, f) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, "bh.copy", copy);
-            self.metrics.count(node.0, "bh.copy_bytes", len);
+            self.metrics.busy(node.0, ins::BH_COPY, copy);
+            self.metrics.count(node.0, ins::BH_COPY_BYTES, len);
             fin = f;
             let c = &mut self.ep_mut(me).counters;
             c.copies_memcpy += 1;

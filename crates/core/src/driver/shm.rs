@@ -20,6 +20,7 @@ use omx_hw::cache::RegionKey;
 use omx_hw::cpu::category;
 use omx_hw::mem::{CopyContext, MemModel};
 use omx_hw::{CopySegment, Distance, IoatEngine};
+use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
@@ -64,8 +65,8 @@ impl Cluster {
         if let Some(t) = dst_tag {
             cache.touch_exclusive(&hw, subchip, RegionKey(t), len);
         }
-        self.metrics.busy(node.0, "shm.copy", cost);
-        self.metrics.count(node.0, "shm.copy_bytes", len);
+        self.metrics.busy(node.0, ins::SHM_COPY, cost);
+        self.metrics.count(node.0, ins::SHM_COPY_BYTES, len);
         cost
     }
 
@@ -316,7 +317,7 @@ impl Cluster {
             // whole descriptor chain rings a single doorbell.
             let submit = self.ioat_submit_cost(ndesc, false);
             let (_, submit_fin) = self.run_core(node, core, fin, submit, category::DRIVER);
-            self.metrics.busy(node.0, "ioat.submit_cpu", submit);
+            self.metrics.busy(node.0, ins::IOAT_SUBMIT_CPU, submit);
             let first_desc_at = fin + self.p.hw.ioat_submit_cpu;
             let hw = self.p.hw.clone();
             let multichannel = self.p.cfg.ioat_multichannel_split;
@@ -424,7 +425,7 @@ impl Cluster {
                         let wait =
                             handle_finish.saturating_sub(submit_fin) + self.p.hw.ioat_poll_cost;
                         let (_, f) = self.run_core(node, core, submit_fin, wait, category::DRIVER);
-                        self.metrics.busy(node.0, "ioat.poll_wait", wait);
+                        self.metrics.busy(node.0, ins::IOAT_POLL_WAIT, wait);
                         f
                     }
                     SyncWaitPolicy::SleepPredicted => {
@@ -443,14 +444,17 @@ impl Cluster {
                                 self.p.hw.ioat_poll_cost,
                                 category::DRIVER,
                             );
-                            self.metrics
-                                .busy(node.0, "ioat.poll_wait", self.p.hw.ioat_poll_cost);
+                            self.metrics.busy(
+                                node.0,
+                                ins::IOAT_POLL_WAIT,
+                                self.p.hw.ioat_poll_cost,
+                            );
                             f
                         } else {
                             let wait =
                                 handle_finish.saturating_sub(wake) + self.p.hw.ioat_poll_cost;
                             let (_, f) = self.run_core(node, core, wake, wait, category::DRIVER);
-                            self.metrics.busy(node.0, "ioat.poll_wait", wait);
+                            self.metrics.busy(node.0, ins::IOAT_POLL_WAIT, wait);
                             f
                         };
                         let actual = handle_finish.saturating_sub(submit_fin);

@@ -14,6 +14,7 @@ use crate::cluster::{Cluster, ClusterParams};
 use crate::{EpAddr, EpIdx, NodeId};
 use omx_hw::cpu::category;
 use omx_hw::CoreId;
+use omx_sim::instruments as ins;
 use omx_sim::{Ps, Sim};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -229,7 +230,7 @@ pub fn run_fanin(cfg: FaninConfig) -> FaninResult {
         verified: sh.corrupt == 0 && cluster.stats.sends_failed == 0 && clean_wire,
         events_executed: sim.events_executed(),
         bh_busy_per_core,
-        gro_coalesced: cluster.metrics.counter(0, "bh.gro_coalesced"),
+        gro_coalesced: cluster.metrics.counter(0, ins::BH_GRO_COALESCED),
         stats: cluster.stats_snapshot(),
         breakdown: super::ComponentBreakdown::from_cluster(&cluster, horizon),
         end_skbuffs_held,

@@ -24,6 +24,7 @@ pub use pingpong::{run_pingpong, PingPongConfig, PingPongResult, Placement};
 pub use stream::{run_stream, StreamConfig, StreamResult};
 
 use crate::cluster::Cluster;
+use omx_sim::instruments as ins;
 use omx_sim::Ps;
 use serde::Serialize;
 
@@ -85,11 +86,11 @@ impl BusyTotals {
     pub fn of(cluster: &Cluster) -> Self {
         let m = &cluster.metrics;
         BusyTotals {
-            wire: m.busy_total_all_scopes("link.wire"),
-            bh_copy: m.busy_total_all_scopes("bh.copy") + m.busy_total_all_scopes("shm.copy"),
-            ioat_channel: m.busy_total_all_scopes("ioat.channel"),
-            submit_cpu: m.busy_total_all_scopes("ioat.submit_cpu"),
-            poll_wait: m.busy_total_all_scopes("ioat.poll_wait"),
+            wire: m.busy_total_all_scopes(ins::LINK_WIRE),
+            bh_copy: m.busy_total_all_scopes(ins::BH_COPY) + m.busy_total_all_scopes(ins::SHM_COPY),
+            ioat_channel: m.busy_total_all_scopes(ins::IOAT_CHANNEL),
+            submit_cpu: m.busy_total_all_scopes(ins::IOAT_SUBMIT_CPU),
+            poll_wait: m.busy_total_all_scopes(ins::IOAT_POLL_WAIT),
         }
     }
 

@@ -22,6 +22,7 @@ use crate::NodeId;
 use omx_ethernet::{EthFrame, LinkParams};
 use omx_sim::{run_shards, Ps, Shard, ShardBuilder, Sim};
 use std::cmp::Ordering;
+use std::fmt;
 
 /// Partition bookkeeping carried by every [`Cluster`]: which shard
 /// this world is, and the outbox of frames bound for other shards.
@@ -90,7 +91,6 @@ impl PartitionCtx {
 /// source nodes exclusively and stamps `emit_seq` itself — so the
 /// post-exchange sort is a total order independent of which worker
 /// delivered which message first.
-#[derive(Debug)]
 pub struct RemoteFrame {
     /// When the frame is fully received at the destination NIC.
     arrival: Ps,
@@ -107,6 +107,21 @@ pub struct RemoteFrame {
 impl RemoteFrame {
     fn key(&self) -> (Ps, Ps, u32, u64) {
         (self.arrival, self.sent_at, self.src_node, self.emit_seq)
+    }
+}
+
+/// The key and the frame's destination and length: enough to name an
+/// offending frame in a lookahead panic without dumping its payload.
+impl fmt::Debug for RemoteFrame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RemoteFrame")
+            .field("arrival", &self.arrival)
+            .field("sent_at", &self.sent_at)
+            .field("src_node", &self.src_node)
+            .field("emit_seq", &self.emit_seq)
+            .field("dst_node", &self.frame.dst)
+            .field("payload_len", &self.frame.payload.len())
+            .finish()
     }
 }
 

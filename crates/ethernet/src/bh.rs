@@ -18,6 +18,7 @@
 //! hanging silently.
 
 use crate::skbuff::Skbuff;
+use omx_sim::instruments as ins;
 use omx_sim::sanitize::{Kind, SimSanitizer, Token};
 use omx_sim::Metrics;
 use std::collections::VecDeque;
@@ -58,10 +59,10 @@ impl BottomHalfQueue {
     pub fn enqueue(&mut self, skb: Skbuff) -> bool {
         SimSanitizer::submit(skb.token());
         self.queue.push_back(skb);
-        self.metrics.count(self.scope, "bh.enqueued", 1);
+        self.metrics.count(self.scope, ins::BH_ENQUEUED, 1);
         self.metrics.gauge_max(
             self.scope,
-            "bh.backlog_high_watermark",
+            ins::BH_BACKLOG_HIGH_WATERMARK,
             self.queue.len() as i64,
         );
         if self.scheduled {
@@ -90,7 +91,7 @@ impl BottomHalfQueue {
     pub fn pop_next(&mut self) -> Option<Skbuff> {
         let skb = self.queue.pop_front()?;
         self.drained_total += 1;
-        self.metrics.count(self.scope, "bh.drained", 1);
+        self.metrics.count(self.scope, ins::BH_DRAINED, 1);
         Some(skb)
     }
 

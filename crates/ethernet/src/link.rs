@@ -65,7 +65,8 @@ impl Link {
     /// Report wire serialization busy time and frame/byte counters to
     /// `metrics` under `scope`.
     pub fn attach_metrics(&mut self, metrics: Metrics, scope: u32) {
-        self.server.attach_meter(metrics, scope, "link.wire");
+        self.server
+            .attach_meter(metrics, scope, omx_sim::instruments::LINK_WIRE);
     }
 
     /// Total wire serialization time integrated over all frames.

@@ -25,13 +25,13 @@ use crate::bh::{BottomHalfQueue, NAPI_BUDGET};
 use crate::frame::EthFrame;
 use crate::skbuff::Skbuff;
 use omx_hw::{CoreId, Topology};
+use omx_sim::instruments as ins;
 use omx_sim::{Metrics, Ps};
 use serde::{Deserialize, Serialize};
 
-/// Hard cap on modeled RX queues: per-queue metric names must be
-/// `&'static str`, so they are spelled out for this range (and no
-/// modeled host has more than 8 cores anyway).
-pub const MAX_QUEUES: usize = 8;
+/// Hard cap on modeled RX queues (the per-queue instrument families
+/// have one member per queue).
+pub use omx_sim::instruments::MAX_QUEUES;
 
 /// NIC configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -146,66 +146,6 @@ pub struct Nic {
     frames_corrupt_dropped: u64,
     metrics: Metrics,
     scope: u32,
-}
-
-// Per-queue metric names, indexed by queue id (the registry requires
-// `&'static str` keys, so the tables are spelled out for MAX_QUEUES).
-const Q_FRAMES: [&str; MAX_QUEUES] = [
-    "nic.q0.frames",
-    "nic.q1.frames",
-    "nic.q2.frames",
-    "nic.q3.frames",
-    "nic.q4.frames",
-    "nic.q5.frames",
-    "nic.q6.frames",
-    "nic.q7.frames",
-];
-const Q_IRQS: [&str; MAX_QUEUES] = [
-    "nic.q0.irqs",
-    "nic.q1.irqs",
-    "nic.q2.irqs",
-    "nic.q3.irqs",
-    "nic.q4.irqs",
-    "nic.q5.irqs",
-    "nic.q6.irqs",
-    "nic.q7.irqs",
-];
-const Q_IRQS_COALESCED: [&str; MAX_QUEUES] = [
-    "nic.q0.irqs_coalesced",
-    "nic.q1.irqs_coalesced",
-    "nic.q2.irqs_coalesced",
-    "nic.q3.irqs_coalesced",
-    "nic.q4.irqs_coalesced",
-    "nic.q5.irqs_coalesced",
-    "nic.q6.irqs_coalesced",
-    "nic.q7.irqs_coalesced",
-];
-const Q_RING_DROPS: [&str; MAX_QUEUES] = [
-    "nic.q0.ring_drops",
-    "nic.q1.ring_drops",
-    "nic.q2.ring_drops",
-    "nic.q3.ring_drops",
-    "nic.q4.ring_drops",
-    "nic.q5.ring_drops",
-    "nic.q6.ring_drops",
-    "nic.q7.ring_drops",
-];
-const Q_RING_HWM: [&str; MAX_QUEUES] = [
-    "nic.q0.ring_high_watermark",
-    "nic.q1.ring_high_watermark",
-    "nic.q2.ring_high_watermark",
-    "nic.q3.ring_high_watermark",
-    "nic.q4.ring_high_watermark",
-    "nic.q5.ring_high_watermark",
-    "nic.q6.ring_high_watermark",
-    "nic.q7.ring_high_watermark",
-];
-
-/// Per-queue metric name, total over any queue id (queue counts are
-/// clamped to `MAX_QUEUES` at construction, so the fallback never
-/// publishes in practice).
-fn qname(names: &'static [&'static str; MAX_QUEUES], queue: usize) -> &'static str {
-    names.get(queue).copied().unwrap_or("nic.q_oob")
 }
 
 /// The queue→core binding the cluster uses: queue 0 keeps the
@@ -376,7 +316,7 @@ impl Nic {
         assert!(queue < self.queues.len(), "RX queue {queue} out of range");
         if frame.fcs_corrupt {
             self.frames_corrupt_dropped += 1;
-            self.metrics.count(self.scope, "nic.corrupt_drops", 1);
+            self.metrics.count(self.scope, ins::NIC_CORRUPT_DROPS, 1);
             self.metrics.trace(
                 now,
                 self.scope,
@@ -389,9 +329,9 @@ impl Nic {
         }
         if self.q(queue).pending >= self.params.rx_ring_size {
             self.frames_dropped += 1;
-            self.metrics.count(self.scope, "nic.ring_drops", 1);
+            self.metrics.count(self.scope, ins::NIC_RING_DROPS, 1);
             self.metrics
-                .count(self.scope, qname(&Q_RING_DROPS, queue), 1);
+                .count(self.scope, ins::NIC_Q_RING_DROPS.at(queue), 1);
             self.metrics
                 .trace(now, self.scope, "nic", "ring_drop", frame.payload_len(), 0);
             return RxOutcome::DroppedRingFull;
@@ -402,26 +342,30 @@ impl Nic {
             self.q_mut(queue).hwm = pending;
         }
         self.frames_received += 1;
-        self.metrics.count(self.scope, "nic.frames", 1);
-        self.metrics.count(self.scope, qname(&Q_FRAMES, queue), 1);
+        self.metrics.count(self.scope, ins::NIC_FRAMES, 1);
         self.metrics
-            .count(self.scope, "nic.bytes", frame.payload_len());
+            .count(self.scope, ins::NIC_Q_FRAMES.at(queue), 1);
         self.metrics
-            .gauge_max(self.scope, "nic.ring_high_watermark", pending as i64);
+            .count(self.scope, ins::NIC_BYTES, frame.payload_len());
         self.metrics
-            .gauge_max(self.scope, qname(&Q_RING_HWM, queue), pending as i64);
+            .gauge_max(self.scope, ins::NIC_RING_HIGH_WATERMARK, pending as i64);
+        self.metrics.gauge_max(
+            self.scope,
+            ins::NIC_Q_RING_HIGH_WATERMARK.at(queue),
+            pending as i64,
+        );
         let skb = Skbuff::new(frame.src, frame.payload, now);
         let core = self.q(queue).core;
         let coalesced = matches!(self.q(queue).last_irq, Some(t)
             if now.saturating_sub(t) < self.params.irq_coalesce);
         if coalesced {
-            self.metrics.count(self.scope, "nic.irqs_coalesced", 1);
+            self.metrics.count(self.scope, ins::NIC_IRQS_COALESCED, 1);
             self.metrics
-                .count(self.scope, qname(&Q_IRQS_COALESCED, queue), 1);
+                .count(self.scope, ins::NIC_Q_IRQS_COALESCED.at(queue), 1);
         } else {
             self.q_mut(queue).last_irq = Some(now);
-            self.metrics.count(self.scope, "nic.irqs", 1);
-            self.metrics.count(self.scope, qname(&Q_IRQS, queue), 1);
+            self.metrics.count(self.scope, ins::NIC_IRQS, 1);
+            self.metrics.count(self.scope, ins::NIC_Q_IRQS.at(queue), 1);
         }
         let bh_wake = bh.enqueue(skb);
         let wake = match (coalesced, bh_wake) {
@@ -791,7 +735,7 @@ mod tests {
             ..NicParams::default()
         });
         nic.bind_queue_cores(&[CoreId(0), CoreId(2)]);
-        let metrics = Metrics::new();
+        let metrics = Metrics::new(8);
         nic.attach_metrics(metrics.clone(), 7);
         let mut bh0 = BottomHalfQueue::new();
         let mut bh1 = BottomHalfQueue::new();
@@ -808,13 +752,14 @@ mod tests {
                 wake: RxWake::Irq(CoreId(2)),
             }
         ));
-        assert_eq!(metrics.gauge(7, "nic.q0.ring_high_watermark"), Some(3));
-        assert_eq!(metrics.gauge(7, "nic.q1.ring_high_watermark"), Some(1));
-        assert_eq!(metrics.gauge(7, "nic.ring_high_watermark"), Some(3));
-        assert_eq!(metrics.counter(7, "nic.q0.irqs"), 1);
-        assert_eq!(metrics.counter(7, "nic.q0.irqs_coalesced"), 2);
-        assert_eq!(metrics.counter(7, "nic.q1.irqs"), 1);
-        assert_eq!(metrics.counter(7, "nic.irqs"), 2);
+        let hwm = ins::NIC_Q_RING_HIGH_WATERMARK;
+        assert_eq!(metrics.gauge(7, hwm.at(0)), Some(3));
+        assert_eq!(metrics.gauge(7, hwm.at(1)), Some(1));
+        assert_eq!(metrics.gauge(7, ins::NIC_RING_HIGH_WATERMARK), Some(3));
+        assert_eq!(metrics.counter(7, ins::NIC_Q_IRQS.at(0)), 1);
+        assert_eq!(metrics.counter(7, ins::NIC_Q_IRQS_COALESCED.at(0)), 2);
+        assert_eq!(metrics.counter(7, ins::NIC_Q_IRQS.at(1)), 1);
+        assert_eq!(metrics.counter(7, ins::NIC_IRQS), 2);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! cache pollution.
 
 use crate::params::HwParams;
+use omx_sim::instruments as ins;
 use omx_sim::sanitize::{Kind, SimSanitizer, Token};
 use omx_sim::{FifoServer, Metrics, Ps};
 use serde::{Deserialize, Serialize};
@@ -127,10 +128,10 @@ impl IoatEngine {
     pub fn attach_metrics(&mut self, metrics: Metrics, scope: u32) {
         for ch in &mut self.channels {
             ch.server
-                .attach_meter(metrics.clone(), scope, "ioat.channel");
+                .attach_meter(metrics.clone(), scope, ins::IOAT_CHANNEL);
         }
         self.memory_port
-            .attach_meter(metrics.clone(), scope, "ioat.mem_port");
+            .attach_meter(metrics.clone(), scope, ins::IOAT_MEM_PORT);
         self.metrics = metrics;
         self.scope = scope;
     }
@@ -217,7 +218,7 @@ impl IoatEngine {
             None => until,
         });
         if newly {
-            self.metrics.count(self.scope, "ioat.quarantines", 1);
+            self.metrics.count(self.scope, ins::IOAT_QUARANTINES, 1);
         }
         newly
     }
@@ -232,7 +233,7 @@ impl IoatEngine {
             Some(until) if now < until => ChannelProbe::Quarantined,
             Some(_) => {
                 self.channels[channel].quarantined_until = None;
-                self.metrics.count(self.scope, "ioat.reprobes", 1);
+                self.metrics.count(self.scope, ins::IOAT_REPROBES, 1);
                 ChannelProbe::Reprobed
             }
         }
@@ -273,7 +274,7 @@ impl IoatEngine {
             let ch = &mut self.channels[channel];
             let cookie = ch.next_cookie;
             ch.next_cookie += 1;
-            self.metrics.count(self.scope, "ioat.zero_len_copies", 1);
+            self.metrics.count(self.scope, ins::IOAT_ZERO_LEN_COPIES, 1);
             let san = SimSanitizer::alloc(Kind::IoatDescriptor);
             SimSanitizer::submit(san);
             return CopyHandle {
@@ -307,20 +308,20 @@ impl IoatEngine {
             match f.until {
                 Some(until) if now < until => {
                     finish += until.saturating_sub(now.max(f.at));
-                    self.metrics.count(self.scope, "ioat.stalled_copies", 1);
+                    self.metrics.count(self.scope, ins::IOAT_STALLED_COPIES, 1);
                 }
                 Some(_) => {} // transient fault already over
                 None => {
                     finish = finish.max(STALLED_FOREVER);
-                    self.metrics.count(self.scope, "ioat.stalled_copies", 1);
+                    self.metrics.count(self.scope, ins::IOAT_STALLED_COPIES, 1);
                 }
             }
         }
         self.bytes_copied += bytes;
         self.descriptors += descriptors;
-        self.metrics.count(self.scope, "ioat.bytes", bytes);
+        self.metrics.count(self.scope, ins::IOAT_BYTES, bytes);
         self.metrics
-            .count(self.scope, "ioat.descriptors", descriptors);
+            .count(self.scope, ins::IOAT_DESCRIPTORS, descriptors);
         self.metrics
             .trace(now, self.scope, "ioat", "submit", bytes, channel as u64);
         let san = SimSanitizer::alloc(Kind::IoatDescriptor);
@@ -506,20 +507,23 @@ mod tests {
     #[test]
     fn diagnostics_match_metrics_registry() {
         let params = p();
-        let m = Metrics::new();
+        let m = Metrics::new(6);
         let mut e = IoatEngine::new(&params);
         e.attach_metrics(m.clone(), 5);
         e.submit(&params, Ps::ZERO, 0, 4096, 1);
         e.submit(&params, Ps::ZERO, 1, 1 << 20, 256);
         e.submit(&params, Ps::ZERO, 0, 0, 0); // free, not counted
-        assert_eq!(m.counter(5, "ioat.bytes"), e.bytes_copied());
-        assert_eq!(m.counter(5, "ioat.descriptors"), e.descriptors_submitted());
-        assert_eq!(m.counter(5, "ioat.zero_len_copies"), 1);
-        let metered_busy = m.busy_total(5, "ioat.channel");
+        assert_eq!(m.counter(5, ins::IOAT_BYTES), e.bytes_copied());
+        assert_eq!(
+            m.counter(5, ins::IOAT_DESCRIPTORS),
+            e.descriptors_submitted()
+        );
+        assert_eq!(m.counter(5, ins::IOAT_ZERO_LEN_COPIES), 1);
+        let metered_busy = m.busy_total(5, ins::IOAT_CHANNEL);
         let engine_busy =
             (0..e.num_channels()).fold(Ps::ZERO, |acc, ch| acc + e.channel_busy_total(ch));
         assert_eq!(metered_busy, engine_busy);
-        assert!(m.busy_total(5, "ioat.mem_port") > Ps::ZERO);
+        assert!(m.busy_total(5, ins::IOAT_MEM_PORT) > Ps::ZERO);
     }
 
     #[test]
@@ -592,16 +596,16 @@ mod tests {
     #[test]
     fn fault_metrics_are_counted() {
         let params = p();
-        let m = Metrics::new();
+        let m = Metrics::new(4);
         let mut e = IoatEngine::new(&params);
         e.attach_metrics(m.clone(), 3);
         e.inject_channel_stall(0, Ps::ZERO, None);
         e.submit(&params, Ps::us(1), 0, 4096, 1);
         e.quarantine(0, Ps::us(30));
         e.probe_channel(0, Ps::us(40));
-        assert_eq!(m.counter(3, "ioat.stalled_copies"), 1);
-        assert_eq!(m.counter(3, "ioat.quarantines"), 1);
-        assert_eq!(m.counter(3, "ioat.reprobes"), 1);
+        assert_eq!(m.counter(3, ins::IOAT_STALLED_COPIES), 1);
+        assert_eq!(m.counter(3, ins::IOAT_QUARANTINES), 1);
+        assert_eq!(m.counter(3, ins::IOAT_REPROBES), 1);
     }
 
     #[test]

@@ -16,10 +16,6 @@
 //!   simulation crates (`core`, `ethernet`, `hw`, `mpi`): iteration
 //!   order feeds event ordering, so only sorted collections
 //!   (`BTreeMap`/`BTreeSet`) are deterministic. Waivable per site.
-//! * **D3 `counters-registry`** — every public field of
-//!   `struct Counters` must be published to the metrics registry under
-//!   a `"counters.<field>"` name, and `cluster::Stats` must carry a
-//!   `counters` field surfacing the aggregate (a cross-file check).
 //! * **D4 `lifecycle-ctor`** — the four `SimSanitizer` lifecycle types
 //!   (`Skbuff`, `Region`, `CopyHandle`, `PullState`) must be
 //!   constructed through their checked constructors: a struct-literal
@@ -409,9 +405,8 @@ pub struct Violation {
     /// 1-based line.
     pub line: u32,
     /// Rule slug (`wall-clock`, `thread`, `ad-hoc-rng`,
-    /// `unordered-iter`, `counters-registry`, `lifecycle-ctor`,
-    /// `hot-path-alloc`, `fast-path-panic`, `config-knob`,
-    /// `waiver-citation`).
+    /// `unordered-iter`, `lifecycle-ctor`, `hot-path-alloc`,
+    /// `fast-path-panic`, `config-knob`, `waiver-citation`).
     pub rule: String,
     /// Human-readable description of the finding.
     pub message: String,
@@ -710,108 +705,6 @@ fn check_file_tokens(
     }
 }
 
-/// Rule D3: every public `Counters` field must be published under a
-/// `"counters.<field>"` registry name, and `Stats` must surface the
-/// aggregate. Runs only when the checked tree contains the counters
-/// module.
-fn check_counters_registry(root: &Path, out: &mut Report) {
-    let counters_rel = "crates/core/src/counters.rs";
-    let cluster_rel = "crates/core/src/cluster.rs";
-    let counters_path = root.join(counters_rel);
-    let Ok(src) = std::fs::read_to_string(&counters_path) else {
-        return;
-    };
-    let (toks, _) = tokenize(&src);
-    // Collect `pub <field> :` inside `struct Counters { ... }`.
-    let mut fields: Vec<(String, u32)> = Vec::new();
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].text == "struct" && toks[i + 1].text == "Counters" {
-            let mut j = i + 2;
-            while j < toks.len() && toks[j].text != "{" {
-                j += 1;
-            }
-            if let Some(end) = matching(&toks, j, "{", "}") {
-                let mut k = j + 1;
-                while k + 2 < end {
-                    if toks[k].text == "pub"
-                        && toks[k + 1].kind == TokKind::Ident
-                        && toks[k + 2].text == ":"
-                    {
-                        fields.push((toks[k + 1].text.clone(), toks[k + 1].line));
-                        k += 3;
-                    } else {
-                        k += 1;
-                    }
-                }
-            }
-            break;
-        }
-        i += 1;
-    }
-    // Every field needs a `"counters.<field>"` string literal somewhere
-    // in the module (the `publish` registration).
-    for (field, line) in &fields {
-        let want = format!("counters.{field}");
-        let registered = toks
-            .iter()
-            .any(|t| t.kind == TokKind::Str && t.text == want);
-        if !registered {
-            out.violations.push(Violation {
-                file: counters_rel.to_string(),
-                line: *line,
-                rule: "counters-registry".to_string(),
-                message: format!(
-                    "counter field `{field}` is not registered with the Metrics registry \
-                     (no \"{want}\" name in Counters::publish)"
-                ),
-                id: String::new(),
-            });
-        }
-    }
-    // `Stats` must carry a `counters` field so the aggregate reaches
-    // serialized results.
-    let Ok(cluster_src) = std::fs::read_to_string(root.join(cluster_rel)) else {
-        return;
-    };
-    let (ctoks, _) = tokenize(&cluster_src);
-    let mut i = 0;
-    let mut stats_found = false;
-    let mut surfaced = false;
-    while i + 1 < ctoks.len() {
-        if ctoks[i].text == "struct" && ctoks[i + 1].text == "Stats" {
-            stats_found = true;
-            let mut j = i + 2;
-            while j < ctoks.len() && ctoks[j].text != "{" {
-                j += 1;
-            }
-            if let Some(end) = matching(&ctoks, j, "{", "}") {
-                let mut k = j + 1;
-                while k + 2 < end {
-                    if ctoks[k].text == "counters" && ctoks[k + 1].text == ":" {
-                        surfaced = true;
-                        break;
-                    }
-                    k += 1;
-                }
-            }
-            break;
-        }
-        i += 1;
-    }
-    if stats_found && !surfaced && !fields.is_empty() {
-        out.violations.push(Violation {
-            file: cluster_rel.to_string(),
-            line: 1,
-            rule: "counters-registry".to_string(),
-            message: "`Stats` has no `counters` field; aggregated endpoint counters never reach \
-                      serialized results"
-                .to_string(),
-            id: String::new(),
-        });
-    }
-}
-
 /// Rule D4's cross-file half: each lifecycle home module must actually
 /// thread the sanitizer (reference the `sanitize` module).
 fn check_lifecycle_homes(root: &Path, out: &mut Report) {
@@ -901,7 +794,6 @@ pub fn check_with(root: &Path, cfg: &rules_v2::RulesConfig) -> Report {
     for (rel, data) in &files {
         check_file_tokens(rel, &data.toks, &data.waivers, &mut report);
     }
-    check_counters_registry(root, &mut report);
     check_lifecycle_homes(root, &mut report);
     // v2: module graph, import resolution, call graph, resolved rules.
     let ws = resolve::Workspace::build(root, &files);

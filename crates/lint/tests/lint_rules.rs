@@ -6,7 +6,7 @@
 //! fixture-local [`RulesConfig`]: the default config's D5/D6 entry
 //! points and D7 knob structs name functions of the *real* workspace,
 //! which a fixture tree does not contain (and `entries_missing` would
-//! rightly flag). Rules D1–D4 and `waiver-citation` need no entry
+//! rightly flag). Rules D1, D2, D4 and `waiver-citation` need no entry
 //! configuration and run the same either way.
 
 use omx_lint::rules_v2::{KnobStruct, RulesConfig};
@@ -144,27 +144,6 @@ fn d2_follows_pub_use_reexport_chain() {
         .violations
         .iter()
         .all(|v| !v.file.starts_with("crates/util/")));
-}
-
-// ------------------------------------------------------------------ D3
-
-#[test]
-fn d3_flags_unregistered_counter_and_missing_stats_field() {
-    let r = fcheck("d3_violation");
-    let counters: Vec<_> = r
-        .violations
-        .iter()
-        .filter(|v| v.rule == "counters-registry")
-        .collect();
-    assert_eq!(counters.len(), 2, "violations: {:?}", r.violations);
-    assert!(counters.iter().any(|v| v.message.contains("orphan")));
-    assert!(counters.iter().any(|v| v.message.contains("Stats")));
-}
-
-#[test]
-fn d3_clean_registration_passes() {
-    let r = fcheck("d3_clean");
-    assert!(r.is_clean(), "violations: {:?}", r.violations);
 }
 
 // ------------------------------------------------------------------ D4

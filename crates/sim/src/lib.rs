@@ -15,9 +15,12 @@
 //! * [`resource::FifoServer`] — a serially-reusable resource (a wire, a
 //!   DMA channel, a CPU core) with busy-time integration,
 //! * [`stats`] — busy meters, throughput series and summary statistics,
+//! * [`instruments`] — the table declaring every instrument once, with
+//!   dense compile-time ids,
 //! * [`metrics`] — a cross-crate metrics registry (counters, gauges,
-//!   busy-time integrals) plus an optional bounded event trace; purely
-//!   observational, it never charges simulated time,
+//!   busy-time integrals) stored densely per scope, plus an optional
+//!   bounded event trace; purely observational, it never charges
+//!   simulated time,
 //! * [`rng`] — a tiny deterministic SplitMix64 generator,
 //! * [`sanitize`] — debug-build lifecycle state machines (skbuffs,
 //!   pinned regions, I/OAT descriptors, pull handles) that turn leaks
@@ -25,6 +28,7 @@
 
 pub mod engine;
 pub(crate) mod event;
+pub mod instruments;
 pub mod metrics;
 pub mod partition;
 pub mod reference;

@@ -1,15 +1,21 @@
 //! Per-component observability: a metrics registry and an optional
 //! structured event trace.
 //!
-//! The registry holds three families of instruments, all keyed by a
-//! `(scope, name)` pair where `scope` is a small integer chosen by the
-//! embedder (this workspace uses the node id) and `name` is a static
-//! dotted path like `"ioat.channel"`:
+//! The registry stores every instrument of the table in
+//! [`crate::instruments`] once per *scope* — a small integer chosen by
+//! the embedder (this workspace uses the node id). Three families:
 //!
 //! * **counters** — monotonic `u64` totals (frames, bytes, drops),
 //! * **gauges** — last-value and high-watermark `i64`s (queue depths),
 //! * **busy integrals** — accumulated [`Ps`] of resource occupancy
 //!   (wire serialization, DMA channel busy, memcpy time).
+//!
+//! Storage is dense: one zero-initialized slot per (scope, instrument),
+//! allocated once when the registry is built for a known number of
+//! scopes, so a recording call is a checked index and an add — no
+//! lookup, no allocation. Each slot also has a "written" bit, so a read
+//! or a snapshot tells an instrument that recorded zero from one that
+//! never recorded at all.
 //!
 //! A [`Metrics`] value is a cheap handle: clones share one registry.
 //! The disabled handle ([`Metrics::disabled`]) is an `Option::None`
@@ -22,20 +28,71 @@
 //! (oldest evicted first). It is off by default and sized explicitly
 //! via [`Metrics::with_trace`].
 
+use crate::instruments::{members, Busy, Counter, Gauge, Kind, SLOTS};
 use crate::time::Ps;
 use serde::Serialize;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-type Key = (u32, &'static str);
+/// "Written" bits per scope, one per slot.
+const WORDS: usize = SLOTS.div_ceil(64);
 
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, i64>,
-    busy: BTreeMap<Key, Ps>,
-    trace: Option<TraceRing>,
+/// Words of storage per scope: its slots, then their "written" bits.
+const STRIDE: usize = SLOTS + WORDS;
+
+/// Every scope's slots and "written" bits, scope `s` at
+/// `[s * STRIDE, (s + 1) * STRIDE)`: counter totals, gauges, busy
+/// integrals in picoseconds and metered job counts. Everything starts
+/// at zero, so the storage comes from the allocator already zeroed: a
+/// gauge is stored as [`gauge_bits`], whose zero stands for
+/// `i64::MIN`, so a first high-watermark raise needs no start value.
+#[derive(Debug)]
+struct Slots(Vec<u64>);
+
+impl Slots {
+    /// Replace the slot's value `v` with `f(v)` and mark it written.
+    #[inline]
+    fn update(&mut self, scope: u32, slot: usize, f: impl FnOnce(u64) -> u64) {
+        if slot >= SLOTS {
+            return;
+        }
+        let base = scope as usize * STRIDE;
+        if let Some(words) = self.0.get_mut(base..base + STRIDE) {
+            let (vals, written) = words.split_at_mut(SLOTS);
+            if let (Some(val), Some(bits)) = (vals.get_mut(slot), written.get_mut(slot / 64)) {
+                *val = f(*val);
+                *bits |= 1 << (slot % 64);
+            }
+        }
+    }
+
+    /// The slot's value, or `None` if it was never written.
+    fn read(&self, scope: usize, slot: usize) -> Option<u64> {
+        let words = self.0.get(scope * STRIDE..(scope + 1) * STRIDE)?;
+        let (vals, written) = words.split_at(SLOTS);
+        let bits = written.get(slot / 64)?;
+        (bits >> (slot % 64) & 1 == 1).then_some(*vals.get(slot)?)
+    }
+}
+
+/// A gauge value as stored: the sign bit flipped, which maps `i64`
+/// order onto `u64` order (so a raise is an unsigned `max`) and
+/// `i64::MIN` onto zero.
+fn gauge_bits(value: i64) -> u64 {
+    value as u64 ^ 1 << 63
+}
+
+/// Inverse of [`gauge_bits`].
+fn gauge_value(bits: u64) -> i64 {
+    (bits ^ 1 << 63) as i64
+}
+
+#[derive(Debug)]
+struct Registry {
+    scopes: usize,
+    slots: RefCell<Slots>,
+    trace: Option<RefCell<TraceRing>>,
 }
 
 #[derive(Debug)]
@@ -65,8 +122,10 @@ pub struct TraceEvent {
 }
 
 /// A serializable point-in-time view of the registry. Keys are
-/// rendered as `"s<scope>.<name>"`; busy integrals are reported in
-/// nanoseconds.
+/// rendered as `"s<scope>.<name>"` and only written instruments
+/// appear; busy integrals are reported in nanoseconds, and a metered
+/// resource's job count appears among the counters under its busy
+/// name.
 #[derive(Debug, Clone, Serialize)]
 pub struct MetricsSnapshot {
     /// Monotonic counters.
@@ -82,28 +141,37 @@ pub struct MetricsSnapshot {
 /// Shared handle to a metrics registry (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    inner: Option<Rc<RefCell<Inner>>>,
+    inner: Option<Rc<Registry>>,
 }
 
 impl Metrics {
-    /// An enabled registry without an event trace.
-    pub fn new() -> Metrics {
-        Metrics {
-            inner: Some(Rc::new(RefCell::new(Inner::default()))),
-        }
+    /// An enabled registry for scopes `0..scopes`, without an event
+    /// trace. Recordings for a scope outside that range are dropped.
+    pub fn new(scopes: usize) -> Metrics {
+        Metrics::build(scopes, None)
     }
 
-    /// An enabled registry with a trace ring of `capacity` events.
-    pub fn with_trace(capacity: usize) -> Metrics {
-        let m = Metrics::new();
-        if capacity > 0 {
-            m.inner.as_ref().unwrap().borrow_mut().trace = Some(TraceRing {
+    /// An enabled registry for scopes `0..scopes` with a trace ring of
+    /// `capacity` events.
+    pub fn with_trace(scopes: usize, capacity: usize) -> Metrics {
+        let ring = (capacity > 0).then(|| {
+            RefCell::new(TraceRing {
                 capacity,
                 events: VecDeque::with_capacity(capacity.min(4096)),
                 dropped: 0,
-            });
+            })
+        });
+        Metrics::build(scopes, ring)
+    }
+
+    fn build(scopes: usize, trace: Option<RefCell<TraceRing>>) -> Metrics {
+        Metrics {
+            inner: Some(Rc::new(Registry {
+                scopes,
+                slots: RefCell::new(Slots(vec![0; scopes * STRIDE])),
+                trace,
+            })),
         }
-        m
     }
 
     /// The no-op handle: every recording call returns immediately.
@@ -119,50 +187,49 @@ impl Metrics {
 
     /// Whether an event trace ring is attached.
     pub fn trace_enabled(&self) -> bool {
-        self.inner
-            .as_ref()
-            .map(|i| i.borrow().trace.is_some())
-            .unwrap_or(false)
+        self.inner.as_ref().is_some_and(|r| r.trace.is_some())
     }
 
-    /// Add `delta` to the counter `(scope, name)`.
     #[inline]
-    pub fn count(&self, scope: u32, name: &'static str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            *inner
-                .borrow_mut()
-                .counters
-                .entry((scope, name))
-                .or_insert(0) += delta;
+    fn update(&self, scope: u32, slot: usize, f: impl FnOnce(u64) -> u64) {
+        if let Some(r) = &self.inner {
+            r.slots.borrow_mut().update(scope, slot, f);
         }
     }
 
-    /// Set the gauge `(scope, name)` to `value`.
+    /// Add `delta` to counter `id` of `scope`.
     #[inline]
-    pub fn gauge_set(&self, scope: u32, name: &'static str, value: i64) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().gauges.insert((scope, name), value);
-        }
+    pub fn count(&self, scope: u32, id: Counter, delta: u64) {
+        self.update(scope, usize::from(id.0), |v| v + delta);
     }
 
-    /// Raise the gauge `(scope, name)` to `value` if it is higher than
-    /// the stored value (high-watermark semantics).
+    /// Set gauge `id` of `scope` to `value`.
     #[inline]
-    pub fn gauge_max(&self, scope: u32, name: &'static str, value: i64) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            let g = inner.gauges.entry((scope, name)).or_insert(i64::MIN);
-            *g = (*g).max(value);
-        }
+    pub fn gauge_set(&self, scope: u32, id: Gauge, value: i64) {
+        self.update(scope, usize::from(id.0), |_| gauge_bits(value));
     }
 
-    /// Accumulate `service` into the busy integral `(scope, name)`.
+    /// Raise gauge `id` of `scope` to `value` if it is higher than the
+    /// stored value (high-watermark semantics).
     #[inline]
-    pub fn busy(&self, scope: u32, name: &'static str, service: Ps) {
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            let b = inner.busy.entry((scope, name)).or_insert(Ps::ZERO);
-            *b += service;
+    pub fn gauge_max(&self, scope: u32, id: Gauge, value: i64) {
+        self.update(scope, usize::from(id.0), |v| v.max(gauge_bits(value)));
+    }
+
+    /// Accumulate `service` into busy integral `id` of `scope`.
+    #[inline]
+    pub fn busy(&self, scope: u32, id: Busy, service: Ps) {
+        self.update(scope, usize::from(id.0), |v| v + service.as_ps());
+    }
+
+    /// One job of a metered resource: accumulate `service` into busy
+    /// integral `id` of `scope` and count the job under the same name.
+    #[inline]
+    pub fn meter(&self, scope: u32, id: Busy, service: Ps) {
+        if let Some(r) = &self.inner {
+            let mut slots = r.slots.borrow_mut();
+            slots.update(scope, usize::from(id.0), |v| v + service.as_ps());
+            slots.update(scope, usize::from(id.0) + 1, |jobs| jobs + 1);
         }
     }
 
@@ -178,75 +245,70 @@ impl Metrics {
         a: u64,
         b: u64,
     ) {
-        if let Some(inner) = &self.inner {
-            if let Some(ring) = inner.borrow_mut().trace.as_mut() {
-                if ring.events.len() >= ring.capacity {
-                    ring.events.pop_front();
-                    ring.dropped += 1;
-                }
-                ring.events.push_back(TraceEvent {
-                    at,
-                    scope,
-                    component,
-                    what,
-                    a,
-                    b,
-                });
+        if let Some(ring) = self.inner.as_ref().and_then(|r| r.trace.as_ref()) {
+            let mut ring = ring.borrow_mut();
+            if ring.events.len() >= ring.capacity {
+                ring.events.pop_front();
+                ring.dropped += 1;
             }
+            ring.events.push_back(TraceEvent {
+                at,
+                scope,
+                component,
+                what,
+                a,
+                b,
+            });
         }
     }
 
-    /// Read a counter (0 when absent or disabled).
-    pub fn counter(&self, scope: u32, name: &'static str) -> u64 {
+    fn read(&self, scope: u32, slot: usize) -> Option<u64> {
         self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().counters.get(&(scope, name)).copied())
-            .unwrap_or(0)
+            .as_ref()?
+            .slots
+            .borrow()
+            .read(scope as usize, slot)
     }
 
-    /// Read a gauge.
-    pub fn gauge(&self, scope: u32, name: &'static str) -> Option<i64> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().gauges.get(&(scope, name)).copied())
+    fn sum_over_scopes(&self, slot: usize) -> u64 {
+        let Some(r) = &self.inner else {
+            return 0;
+        };
+        let slots = r.slots.borrow();
+        (0..r.scopes).filter_map(|s| slots.read(s, slot)).sum()
     }
 
-    /// Read a busy integral (zero when absent or disabled).
-    pub fn busy_total(&self, scope: u32, name: &'static str) -> Ps {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.borrow().busy.get(&(scope, name)).copied())
-            .unwrap_or(Ps::ZERO)
+    /// Read a counter (0 when never written or disabled).
+    pub fn counter(&self, scope: u32, id: Counter) -> u64 {
+        self.read(scope, usize::from(id.0)).unwrap_or(0)
+    }
+
+    /// Read a gauge (`None` when never written or disabled).
+    pub fn gauge(&self, scope: u32, id: Gauge) -> Option<i64> {
+        self.read(scope, usize::from(id.0)).map(gauge_value)
+    }
+
+    /// Read a busy integral (zero when never written or disabled).
+    pub fn busy_total(&self, scope: u32, id: Busy) -> Ps {
+        Ps(self.read(scope, usize::from(id.0)).unwrap_or(0))
+    }
+
+    /// Jobs a metered resource admitted (0 when never written).
+    pub fn jobs(&self, scope: u32, id: Busy) -> u64 {
+        self.read(scope, usize::from(id.0) + 1).unwrap_or(0)
     }
 
     /// Sum of a busy integral across all scopes.
-    pub fn busy_total_all_scopes(&self, name: &'static str) -> Ps {
-        match &self.inner {
-            None => Ps::ZERO,
-            Some(i) => i
-                .borrow()
-                .busy
-                .iter()
-                .filter(|((_, n), _)| *n == name)
-                .fold(Ps::ZERO, |acc, (_, t)| acc + *t),
-        }
+    pub fn busy_total_all_scopes(&self, id: Busy) -> Ps {
+        Ps(self.sum_over_scopes(usize::from(id.0)))
     }
 
     /// Sum of a counter across all scopes.
-    pub fn counter_all_scopes(&self, name: &'static str) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(i) => i
-                .borrow()
-                .counters
-                .iter()
-                .filter(|((_, n), _)| *n == name)
-                .map(|(_, v)| *v)
-                .sum(),
-        }
+    pub fn counter_all_scopes(&self, id: Counter) -> u64 {
+        self.sum_over_scopes(usize::from(id.0))
     }
 
-    /// A serializable snapshot of every instrument.
+    /// A serializable snapshot of every written instrument.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
             counters: BTreeMap::new(),
@@ -254,21 +316,38 @@ impl Metrics {
             busy_ns: BTreeMap::new(),
             trace_dropped: 0,
         };
-        if let Some(inner) = &self.inner {
-            let inner = inner.borrow();
-            for ((scope, name), v) in &inner.counters {
-                snap.counters.insert(format!("s{scope}.{name}"), *v);
+        let Some(r) = &self.inner else {
+            return snap;
+        };
+        let slots = r.slots.borrow();
+        for (slot, d, k) in members() {
+            let name = d.member_name(k);
+            for scope in 0..r.scopes {
+                let key = || format!("s{scope}.{name}");
+                match d.kind {
+                    Kind::Counter => {
+                        if let Some(v) = slots.read(scope, slot) {
+                            snap.counters.insert(key(), v);
+                        }
+                    }
+                    Kind::Gauge => {
+                        if let Some(v) = slots.read(scope, slot) {
+                            snap.gauges.insert(key(), gauge_value(v));
+                        }
+                    }
+                    Kind::Busy => {
+                        if let Some(v) = slots.read(scope, slot) {
+                            snap.busy_ns.insert(key(), v as f64 / 1e3);
+                        }
+                        if let Some(jobs) = slots.read(scope, slot + 1) {
+                            snap.counters.insert(key(), jobs);
+                        }
+                    }
+                }
             }
-            for ((scope, name), v) in &inner.gauges {
-                snap.gauges.insert(format!("s{scope}.{name}"), *v);
-            }
-            for ((scope, name), v) in &inner.busy {
-                snap.busy_ns
-                    .insert(format!("s{scope}.{name}"), v.as_ps() as f64 / 1e3);
-            }
-            if let Some(ring) = &inner.trace {
-                snap.trace_dropped = ring.dropped;
-            }
+        }
+        if let Some(ring) = &r.trace {
+            snap.trace_dropped = ring.borrow().dropped;
         }
         snap
     }
@@ -277,12 +356,8 @@ impl Metrics {
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.inner
             .as_ref()
-            .and_then(|i| {
-                i.borrow()
-                    .trace
-                    .as_ref()
-                    .map(|r| r.events.iter().cloned().collect())
-            })
+            .and_then(|r| r.trace.as_ref())
+            .map(|ring| ring.borrow().events.iter().cloned().collect())
             .unwrap_or_default()
     }
 }
@@ -290,47 +365,59 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instruments::{IOAT_CHANNEL, LINK_WIRE, NIC_FRAMES, NIC_Q_RING_HIGH_WATERMARK};
 
     #[test]
     fn disabled_handle_records_nothing() {
         let m = Metrics::disabled();
-        m.count(0, "x", 5);
-        m.busy(0, "x", Ps::ns(100));
-        m.gauge_max(0, "x", 9);
+        m.count(0, NIC_FRAMES, 5);
+        m.busy(0, LINK_WIRE, Ps::ns(100));
+        m.gauge_max(0, NIC_Q_RING_HIGH_WATERMARK.at(0), 9);
         m.trace(Ps::ZERO, 0, "c", "w", 1, 2);
         assert!(!m.is_enabled());
-        assert_eq!(m.counter(0, "x"), 0);
-        assert_eq!(m.busy_total(0, "x"), Ps::ZERO);
+        assert_eq!(m.counter(0, NIC_FRAMES), 0);
+        assert_eq!(m.busy_total(0, LINK_WIRE), Ps::ZERO);
         assert!(m.snapshot().counters.is_empty());
         assert!(m.trace_events().is_empty());
     }
 
     #[test]
     fn clones_share_one_registry() {
-        let m = Metrics::new();
+        let m = Metrics::new(3);
         let m2 = m.clone();
-        m.count(1, "frames", 2);
-        m2.count(1, "frames", 3);
-        m2.busy(1, "wire", Ps::ns(40));
-        m.busy(2, "wire", Ps::ns(60));
-        assert_eq!(m.counter(1, "frames"), 5);
-        assert_eq!(m.busy_total_all_scopes("wire"), Ps::ns(100));
-        assert_eq!(m.counter_all_scopes("frames"), 5);
+        m.count(1, NIC_FRAMES, 2);
+        m2.count(1, NIC_FRAMES, 3);
+        m2.busy(1, LINK_WIRE, Ps::ns(40));
+        m.busy(2, LINK_WIRE, Ps::ns(60));
+        assert_eq!(m.counter(1, NIC_FRAMES), 5);
+        assert_eq!(m.busy_total_all_scopes(LINK_WIRE), Ps::ns(100));
+        assert_eq!(m.counter_all_scopes(NIC_FRAMES), 5);
     }
 
     #[test]
     fn gauges_track_watermarks() {
-        let m = Metrics::new();
-        m.gauge_max(0, "depth", 3);
-        m.gauge_max(0, "depth", 1);
-        assert_eq!(m.gauge(0, "depth"), Some(3));
-        m.gauge_set(0, "depth", 1);
-        assert_eq!(m.gauge(0, "depth"), Some(1));
+        let m = Metrics::new(1);
+        let g = NIC_Q_RING_HIGH_WATERMARK.at(2);
+        assert_eq!(m.gauge(0, g), None);
+        m.gauge_max(0, g, 3);
+        m.gauge_max(0, g, 1);
+        assert_eq!(m.gauge(0, g), Some(3));
+        m.gauge_set(0, g, 1);
+        assert_eq!(m.gauge(0, g), Some(1));
+    }
+
+    #[test]
+    fn out_of_range_scopes_and_members_record_nothing() {
+        let m = Metrics::new(1);
+        m.count(1, NIC_FRAMES, 1);
+        m.gauge_set(0, NIC_Q_RING_HIGH_WATERMARK.at(99), 7);
+        assert_eq!(m.counter(1, NIC_FRAMES), 0);
+        assert!(m.snapshot().gauges.is_empty());
     }
 
     #[test]
     fn trace_ring_is_bounded() {
-        let m = Metrics::with_trace(2);
+        let m = Metrics::with_trace(1, 2);
         assert!(m.trace_enabled());
         for i in 0..5u64 {
             m.trace(Ps::ns(i), 0, "c", "tick", i, 0);
@@ -344,11 +431,15 @@ mod tests {
 
     #[test]
     fn snapshot_renders_scoped_keys() {
-        let m = Metrics::new();
-        m.count(0, "nic.frames", 7);
-        m.busy(1, "ioat.channel", Ps::us(3));
+        let m = Metrics::new(2);
+        m.count(0, NIC_FRAMES, 7);
+        m.meter(1, IOAT_CHANNEL, Ps::us(3));
+        m.gauge_max(1, NIC_Q_RING_HIGH_WATERMARK.at(5), 4);
         let s = m.snapshot();
         assert_eq!(s.counters["s0.nic.frames"], 7);
+        assert_eq!(s.counters["s1.ioat.channel"], 1);
+        assert_eq!(s.gauges["s1.nic.q5.ring_high_watermark"], 4);
         assert!((s.busy_ns["s1.ioat.channel"] - 3000.0).abs() < 1e-9);
+        assert_eq!(s.counters.len() + s.gauges.len() + s.busy_ns.len(), 4);
     }
 }

@@ -35,6 +35,7 @@
 
 use crate::engine::Sim;
 use crate::time::Ps;
+use std::fmt;
 use std::sync::{Barrier, Mutex};
 
 /// A world type that can run as one shard of a partitioned
@@ -46,11 +47,11 @@ pub trait Shard: Sized {
     /// shard and a per-shard emission sequence), so the post-exchange
     /// sort reconstructs one global order regardless of which worker
     /// delivered which message first.
-    type Msg: Ord + Send;
+    type Msg: Ord + Send + fmt::Debug;
 
     /// The instant at which `msg` will fire on the receiving shard.
-    /// Used to enforce the lookahead contract (`fire >= emit + L`) in
-    /// debug builds.
+    /// Used to enforce the lookahead contract (`fire >= emit + L`) on
+    /// every exchanged message, in every build.
     fn msg_at(msg: &Self::Msg) -> Ps;
 
     /// Drain the messages this shard emitted since the last drain, as
@@ -74,6 +75,26 @@ fn window_deadline(h: Ps, lookahead: Ps) -> Ps {
     h.checked_add(lookahead)
         .expect("partition window overflows the clock")
         - Ps::ps(1)
+}
+
+/// The lookahead contract, checked on every exchanged message (one
+/// compare): a message must fire after the window that emitted it.
+/// One that fires inside it would be injected into a window its
+/// destination has already closed, silently reordering the run.
+fn check_lookahead<W: Shard>(
+    msg: &W::Msg,
+    deadline: Ps,
+    src: usize,
+    dst: usize,
+) -> Result<(), String> {
+    let at = W::msg_at(msg);
+    if at > deadline {
+        return Ok(());
+    }
+    Err(format!(
+        "cross-partition message violates the lookahead contract: shard {src} -> shard {dst} \
+         fires at {at:?}, inside the window ending at {deadline:?}: {msg:?}"
+    ))
 }
 
 /// One shard's bundle: its engine, its world, and caller-side state
@@ -142,12 +163,11 @@ where
         for (sim, world, _) in shards.iter_mut() {
             sim.run_until(world, deadline);
         }
-        for (_, world, _) in shards.iter_mut() {
+        for (src, (_, world, _)) in shards.iter_mut().enumerate() {
             for (dst, msg) in world.take_outbox() {
-                debug_assert!(
-                    W::msg_at(&msg) > deadline,
-                    "cross-partition message violates the lookahead contract"
-                );
+                if let Err(e) = check_lookahead::<W>(&msg, deadline, src, dst) {
+                    panic!("{e}");
+                }
                 inboxes[dst].push(msg);
             }
         }
@@ -190,12 +210,17 @@ where
     let mins: Vec<Mutex<Option<Ps>>> = (0..workers).map(|_| Mutex::new(None)).collect();
     let inboxes: Vec<Mutex<Vec<W::Msg>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // A lookahead violation, raised on the caller's thread once every
+    // worker has left the round loop: a worker panicking mid-round
+    // would leave the others waiting at the barrier forever.
+    let violation: Mutex<Option<String>> = Mutex::new(None);
     std::thread::scope(|scope| {
         for (w, owned) in dealt.into_iter().enumerate() {
             let barrier = &barrier;
             let mins = &mins;
             let inboxes = &inboxes;
             let results = &results;
+            let violation = &violation;
             scope.spawn(move || {
                 let mut shards: Vec<(usize, Bundle<W, S>)> =
                     owned.into_iter().map(|(i, b)| (i, b())).collect();
@@ -220,16 +245,24 @@ where
                     for (_, (sim, world, _)) in shards.iter_mut() {
                         sim.run_until(world, deadline);
                     }
-                    for (_, (_, world, _)) in shards.iter_mut() {
+                    for (src, (_, world, _)) in shards.iter_mut() {
                         for (dst, msg) in world.take_outbox() {
-                            debug_assert!(
-                                W::msg_at(&msg) > deadline,
-                                "cross-partition message violates the lookahead contract"
-                            );
+                            if let Err(e) = check_lookahead::<W>(&msg, deadline, *src, dst) {
+                                violation
+                                    .lock()
+                                    .expect("violation poisoned")
+                                    .get_or_insert(e);
+                                continue;
+                            }
                             inboxes[dst].lock().expect("inbox poisoned").push(msg);
                         }
                     }
                     barrier.wait();
+                    // Every worker reads the flag between the same two
+                    // barriers, so all of them stop in the same round.
+                    if violation.lock().expect("violation poisoned").is_some() {
+                        return;
+                    }
                     // Phase 4: drain own inboxes in canonical order.
                     for (i, (sim, world, _)) in shards.iter_mut() {
                         let mut inbox = inboxes[*i].lock().expect("inbox poisoned");
@@ -247,6 +280,9 @@ where
             });
         }
     });
+    if let Some(e) = violation.into_inner().expect("violation poisoned") {
+        panic!("{e}");
+    }
     results
         .into_iter()
         .map(|m| {
@@ -274,7 +310,7 @@ mod tests {
         emitted: u64,
     }
 
-    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
     struct ToyMsg {
         at: Ps,
         node: usize,

@@ -6,6 +6,7 @@
 //! integrates its busy time so utilization can be reported afterwards
 //! (that integral is what Figure 9 of the paper plots, per category).
 
+use crate::instruments::Busy;
 use crate::metrics::Metrics;
 use crate::time::Ps;
 
@@ -15,8 +16,8 @@ use crate::time::Ps;
 /// and use the returned completion times to schedule events.
 ///
 /// A server can optionally carry a meter ([`Self::attach_meter`]): each
-/// admitted job then also accumulates into a named busy integral and
-/// job counter in a shared [`Metrics`] registry, so per-resource
+/// admitted job then also accumulates into a busy instrument's integral
+/// and job count in a shared [`Metrics`] registry, so per-resource
 /// occupancy shows up in snapshots without the owner exposing every
 /// internal server.
 #[derive(Debug, Clone)]
@@ -35,7 +36,7 @@ pub struct FifoServer {
 struct Meter {
     metrics: Metrics,
     scope: u32,
-    name: &'static str,
+    id: Busy,
 }
 
 impl Default for FifoServer {
@@ -56,14 +57,11 @@ impl FifoServer {
     }
 
     /// Report every admitted job's service time and count to
-    /// `metrics` under `(scope, name)`. Replaces any earlier meter.
-    pub fn attach_meter(&mut self, metrics: Metrics, scope: u32, name: &'static str) {
+    /// instrument `id` of `scope` in `metrics`. Replaces any earlier
+    /// meter.
+    pub fn attach_meter(&mut self, metrics: Metrics, scope: u32, id: Busy) {
         self.meter = if metrics.is_enabled() {
-            Some(Meter {
-                metrics,
-                scope,
-                name,
-            })
+            Some(Meter { metrics, scope, id })
         } else {
             None
         };
@@ -80,8 +78,7 @@ impl FifoServer {
         self.busy_total += service;
         self.jobs += 1;
         if let Some(meter) = &self.meter {
-            meter.metrics.busy(meter.scope, meter.name, service);
-            meter.metrics.count(meter.scope, meter.name, 1);
+            meter.metrics.meter(meter.scope, meter.id, service);
         }
         (start, finish)
     }
@@ -179,19 +176,20 @@ mod tests {
 
     #[test]
     fn attached_meter_mirrors_busy_time() {
-        let m = Metrics::new();
+        use crate::instruments::LINK_WIRE;
+        let m = Metrics::new(4);
         let mut s = FifoServer::new();
-        s.attach_meter(m.clone(), 3, "wire");
+        s.attach_meter(m.clone(), 3, LINK_WIRE);
         s.admit(Ps::ZERO, Ps::ns(100));
         s.admit(Ps::ns(500), Ps::ns(50));
-        assert_eq!(m.busy_total(3, "wire"), s.busy_total());
-        assert_eq!(m.counter(3, "wire"), s.jobs());
+        assert_eq!(m.busy_total(3, LINK_WIRE), s.busy_total());
+        assert_eq!(m.jobs(3, LINK_WIRE), s.jobs());
         // A disabled registry never attaches, keeping admit at two
         // compares and three adds.
         let mut s2 = FifoServer::new();
-        s2.attach_meter(Metrics::disabled(), 0, "wire");
+        s2.attach_meter(Metrics::disabled(), 0, LINK_WIRE);
         s2.admit(Ps::ZERO, Ps::ns(1));
-        assert_eq!(Metrics::disabled().counter(0, "wire"), 0);
+        assert_eq!(Metrics::disabled().jobs(0, LINK_WIRE), 0);
     }
 
     #[test]

@@ -3,29 +3,43 @@
 //! the heap at all. A counting global allocator wraps the system one;
 //! after a warm-up pass (queue buffers grown, pool primed) the delta
 //! across a full schedule+run cycle must be zero.
+//!
+//! The count is per thread: each test measures the allocations of the
+//! thread running it (the simulation is single-threaded), so tests
+//! running concurrently in this binary do not see each other's.
 
 use omx_sim::{Ps, Sim};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A const initializer: reading it never allocates, so the
+    // allocator may touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with` fails only during thread teardown; those allocations
+    // belong to no measurement.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        note_allocation();
         System.alloc(l)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         System.dealloc(p, l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        note_allocation();
         System.realloc(p, l, n)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        note_allocation();
         System.alloc_zeroed(l)
     }
 }
@@ -33,8 +47,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// One self-rescheduling chain pass: `n` events through `schedule_in`,
@@ -430,5 +445,51 @@ fn pooled_closures_recycle_their_slots() {
         allocations() - a0,
         0,
         "pooled closures allocated in steady state"
+    );
+}
+
+#[test]
+fn metrics_recording_allocates_nothing() {
+    // Recording is an array add into slots allocated when the registry
+    // is built: once built, no kind, scope or family member may touch
+    // the heap.
+    use omx_sim::instruments::{self as ins, MAX_QUEUES};
+    use omx_sim::Metrics;
+    const SCOPES: u32 = 4;
+    const ROUNDS: i64 = 400;
+    let m = Metrics::new(SCOPES as usize);
+    let a0 = allocations();
+    let mut recorded = 0u64;
+    for round in 0..ROUNDS {
+        for scope in 0..SCOPES {
+            for q in 0..MAX_QUEUES {
+                m.count(scope, ins::NIC_Q_FRAMES.at(q), 1);
+                m.count(scope, ins::NIC_Q_IRQS.at(q), 1);
+                m.count(scope, ins::NIC_Q_IRQS_COALESCED.at(q), 1);
+                m.count(scope, ins::NIC_Q_RING_DROPS.at(q), 1);
+                m.gauge_max(scope, ins::NIC_Q_RING_HIGH_WATERMARK.at(q), round);
+                recorded += 5;
+            }
+            for k in 0..ins::COUNTERS.width() {
+                m.gauge_set(scope, ins::COUNTERS.at(k), round);
+                recorded += 1;
+            }
+            m.count(scope, ins::NIC_FRAMES, 1);
+            m.count(scope, ins::IOAT_BYTES, 4096);
+            m.gauge_max(scope, ins::BH_BACKLOG_HIGH_WATERMARK, round);
+            m.gauge_set(scope, ins::NIC_RING_HIGH_WATERMARK, round);
+            m.busy(scope, ins::BH_COPY, Ps::ns(40));
+            m.busy(scope, ins::IOAT_POLL_WAIT, Ps::ns(3));
+            m.meter(scope, ins::LINK_WIRE, Ps::ns(800));
+            m.meter(scope, ins::IOAT_CHANNEL, Ps::ns(900));
+            recorded += 8;
+        }
+    }
+    let delta = allocations() - a0;
+    assert!(recorded >= 100_000, "only {recorded} recordings");
+    assert_eq!(delta, 0, "{recorded} recordings allocated {delta} times");
+    assert_eq!(
+        m.counter_all_scopes(ins::NIC_Q_FRAMES.at(MAX_QUEUES - 1)),
+        ROUNDS as u64 * u64::from(SCOPES)
     );
 }

@@ -510,3 +510,54 @@ fn watchdog_fires_when_the_cross_partition_frame_is_late() {
         "frame arrived 1 ps after the watchdog instant; the fire must win"
     );
 }
+
+/// A shard that breaks the lookahead contract: its only event emits a
+/// message that fires inside the window it was emitted in.
+#[derive(Default)]
+struct Rogue {
+    outbox: Vec<(usize, RogueMsg)>,
+}
+
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct RogueMsg(Ps);
+
+impl Shard for Rogue {
+    type Msg = RogueMsg;
+    fn msg_at(m: &RogueMsg) -> Ps {
+        m.0
+    }
+    fn take_outbox(&mut self) -> Vec<(usize, RogueMsg)> {
+        std::mem::take(&mut self.outbox)
+    }
+    fn inject(&mut self, sim: &mut Sim<Rogue>, m: RogueMsg) {
+        sim.schedule_at(m.0, |_: &mut Rogue, _| {});
+    }
+}
+
+fn run_rogue(workers: usize) {
+    let builders: Vec<ShardBuilder<Rogue, ()>> = (0..2)
+        .map(|_| {
+            let b: ShardBuilder<Rogue, ()> = Box::new(|| {
+                let mut sim = Sim::new();
+                sim.schedule_at(Ps::ZERO, |w: &mut Rogue, s| {
+                    w.outbox.push((1, RogueMsg(s.now() + Ps::ns(10))));
+                });
+                (sim, Rogue::default(), ())
+            });
+            b
+        })
+        .collect();
+    run_shards(builders, Ps::ns(100), workers, |_, _, _, ()| ());
+}
+
+#[test]
+#[should_panic(expected = "violates the lookahead contract: shard 0 -> shard 1 fires at")]
+fn message_inside_its_own_window_panics() {
+    run_rogue(1);
+}
+
+#[test]
+#[should_panic(expected = "violates the lookahead contract")]
+fn threaded_violation_panics_instead_of_hanging() {
+    run_rogue(2);
+}
