@@ -1,8 +1,7 @@
 //! Offline-compatible subset of the `bytes` crate.
 //!
 //! [`Bytes`] is a cheaply cloneable, sliceable view into a shared,
-//! immutable byte buffer; [`BytesMut`] is a growable builder that
-//! freezes into one. Only the API surface this workspace uses is
+//! immutable byte buffer. Only the API surface this workspace uses is
 //! implemented; the semantics match the real crate for that subset.
 
 use std::fmt;
@@ -11,17 +10,24 @@ use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable slice of a shared immutable byte buffer.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
+    /// The shared buffer; `None` for the empty buffer, which views a
+    /// static empty slice instead of an allocation of its own.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation).
-    pub fn new() -> Bytes {
-        Bytes::default()
+    /// An empty buffer. It shares one static empty slice, so making,
+    /// cloning and dropping it allocate nothing.
+    pub const fn new() -> Bytes {
+        Bytes {
+            data: None,
+            start: 0,
+            end: 0,
+        }
     }
 
     /// A buffer borrowing static data (copied here; the real crate
@@ -59,7 +65,7 @@ impl Bytes {
             self.len()
         );
         Bytes {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -71,10 +77,19 @@ impl Bytes {
     }
 }
 
+impl Default for Bytes {
+    fn default() -> Bytes {
+        Bytes::new()
+    }
+}
+
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -88,7 +103,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Arc::new(v),
+            data: Some(Arc::new(v)),
             start: 0,
             end,
         }
@@ -155,169 +170,6 @@ impl<'a> IntoIterator for &'a Bytes {
     }
 }
 
-/// A growable byte buffer that freezes into a [`Bytes`].
-///
-/// Long-lived builders double as serialization *arenas* via the
-/// real-crate `builder.split().freeze()` idiom: `split` hands the
-/// written prefix off for freezing and keeps a small pool of the
-/// shared blocks it has produced. Once every [`Bytes`] view of a
-/// pooled block has been dropped, the next `split` recycles that
-/// block's allocation instead of asking the allocator — mirroring the
-/// upstream crate's `reserve` reclaim, where a uniquely-owned buffer
-/// is reused in place. A builder serializing transient payloads (the
-/// per-node packet arena) therefore reaches a steady state that
-/// allocates nothing.
-#[derive(Default)]
-pub struct BytesMut {
-    /// Staging buffer the builder writes into; retains its capacity
-    /// across `split` calls.
-    data: Vec<u8>,
-    /// Blocks previously split off this builder, retained for reuse.
-    /// A block is recyclable when its strong count is back to the
-    /// pool's own handle (every frozen view dropped).
-    pool: Vec<Arc<Vec<u8>>>,
-    /// Contents split off another builder, ready to freeze without a
-    /// copy.
-    out: Option<Arc<Vec<u8>>>,
-}
-
-impl BytesMut {
-    /// Retained blocks per builder. Sized to cover the frames a node
-    /// can have in flight at once — a rendezvous pull keeps tens of
-    /// data frames alive between the wire, receive rings and pending
-    /// copies, and a split can only recycle a block once every view of
-    /// it has been dropped. Misses fall back to the allocator, so this
-    /// is a performance bound, not a correctness one.
-    const POOL_BLOCKS: usize = 128;
-
-    /// An empty builder.
-    pub fn new() -> BytesMut {
-        BytesMut::default()
-    }
-
-    /// An empty builder with room for `cap` bytes.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-            pool: Vec::new(),
-            out: None,
-        }
-    }
-
-    /// The logical contents (written bytes, or the split-off block).
-    fn as_slice(&self) -> &[u8] {
-        match &self.out {
-            Some(b) => b,
-            None => &self.data,
-        }
-    }
-
-    /// Fold a split-off block back into the staging buffer so the
-    /// builder can be written again (cold path; the arena idiom
-    /// freezes immediately after splitting).
-    fn flatten(&mut self) {
-        if let Some(b) = self.out.take() {
-            self.data.extend_from_slice(&b);
-        }
-    }
-
-    /// Append `src`.
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.flatten();
-        self.data.extend_from_slice(src);
-    }
-
-    /// Current length.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-
-    /// Split the written contents off as a new builder, leaving this
-    /// one empty (and its capacity warm) for the next message. The
-    /// returned builder is typically frozen immediately:
-    /// `arena.split().freeze()`.
-    pub fn split(&mut self) -> BytesMut {
-        self.flatten();
-        // Prefer recycling a pooled block whose views have all been
-        // dropped: clearing and refilling a uniquely-owned Vec touches
-        // no allocator once its capacity has warmed up.
-        let mut block = None;
-        for i in 0..self.pool.len() {
-            if Arc::strong_count(&self.pool[i]) == 1 {
-                let mut arc = self.pool.swap_remove(i);
-                let v = Arc::get_mut(&mut arc).expect("strong count checked");
-                v.clear();
-                v.extend_from_slice(&self.data);
-                block = Some(arc);
-                break;
-            }
-        }
-        let arc = block.unwrap_or_else(|| Arc::new(self.data.clone()));
-        if self.pool.len() < Self::POOL_BLOCKS {
-            self.pool.push(Arc::clone(&arc));
-        }
-        self.data.clear();
-        BytesMut {
-            data: Vec::new(),
-            pool: Vec::new(),
-            out: Some(arc),
-        }
-    }
-
-    /// Convert into an immutable [`Bytes`] without copying.
-    pub fn freeze(self) -> Bytes {
-        match self.out {
-            Some(arc) => {
-                let end = arc.len();
-                Bytes {
-                    data: arc,
-                    start: 0,
-                    end,
-                }
-            }
-            None => Bytes::from(self.data),
-        }
-    }
-}
-
-impl Clone for BytesMut {
-    /// Deep copy of the logical contents (the block pool is a private
-    /// optimization and is not cloned).
-    fn clone(&self) -> BytesMut {
-        BytesMut {
-            data: self.as_slice().to_vec(),
-            pool: Vec::new(),
-            out: None,
-        }
-    }
-}
-
-impl PartialEq for BytesMut {
-    fn eq(&self, other: &BytesMut) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for BytesMut {}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&Bytes::from(self.as_slice().to_vec()), f)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,68 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_freezes() {
-        let mut m = BytesMut::with_capacity(8);
-        m.extend_from_slice(&[1, 2]);
-        m.extend_from_slice(&[3]);
-        let b = m.freeze();
-        assert_eq!(b, Bytes::from(vec![1u8, 2, 3]));
-    }
-
-    #[test]
     #[should_panic]
     fn out_of_range_slice_panics() {
         let b = Bytes::from(vec![0u8; 4]);
         let _ = b.slice(..5);
-    }
-
-    #[test]
-    fn split_freeze_round_trips_contents() {
-        let mut arena = BytesMut::new();
-        arena.extend_from_slice(b"hello");
-        let a = arena.split().freeze();
-        assert_eq!(a, Bytes::from(b"hello".to_vec()));
-        assert!(arena.is_empty(), "split empties the builder");
-        arena.extend_from_slice(b"world!");
-        let b = arena.split().freeze();
-        assert_eq!(&b[..], b"world!");
-        assert_eq!(&a[..], b"hello", "earlier payload unaffected");
-    }
-
-    #[test]
-    fn split_recycles_dropped_blocks() {
-        let mut arena = BytesMut::new();
-        arena.extend_from_slice(b"first");
-        let first = arena.split().freeze();
-        let block = Arc::as_ptr(&first.data);
-        drop(first);
-        // Every view of the first block is gone: the next split must
-        // reuse its allocation rather than mint a new one.
-        arena.extend_from_slice(b"second");
-        let second = arena.split().freeze();
-        assert_eq!(Arc::as_ptr(&second.data), block, "block recycled");
-        assert_eq!(&second[..], b"second");
-    }
-
-    #[test]
-    fn split_never_recycles_live_blocks() {
-        let mut arena = BytesMut::new();
-        arena.extend_from_slice(b"alive");
-        let alive = arena.split().freeze();
-        arena.extend_from_slice(b"fresh");
-        let fresh = arena.split().freeze();
-        assert_eq!(&alive[..], b"alive", "live view untouched");
-        assert_eq!(&fresh[..], b"fresh");
-        assert_ne!(Arc::as_ptr(&alive.data), Arc::as_ptr(&fresh.data));
-    }
-
-    #[test]
-    fn writing_a_split_builder_folds_back() {
-        let mut arena = BytesMut::new();
-        arena.extend_from_slice(b"ab");
-        let mut half = arena.split();
-        half.extend_from_slice(b"cd");
-        assert_eq!(&half[..], b"abcd");
-        assert_eq!(half.freeze(), Bytes::from(b"abcd".to_vec()));
     }
 }

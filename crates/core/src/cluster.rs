@@ -139,11 +139,6 @@ pub struct Node {
     /// Copy-duration predictor for the sleep-until-completion
     /// extension.
     pub predictor: crate::predict::CopyPredictor,
-    /// Packet-serialization arena: every frame this node sends is
-    /// packed into this long-lived buffer via [`Packet::pack_into`],
-    /// which reclaims the block once in-flight payloads drop — so a
-    /// steady-state node builds frames without allocating.
-    pub pack_arena: bytes::BytesMut,
     /// This node's retransmit-backoff jitter stream, derived from the
     /// run seed and the node id alone — so concurrent retransmit
     /// timers desynchronize deterministically under any partitioning.
@@ -404,7 +399,6 @@ impl Cluster {
                     endpoints: Vec::new(),
                     mx: MxNodeState::default(),
                     predictor: crate::predict::CopyPredictor::new(),
-                    pack_arena: bytes::BytesMut::new(),
                     backoff_rng: fault_root.derive(0x8000_0000_0000_0000 | u64::from(i)),
                 }
             })
@@ -958,11 +952,10 @@ impl Cluster {
         sim: &mut Sim<Cluster>,
         src: NodeId,
         dst: NodeId,
-        pkt: &Packet,
+        pkt: Packet,
         at: Ps,
     ) {
-        let payload = pkt.pack_into(&mut self.node_mut(src).pack_arena);
-        self.send_payload(sim, src, dst, payload, at, Ps::ZERO);
+        self.send_payload(sim, src, dst, pkt, at, Ps::ZERO);
     }
 
     /// Like [`Self::send_packet`] but with extra per-frame transmitter
@@ -972,10 +965,11 @@ impl Cluster {
         sim: &mut Sim<Cluster>,
         src: NodeId,
         dst: NodeId,
-        payload: bytes::Bytes,
+        pkt: Packet,
         at: Ps,
         extra: Ps,
     ) {
+        let (header, payload) = pkt.encode();
         sim.schedule_at(at, move |c: &mut Cluster, s| {
             c.stats.frames_sent += 1;
             // Fault injection targets the Open-MX reliability machinery;
@@ -991,7 +985,7 @@ impl Cluster {
                 c.metrics.count(src.0, ins::FAULT_FRAMES_DROPPED, 1);
                 return;
             }
-            let mut frame = EthFrame::new(src.0, dst.0, payload);
+            let mut frame = EthFrame::new(src.0, dst.0, header, payload);
             if disp.corrupted {
                 frame.fcs_corrupt = true;
                 c.metrics.count(src.0, ins::FAULT_FRAMES_CORRUPTED, 1);
@@ -1050,7 +1044,7 @@ impl Cluster {
         let peeked = if credits {
             Some((
                 NodeId(frame.src),
-                crate::proto::peek_large_frag(&frame.payload),
+                crate::proto::peek_large_frag(&frame.header),
             ))
         } else {
             None
@@ -1142,7 +1136,7 @@ impl Cluster {
             };
             count += 1;
             let coalesced = if gro {
-                let key = crate::proto::gro_train_key(skb.src, &skb.data);
+                let key = crate::proto::gro_train_key(skb.src, &skb.header);
                 let same = key.is_some() && key == train;
                 train = key;
                 if same {
@@ -1336,8 +1330,8 @@ mod tests {
         // Second frame 15 us later sits inside the default 25 us
         // moderation window — no interrupt — and only the timer kick
         // can deliver it, because nothing else ever arrives.
-        c.send_packet(&mut sim, NodeId(1), NodeId(0), &pkt(1), Ps::ZERO);
-        c.send_packet(&mut sim, NodeId(1), NodeId(0), &pkt(2), Ps::us(15));
+        c.send_packet(&mut sim, NodeId(1), NodeId(0), pkt(1), Ps::ZERO);
+        c.send_packet(&mut sim, NodeId(1), NodeId(0), pkt(2), Ps::us(15));
         sim.run(&mut c);
         let n = c.node(NodeId(0));
         assert_eq!(n.nic.frames_received(), 2);
@@ -1349,6 +1343,46 @@ mod tests {
         assert_eq!(c.metrics.counter(0, ins::NIC_IRQS), 1);
         assert_eq!(c.metrics.counter(0, ins::NIC_IRQS_COALESCED), 1);
         assert_eq!(c.ep(rx).counters.rx_tiny, 2, "both frames delivered");
+    }
+
+    /// Zero-copy send path, end to end: every pulled large fragment
+    /// the receiver's bottom half takes off its queue carries a slice
+    /// of the sender's message `Bytes`, not a copy of it.
+    #[test]
+    fn large_fragments_reach_the_bottom_half_uncopied() {
+        use bytes::Bytes;
+        let (mut c, mut sim) = build(ClusterParams::default());
+        let rx = c.add_endpoint(NodeId(0), CoreId(2), Box::new(Nop));
+        let tx = c.add_endpoint(NodeId(1), CoreId(2), Box::new(Nop));
+        let message = Bytes::from((0..256u32 << 10).map(|i| i as u8).collect::<Vec<u8>>());
+        let base = message.as_ptr() as usize;
+        let span = base..base + message.len();
+        c.post_irecv(&mut sim, rx, 7, u64::MAX, message.len() as u64, None);
+        c.post_isend_bytes(&mut sim, tx, rx, 7, message.clone(), None);
+        let node = rx.node;
+        let mut frags = 0;
+        while sim.step(&mut c, 1) == 1 {
+            // Drain the receiver's BH queues here instead of in their
+            // scheduled runs (which then find them empty).
+            for queue in 0..c.node(node).nic.num_queues() {
+                let core = c.node(node).nic.queue_core(queue);
+                while let Some(skb) = c.node_mut(node).bh_mut(core).pop_next() {
+                    if crate::proto::peek_large_frag(&skb.header).is_some() {
+                        let at = skb.data.as_ptr() as usize;
+                        assert!(
+                            span.contains(&at) && at + skb.data.len() <= span.end,
+                            "fragment {frags} was copied on its way to the BH"
+                        );
+                        frags += 1;
+                    }
+                    c.handle_rx_skbuff(&mut sim, node, core, skb, false);
+                    c.node_mut(node).nic.replenish(queue, 1);
+                }
+            }
+        }
+        assert_eq!(frags, 64, "every 4 KiB fragment of 256 KiB");
+        assert_eq!(c.stats.messages_delivered, 1);
+        assert_eq!(c.stats.bytes_delivered, message.len() as u64);
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl Cluster {
         let (_, f) = self.run_core(node, core, fin, self.p.cfg.ctrl_frame_cost, category::BH);
         fin = f;
         self.stats.acks_sent += 1;
-        self.send_packet(sim, node, src.node, &pkt, fin);
+        self.send_packet(sim, node, src.node, pkt, fin);
         match asm.req {
             Some(req) => {
                 // One event per message — the extension's payoff.

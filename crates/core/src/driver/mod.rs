@@ -140,8 +140,12 @@ pub struct PullState {
     pub msg_len: u64,
     /// Total fragment count.
     pub frags_total: u32,
-    /// Per-fragment arrival flags.
-    pub frag_seen: Vec<bool>,
+    /// Per-fragment arrival flags. Private, like `frags_remaining`:
+    /// only [`PullState::note_frag`] marks a fragment, so the count of
+    /// unset flags and `frags_remaining` cannot disagree.
+    frag_seen: Vec<bool>,
+    /// Fragments not yet arrived.
+    frags_remaining: u32,
     /// Remaining fragments per block.
     pub block_remaining: Vec<u32>,
     /// Next block index to request.
@@ -211,6 +215,7 @@ impl PullState {
             msg_len,
             frags_total,
             frag_seen: scratch.take_bitmap(frags_total as usize),
+            frags_remaining: frags_total,
             block_remaining,
             next_block,
             bytes_done: 0,
@@ -233,11 +238,6 @@ impl PullState {
     /// Fragments per block for this pull.
     pub fn block_of(&self, frag_idx: u32, block_frags: u32) -> u32 {
         frag_idx / block_frags
-    }
-
-    /// Whether every fragment has arrived.
-    pub fn all_arrived(&self) -> bool {
-        self.frag_seen.iter().all(|&b| b)
     }
 
     /// Whether `frag_idx` has not landed yet. Out-of-range indices —
@@ -265,9 +265,10 @@ impl PullState {
         let rem = &mut self.block_remaining[b];
         debug_assert!(*rem > 0, "unseen fragment in a completed block");
         *rem = rem.saturating_sub(1);
+        self.frags_remaining -= 1;
         Some(FragProgress {
             block_done: *rem == 0,
-            all_arrived: self.frag_seen.iter().all(|&s| s),
+            all_arrived: self.frags_remaining == 0,
         })
     }
 
@@ -513,15 +514,16 @@ mod tests {
         ];
         assert_eq!(p.block_of(0, 8), 0);
         assert_eq!(p.block_of(8, 8), 1);
-        assert!(!p.all_arrived());
         assert_eq!(p.last_copy_finish(), Some(Ps::us(3)));
         // Reap at 2us frees the first copy only.
         assert_eq!(p.reap_completed(Ps::us(2)), 1);
         assert_eq!(p.pending_copies.len(), 1);
         assert_eq!(p.reap_completed(Ps::us(4)), 1);
         assert!(p.pending_copies.is_empty());
-        p.frag_seen.iter_mut().for_each(|b| *b = true);
-        assert!(p.all_arrived());
+        for i in 0..16 {
+            let prog = p.note_frag(i, 8).expect("fresh fragment");
+            assert_eq!(prog.all_arrived, i == 15, "fragment {i}");
+        }
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl Cluster {
             frag_count,
         };
         let dst = pull.src.node;
-        self.send_packet(sim, node, dst, &pkt, at);
+        self.send_packet(sim, node, dst, pkt, at);
     }
 
     /// Sender side: a pull request arrived in BH context — stream the
@@ -230,7 +230,7 @@ impl Cluster {
                 offset: lo as u64,
                 data: data.slice(lo..hi),
             };
-            self.send_packet(sim, node, dest.node, &pkt, fin);
+            self.send_packet(sim, node, dest.node, pkt, fin);
         }
         fin
     }
@@ -554,7 +554,7 @@ impl Cluster {
             dst_ep: pull.src.ep.0,
             sender_handle: pull.sender_handle,
         };
-        self.send_packet(sim, node, pull.src.node, &pkt, fin);
+        self.send_packet(sim, node, pull.src.node, pkt, fin);
         self.push_event_at(
             sim,
             me,
@@ -959,7 +959,7 @@ impl Cluster {
             dst_ep: frag_src_ep,
             sender_handle,
         };
-        self.send_packet(sim, node, src_node, &pkt, now);
+        self.send_packet(sim, node, src_node, pkt, now);
         self.stats.credit_nacks += 1;
         self.metrics.count(node.0, ins::CREDIT_NACKS, 1);
     }
@@ -1124,6 +1124,7 @@ mod tests {
                         prop_assert_eq!(p.block_remaining[b] + 1, before[b]);
                         prop_assert_eq!(prog.block_done, p.block_remaining[b] == 0);
                         prop_assert_eq!(prog.all_arrived, seen.iter().all(|&s| s));
+                        prop_assert_eq!(prog.all_arrived, p.frags_remaining == 0);
                     }
                 }
             }
@@ -1133,6 +1134,8 @@ mod tests {
                 let unseen = (lo..hi).filter(|&i| !seen[i as usize]).count() as u32;
                 prop_assert_eq!(p.block_remaining[b], unseen);
             }
+            let unseen = seen.iter().filter(|&&s| !s).count() as u32;
+            prop_assert_eq!(p.frags_remaining, unseen);
             SimSanitizer::release(p.token());
         }
     }

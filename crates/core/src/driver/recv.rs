@@ -186,7 +186,7 @@ impl Cluster {
                     msg_len: len,
                     sender_handle: handle,
                 };
-                self.send_packet(sim, me.node, dest.node, &pkt, fin);
+                self.send_packet(sim, me.node, dest.node, pkt, fin);
                 self.schedule_eager_retx(sim, me, req, fin);
             }
         }
@@ -224,7 +224,7 @@ impl Cluster {
                     msg_seq,
                     data,
                 };
-                self.send_packet(sim, me.node, dest.node, &pkt, fin);
+                self.send_packet(sim, me.node, dest.node, pkt, fin);
             }
             MsgClass::Small => {
                 let (_, f) = self.run_core(
@@ -242,7 +242,7 @@ impl Cluster {
                     msg_seq,
                     data,
                 };
-                self.send_packet(sim, me.node, dest.node, &pkt, fin);
+                self.send_packet(sim, me.node, dest.node, pkt, fin);
             }
             MsgClass::Medium => {
                 let frag = self.p.cfg.frag_size as usize;
@@ -271,7 +271,7 @@ impl Cluster {
                         data: data.slice(lo..hi),
                     };
                     self.ep_mut(me).counters.tx_medium_frags += 1;
-                    self.send_packet(sim, me.node, dest.node, &pkt, fin);
+                    self.send_packet(sim, me.node, dest.node, pkt, fin);
                 }
             }
             MsgClass::Large => unreachable!("large sends go through rendezvous"),
@@ -375,7 +375,7 @@ impl Cluster {
                     msg_len: len,
                     sender_handle: handle,
                 };
-                self.send_packet(sim, me.node, dest.node, &pkt, fin);
+                self.send_packet(sim, me.node, dest.node, pkt, fin);
                 fin
             }
             _ => self.tx_eager_frames(sim, me, req, now),
@@ -443,7 +443,7 @@ impl Cluster {
         // descriptor/pull tokens, not the skbuff token.
         SimSanitizer::complete(skb.token());
         SimSanitizer::release(skb.token());
-        let pkt = match Packet::parse(&skb.data) {
+        let pkt = match Packet::parse(&skb.header, skb.data) {
             Ok(p) => p,
             Err(e) => {
                 debug_assert!(false, "malformed frame: {e:?}");
@@ -642,7 +642,7 @@ impl Cluster {
             msg_seq,
         };
         self.stats.acks_sent += 1;
-        self.send_packet(sim, node, src.node, &pkt, fin);
+        self.send_packet(sim, node, src.node, pkt, fin);
         fin
     }
 
@@ -955,7 +955,7 @@ impl Cluster {
                 dst_ep: src_ep,
                 sender_handle,
             };
-            self.send_packet(sim, node, src.node, &pkt, f);
+            self.send_packet(sim, node, src.node, pkt, f);
             return f;
         }
         // Duplicate announcement while the pull is active, or while the
@@ -985,7 +985,7 @@ impl Cluster {
                 msg_seq,
             };
             self.stats.acks_sent += 1;
-            self.send_packet(sim, node, src.node, &pkt, f);
+            self.send_packet(sim, node, src.node, pkt, f);
             return f;
         }
         self.ep_mut(me).rndv_pending.insert((src, msg_seq));

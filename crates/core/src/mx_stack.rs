@@ -118,8 +118,7 @@ impl Cluster {
                 msg_len: data.len() as u64,
                 sender_handle: handle,
             };
-            let payload = pkt.pack_into(&mut self.node_mut(me.node).pack_arena);
-            self.send_payload(sim, me.node, dest.node, payload, now, Ps::ZERO);
+            self.send_payload(sim, me.node, dest.node, pkt, now, Ps::ZERO);
             return;
         }
         // Eager: fragment and stream; the NIC DMA engine does the work.
@@ -140,8 +139,7 @@ impl Cluster {
                 offset: lo as u32,
                 data: data.slice(lo..hi),
             };
-            let payload = pkt.pack_into(&mut self.node_mut(me.node).pack_arena);
-            self.send_payload(sim, me.node, dest.node, payload, now, mx.nic_frag_overhead);
+            self.send_payload(sim, me.node, dest.node, pkt, now, mx.nic_frag_overhead);
         }
         // Eager MX sends complete once handed to the NIC.
         if let Some(st) = self.ep_mut(me).sends.get_mut(&req) {
@@ -153,7 +151,7 @@ impl Cluster {
     /// MXoE frame arrival: the firmware handles everything in-line,
     /// zero host CPU.
     pub(crate) fn mx_on_frame(&mut self, sim: &mut Sim<Cluster>, node: NodeId, frame: EthFrame) {
-        let pkt = match Packet::parse(&frame.payload) {
+        let pkt = match Packet::parse(&frame.header, frame.payload) {
             Ok(p) => p,
             Err(e) => {
                 debug_assert!(false, "malformed MX frame: {e:?}");
@@ -270,8 +268,7 @@ impl Cluster {
                         offset: lo as u64,
                         data: data.slice(lo..hi),
                     };
-                    let payload = pkt.pack_into(&mut self.node_mut(node).pack_arena);
-                    self.send_payload(sim, node, dest.node, payload, now, overhead);
+                    self.send_payload(sim, node, dest.node, pkt, now, overhead);
                 }
             }
             Packet::LargeFrag {
@@ -449,8 +446,7 @@ impl Cluster {
             frag_count: frags,
         };
         let at = from + self.p.mx.rndv_host_cost;
-        let payload = pkt.pack_into(&mut self.node_mut(me.node).pack_arena);
-        self.send_payload(sim, me.node, src.node, payload, at, Ps::ZERO);
+        self.send_payload(sim, me.node, src.node, pkt, at, Ps::ZERO);
     }
 
     /// Zero-copy deposit of one pulled fragment.
@@ -494,8 +490,7 @@ impl Cluster {
                 dst_ep: src.ep.0,
                 sender_handle,
             };
-            let payload = pkt.pack_into(&mut self.node_mut(node).pack_arena);
-            self.send_payload(sim, node, src.node, payload, now, Ps::ZERO);
+            self.send_payload(sim, node, src.node, pkt, now, Ps::ZERO);
             let core = self.ep(me).core;
             let at = now + self.p.mx.nic_match_latency;
             let (_, fin) =

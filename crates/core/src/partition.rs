@@ -250,7 +250,7 @@ mod tests {
             sent_at: Ps::ns(sent),
             src_node: src,
             emit_seq: seq,
-            frame: EthFrame::new(src, 0, bytes::Bytes::from_static(b"x")),
+            frame: EthFrame::new(src, 0, Default::default(), bytes::Bytes::from_static(b"x")),
         };
         let mut v = [f(5, 1, 2, 0), f(3, 2, 1, 4), f(3, 1, 3, 0), f(3, 1, 1, 1)];
         v.sort_unstable();

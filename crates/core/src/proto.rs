@@ -1,10 +1,13 @@
 //! The Open-MX wire protocol.
 //!
-//! Every frame payload starts with a one-byte packet kind, the source
-//! and destination endpoint indices, then kind-specific fields in
-//! little-endian order, then (for data-bearing packets) the raw data
-//! bytes. Real bytes travel end to end, so any mis-framing corrupts
-//! payloads and the integrity tests catch it.
+//! Every frame payload starts with a header: a one-byte packet kind,
+//! the source and destination endpoint indices, then kind-specific
+//! fields in little-endian order. Data-bearing packets follow it with
+//! the raw data bytes. The header travels inline in the frame
+//! ([`FrameHeader`]) and the data as a shared slice of the sender's
+//! message, so building a frame copies no payload byte; the wire still
+//! carries header plus data. Real bytes travel end to end, so any
+//! mis-framing corrupts payloads and the integrity tests catch it.
 //!
 //! The message types mirror the real stack (§II, §III):
 //!
@@ -19,7 +22,8 @@
 //! * `Notify` — receiver→sender completion of a large transfer,
 //! * `Ack` — eager-message acknowledgment (drives retransmission).
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
+use omx_ethernet::FrameHeader;
 
 /// One parsed Open-MX packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,64 +167,45 @@ const KIND_NOTIFY: u8 = 7;
 const KIND_ACK: u8 = 8;
 const KIND_CREDIT_NACK: u8 = 9;
 
-struct Writer<'a>(&'a mut BytesMut);
+struct Writer(FrameHeader);
 
-impl Writer<'_> {
+impl Writer {
     fn u8(&mut self, v: u8) {
-        self.0.extend_from_slice(&[v]);
+        self.0.put(&[v]);
     }
     fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.0.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bytes(&mut self, v: &Bytes) {
-        self.0.extend_from_slice(v);
-    }
-    fn finish(self) -> Bytes {
-        self.0.split().freeze()
+        self.0.put(&v.to_le_bytes());
     }
 }
 
-struct Reader<'a> {
-    buf: &'a Bytes,
-    pos: usize,
-}
+/// Reads header fields front to back; a read past the end is
+/// [`ParseError::Truncated`].
+struct Reader<'a>(&'a [u8]);
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a Bytes) -> Self {
-        Reader { buf, pos: 0 }
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], ParseError> {
+        let (field, rest) = self.0.split_first_chunk().ok_or(ParseError::Truncated)?;
+        self.0 = rest;
+        Ok(*field)
     }
     fn u8(&mut self) -> Result<u8, ParseError> {
-        let v = *self.buf.get(self.pos).ok_or(ParseError::Truncated)?;
-        self.pos += 1;
+        let [v] = self.take()?;
         Ok(v)
     }
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], ParseError> {
-        let end = self.pos + N;
-        if end > self.buf.len() {
-            return Err(ParseError::Truncated);
-        }
-        let mut a = [0u8; N];
-        a.copy_from_slice(&self.buf[self.pos..end]);
-        self.pos = end;
-        Ok(a)
-    }
     fn u16(&mut self) -> Result<u16, ParseError> {
-        Ok(u16::from_le_bytes(self.take::<2>()?))
+        Ok(u16::from_le_bytes(self.take()?))
     }
     fn u32(&mut self) -> Result<u32, ParseError> {
-        Ok(u32::from_le_bytes(self.take::<4>()?))
+        Ok(u32::from_le_bytes(self.take()?))
     }
     fn u64(&mut self) -> Result<u64, ParseError> {
-        Ok(u64::from_le_bytes(self.take::<8>()?))
-    }
-    fn rest(&mut self) -> Bytes {
-        self.buf.slice(self.pos..)
+        Ok(u64::from_le_bytes(self.take()?))
     }
 }
 
@@ -234,25 +219,13 @@ pub enum ParseError {
 }
 
 impl Packet {
-    /// Serialize to a frame payload (standalone allocation; the hot
-    /// paths use [`Packet::pack_into`] with a per-node arena instead).
-    pub fn pack(&self) -> Bytes {
-        let mut arena = BytesMut::with_capacity(64);
-        self.pack_into(&mut arena)
-    }
-
-    /// Serialize to a frame payload drawn from `arena`.
-    ///
-    /// The arena is a long-lived `BytesMut`: each pack writes at the
-    /// arena's tail and splits the written prefix off as the frozen
-    /// payload. Once every payload split from the current block has
-    /// been dropped (frames are transient — parsed in the receiver's
-    /// BH and released), the next `reserve` inside `extend_from_slice`
-    /// reclaims the whole block instead of asking the allocator, so a
-    /// steady-state node serializes every packet without allocating.
-    pub fn pack_into(&self, arena: &mut BytesMut) -> Bytes {
-        let mut w = Writer(arena);
-        match self {
+    /// Encode for the wire: the protocol header, and the data bytes
+    /// that follow it (empty for control packets). The data moves out
+    /// of the packet as is — a slice of the sender's message — so
+    /// encoding copies no payload byte and touches no allocator.
+    pub fn encode(self) -> (FrameHeader, Bytes) {
+        let mut w = Writer(FrameHeader::default());
+        let data = match self {
             Packet::Tiny {
                 src_ep,
                 dst_ep,
@@ -261,11 +234,11 @@ impl Packet {
                 data,
             } => {
                 w.u8(KIND_TINY);
-                w.u8(*src_ep);
-                w.u8(*dst_ep);
-                w.u64(*match_info);
-                w.u32(*msg_seq);
-                w.bytes(data);
+                w.u8(src_ep);
+                w.u8(dst_ep);
+                w.u64(match_info);
+                w.u32(msg_seq);
+                data
             }
             Packet::Small {
                 src_ep,
@@ -275,11 +248,11 @@ impl Packet {
                 data,
             } => {
                 w.u8(KIND_SMALL);
-                w.u8(*src_ep);
-                w.u8(*dst_ep);
-                w.u64(*match_info);
-                w.u32(*msg_seq);
-                w.bytes(data);
+                w.u8(src_ep);
+                w.u8(dst_ep);
+                w.u64(match_info);
+                w.u32(msg_seq);
+                data
             }
             Packet::MediumFrag {
                 src_ep,
@@ -293,15 +266,15 @@ impl Packet {
                 data,
             } => {
                 w.u8(KIND_MEDIUM);
-                w.u8(*src_ep);
-                w.u8(*dst_ep);
-                w.u64(*match_info);
-                w.u32(*msg_seq);
-                w.u32(*msg_len);
-                w.u16(*frag_idx);
-                w.u16(*frag_count);
-                w.u32(*offset);
-                w.bytes(data);
+                w.u8(src_ep);
+                w.u8(dst_ep);
+                w.u64(match_info);
+                w.u32(msg_seq);
+                w.u32(msg_len);
+                w.u16(frag_idx);
+                w.u16(frag_count);
+                w.u32(offset);
+                data
             }
             Packet::RndvReq {
                 src_ep,
@@ -312,12 +285,13 @@ impl Packet {
                 sender_handle,
             } => {
                 w.u8(KIND_RNDV);
-                w.u8(*src_ep);
-                w.u8(*dst_ep);
-                w.u64(*match_info);
-                w.u32(*msg_seq);
-                w.u64(*msg_len);
-                w.u32(*sender_handle);
+                w.u8(src_ep);
+                w.u8(dst_ep);
+                w.u64(match_info);
+                w.u32(msg_seq);
+                w.u64(msg_len);
+                w.u32(sender_handle);
+                Bytes::new()
             }
             Packet::PullReq {
                 src_ep,
@@ -328,12 +302,13 @@ impl Packet {
                 frag_count,
             } => {
                 w.u8(KIND_PULLREQ);
-                w.u8(*src_ep);
-                w.u8(*dst_ep);
-                w.u32(*sender_handle);
-                w.u32(*recv_handle);
-                w.u32(*frag_start);
-                w.u32(*frag_count);
+                w.u8(src_ep);
+                w.u8(dst_ep);
+                w.u32(sender_handle);
+                w.u32(recv_handle);
+                w.u32(frag_start);
+                w.u32(frag_count);
+                Bytes::new()
             }
             Packet::LargeFrag {
                 src_ep,
@@ -344,12 +319,12 @@ impl Packet {
                 data,
             } => {
                 w.u8(KIND_LARGEFRAG);
-                w.u8(*src_ep);
-                w.u8(*dst_ep);
-                w.u32(*recv_handle);
-                w.u32(*frag_idx);
-                w.u64(*offset);
-                w.bytes(data);
+                w.u8(src_ep);
+                w.u8(dst_ep);
+                w.u32(recv_handle);
+                w.u32(frag_idx);
+                w.u64(offset);
+                data
             }
             Packet::Notify {
                 src_ep,
@@ -357,9 +332,10 @@ impl Packet {
                 sender_handle,
             } => {
                 w.u8(KIND_NOTIFY);
-                w.u8(*src_ep);
-                w.u8(*dst_ep);
-                w.u32(*sender_handle);
+                w.u8(src_ep);
+                w.u8(dst_ep);
+                w.u32(sender_handle);
+                Bytes::new()
             }
             Packet::Ack {
                 src_ep,
@@ -367,9 +343,10 @@ impl Packet {
                 msg_seq,
             } => {
                 w.u8(KIND_ACK);
-                w.u8(*src_ep);
-                w.u8(*dst_ep);
-                w.u32(*msg_seq);
+                w.u8(src_ep);
+                w.u8(dst_ep);
+                w.u32(msg_seq);
+                Bytes::new()
             }
             Packet::CreditNack {
                 src_ep,
@@ -377,17 +354,19 @@ impl Packet {
                 sender_handle,
             } => {
                 w.u8(KIND_CREDIT_NACK);
-                w.u8(*src_ep);
-                w.u8(*dst_ep);
-                w.u32(*sender_handle);
+                w.u8(src_ep);
+                w.u8(dst_ep);
+                w.u32(sender_handle);
+                Bytes::new()
             }
-        }
-        w.finish()
+        };
+        (w.0, data)
     }
 
-    /// Parse a frame payload.
-    pub fn parse(buf: &Bytes) -> Result<Packet, ParseError> {
-        let mut r = Reader::new(buf);
+    /// Parse a frame: the fields come from `header`, and `payload`
+    /// becomes the packet's data as is (control packets drop it).
+    pub fn parse(header: &FrameHeader, payload: Bytes) -> Result<Packet, ParseError> {
+        let mut r = Reader(header.as_bytes());
         let kind = r.u8()?;
         let src_ep = r.u8()?;
         let dst_ep = r.u8()?;
@@ -397,14 +376,14 @@ impl Packet {
                 dst_ep,
                 match_info: r.u64()?,
                 msg_seq: r.u32()?,
-                data: r.rest(),
+                data: payload,
             }),
             KIND_SMALL => Ok(Packet::Small {
                 src_ep,
                 dst_ep,
                 match_info: r.u64()?,
                 msg_seq: r.u32()?,
-                data: r.rest(),
+                data: payload,
             }),
             KIND_MEDIUM => Ok(Packet::MediumFrag {
                 src_ep,
@@ -415,7 +394,7 @@ impl Packet {
                 frag_idx: r.u16()?,
                 frag_count: r.u16()?,
                 offset: r.u32()?,
-                data: r.rest(),
+                data: payload,
             }),
             KIND_RNDV => Ok(Packet::RndvReq {
                 src_ep,
@@ -439,7 +418,7 @@ impl Packet {
                 recv_handle: r.u32()?,
                 frag_idx: r.u32()?,
                 offset: r.u64()?,
-                data: r.rest(),
+                data: payload,
             }),
             KIND_NOTIFY => Ok(Packet::Notify {
                 src_ep,
@@ -506,22 +485,23 @@ impl Packet {
 /// pulled large fragment on ring overflow, the receiver wants to aim
 /// its `CreditNack` without parsing (the frame is consumed by the
 /// ring). Returns the fragment's `(src_ep, dst_ep, recv_handle)`
-/// triple, or `None` for any other (or too-short) payload.
-pub fn peek_large_frag(payload: &Bytes) -> Option<(u8, u8, u32)> {
-    if *payload.first()? != KIND_LARGEFRAG {
+/// triple, or `None` for any other (or too-short) header.
+pub fn peek_large_frag(header: &FrameHeader) -> Option<(u8, u8, u32)> {
+    let h = header.as_bytes();
+    if *h.first()? != KIND_LARGEFRAG {
         return None;
     }
-    let src_ep = *payload.get(1)?;
-    let dst_ep = *payload.get(2)?;
-    let handle = u32::from_le_bytes(payload.get(3..7)?.try_into().ok()?);
+    let src_ep = *h.get(1)?;
+    let dst_ep = *h.get(2)?;
+    let handle = u32::from_le_bytes(h.get(3..7)?.try_into().ok()?);
     Some((src_ep, dst_ep, handle))
 }
 
-/// GRO train key of a raw frame payload from `src_node`: fragments of
-/// one in-flight message share a key, so the bottom half can coalesce
+/// GRO train key of a frame header from `src_node`: fragments of one
+/// in-flight message share a key, so the bottom half can coalesce
 /// consecutive same-key skbuffs into a frame train and amortize the
 /// per-frame protocol cost. Returns `None` for non-fragment packets
-/// (eager singles, control frames) and unparseably short payloads —
+/// (eager singles, control frames) and unparseably short headers —
 /// anything that must break a train.
 ///
 /// Peeks at fixed header offsets instead of running the full parser:
@@ -529,22 +509,23 @@ pub fn peek_large_frag(payload: &Bytes) -> Option<(u8, u8, u32)> {
 /// frame *before* the protocol handler is charged, so it only reads
 /// the few bytes it needs (kind, endpoints, and the message sequence
 /// or pull handle that names the in-flight message).
-pub fn gro_train_key(src_node: u32, payload: &Bytes) -> Option<(u64, u64)> {
-    let kind = *payload.first()?;
-    let src_ep = *payload.get(1)? as u64;
-    let dst_ep = *payload.get(2)? as u64;
+pub fn gro_train_key(src_node: u32, header: &FrameHeader) -> Option<(u64, u64)> {
+    let h = header.as_bytes();
+    let kind = *h.first()?;
+    let src_ep = *h.get(1)? as u64;
+    let dst_ep = *h.get(2)? as u64;
     let flow = ((kind as u64) << 48) | (src_ep << 40) | (dst_ep << 32) | src_node as u64;
     match kind {
         // MediumFrag: match_info u64 at 3..11, then msg_seq u32 —
         // the (flow, msg_seq) pair names one eager medium message.
         KIND_MEDIUM => {
-            let seq = u32::from_le_bytes(payload.get(11..15)?.try_into().ok()?);
+            let seq = u32::from_le_bytes(h.get(11..15)?.try_into().ok()?);
             Some((flow, seq as u64))
         }
         // LargeFrag: recv_handle u32 right after the endpoint pair —
         // one pull handle = one large message being deposited.
         KIND_LARGEFRAG => {
-            let handle = u32::from_le_bytes(payload.get(3..7)?.try_into().ok()?);
+            let handle = u32::from_le_bytes(h.get(3..7)?.try_into().ok()?);
             Some((flow, handle as u64))
         }
         _ => None,
@@ -555,9 +536,21 @@ pub fn gro_train_key(src_node: u32, payload: &Bytes) -> Option<(u64, u64)> {
 mod tests {
     use super::*;
 
+    /// The header of `p` on the wire.
+    fn header_of(p: &Packet) -> FrameHeader {
+        p.clone().encode().0
+    }
+
+    /// A header holding exactly `bytes`.
+    fn header(bytes: &[u8]) -> FrameHeader {
+        let mut h = FrameHeader::default();
+        h.put(bytes);
+        h
+    }
+
     fn round_trip(p: Packet) {
-        let bytes = p.pack();
-        let q = Packet::parse(&bytes).expect("parse");
+        let (h, payload) = p.clone().encode();
+        let q = Packet::parse(&h, payload).expect("parse");
         assert_eq!(p, q);
     }
 
@@ -630,19 +623,110 @@ mod tests {
     }
 
     #[test]
-    fn header_overhead_is_modest() {
-        // Data-bearing packets keep header overhead well under the MX
-        // header budget (~32 bytes) so wire efficiency stays realistic.
-        let p = Packet::LargeFrag {
-            src_ep: 1,
-            dst_ep: 2,
-            recv_handle: 88,
-            frag_idx: 17,
-            offset: 17 * 4096,
-            data: Bytes::from(vec![0u8; 4096]),
-        };
-        let overhead = p.pack().len() - 4096;
-        assert!(overhead <= 32, "header {overhead} bytes");
+    fn header_lengths_are_pinned() {
+        // Header plus data is the Ethernet payload, so these lengths
+        // set the wire time of every frame; all stay within the
+        // ~32-byte MX header budget.
+        let data = Bytes::from(vec![0x5A; 4096]);
+        let cases = [
+            (
+                Packet::Tiny {
+                    src_ep: 1,
+                    dst_ep: 2,
+                    match_info: 3,
+                    msg_seq: 4,
+                    data: data.slice(..32),
+                },
+                15,
+            ),
+            (
+                Packet::Small {
+                    src_ep: 1,
+                    dst_ep: 2,
+                    match_info: 3,
+                    msg_seq: 4,
+                    data: data.slice(..128),
+                },
+                15,
+            ),
+            (
+                Packet::MediumFrag {
+                    src_ep: 1,
+                    dst_ep: 2,
+                    match_info: 3,
+                    msg_seq: 4,
+                    msg_len: 8192,
+                    frag_idx: 1,
+                    frag_count: 2,
+                    offset: 4096,
+                    data: data.clone(),
+                },
+                27,
+            ),
+            (
+                Packet::RndvReq {
+                    src_ep: 1,
+                    dst_ep: 2,
+                    match_info: 3,
+                    msg_seq: 4,
+                    msg_len: 1 << 20,
+                    sender_handle: 5,
+                },
+                27,
+            ),
+            (
+                Packet::PullReq {
+                    src_ep: 1,
+                    dst_ep: 2,
+                    sender_handle: 5,
+                    recv_handle: 6,
+                    frag_start: 8,
+                    frag_count: 8,
+                },
+                19,
+            ),
+            (
+                Packet::LargeFrag {
+                    src_ep: 1,
+                    dst_ep: 2,
+                    recv_handle: 6,
+                    frag_idx: 9,
+                    offset: 9 * 4096,
+                    data: data.clone(),
+                },
+                19,
+            ),
+            (
+                Packet::Notify {
+                    src_ep: 1,
+                    dst_ep: 2,
+                    sender_handle: 5,
+                },
+                7,
+            ),
+            (
+                Packet::Ack {
+                    src_ep: 1,
+                    dst_ep: 2,
+                    msg_seq: 4,
+                },
+                7,
+            ),
+            (
+                Packet::CreditNack {
+                    src_ep: 1,
+                    dst_ep: 2,
+                    sender_handle: 5,
+                },
+                7,
+            ),
+        ];
+        for (p, header_len) in cases {
+            let data_len = p.data_len();
+            let (h, payload) = p.encode();
+            assert_eq!(h.as_bytes().len(), header_len, "{h:?}");
+            assert_eq!(payload.len() as u64, data_len, "{h:?}");
+        }
     }
 
     #[test]
@@ -655,23 +739,22 @@ mod tests {
             msg_len: 100,
             sender_handle: 2,
         };
-        let full = p.pack();
-        for cut in 0..full.len() {
-            let short = full.slice(..cut);
+        let full = header_of(&p);
+        for cut in 0..full.as_bytes().len() {
+            let short = header(&full.as_bytes()[..cut]);
             assert!(
-                Packet::parse(&short).is_err(),
+                Packet::parse(&short, Bytes::new()).is_err(),
                 "cut at {cut} should not parse"
             );
         }
-        let nack = Packet::CreditNack {
+        let nack = header_of(&Packet::CreditNack {
             src_ep: 1,
             dst_ep: 2,
             sender_handle: 9,
-        }
-        .pack();
-        for cut in 0..nack.len() {
+        });
+        for cut in 0..nack.as_bytes().len() {
             assert!(
-                Packet::parse(&nack.slice(..cut)).is_err(),
+                Packet::parse(&header(&nack.as_bytes()[..cut]), Bytes::new()).is_err(),
                 "nack cut at {cut} should not parse"
             );
         }
@@ -679,8 +762,11 @@ mod tests {
 
     #[test]
     fn unknown_kind_errors() {
-        let buf = Bytes::from(vec![0xEEu8, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(Packet::parse(&buf), Err(ParseError::UnknownKind(0xEE)));
+        let h = header(&[0xEE, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(
+            Packet::parse(&h, Bytes::new()),
+            Err(ParseError::UnknownKind(0xEE))
+        );
     }
 
     #[test]
@@ -717,12 +803,12 @@ mod tests {
             data: Bytes::from(vec![0u8; 4096]),
         };
         // Fragments of one message share the key regardless of index.
-        let k0 = gro_train_key(5, &frag(9, 0).pack()).unwrap();
-        let k1 = gro_train_key(5, &frag(9, 3).pack()).unwrap();
+        let k0 = gro_train_key(5, &header_of(&frag(9, 0))).unwrap();
+        let k1 = gro_train_key(5, &header_of(&frag(9, 3))).unwrap();
         assert_eq!(k0, k1);
         // A different message, sender node or endpoint breaks the key.
-        assert_ne!(gro_train_key(5, &frag(10, 0).pack()).unwrap(), k0);
-        assert_ne!(gro_train_key(6, &frag(9, 0).pack()).unwrap(), k0);
+        assert_ne!(gro_train_key(5, &header_of(&frag(10, 0))).unwrap(), k0);
+        assert_ne!(gro_train_key(6, &header_of(&frag(9, 0))).unwrap(), k0);
         // Pulled large fragments key on the receive handle.
         let lf = |recv_handle, frag_idx| Packet::LargeFrag {
             src_ep: 1,
@@ -732,9 +818,9 @@ mod tests {
             offset: frag_idx as u64 * 4096,
             data: Bytes::from(vec![0u8; 4096]),
         };
-        let l0 = gro_train_key(5, &lf(88, 0).pack()).unwrap();
-        assert_eq!(l0, gro_train_key(5, &lf(88, 7).pack()).unwrap());
-        assert_ne!(l0, gro_train_key(5, &lf(89, 0).pack()).unwrap());
+        let l0 = gro_train_key(5, &header_of(&lf(88, 0))).unwrap();
+        assert_eq!(l0, gro_train_key(5, &header_of(&lf(88, 7))).unwrap());
+        assert_ne!(l0, gro_train_key(5, &header_of(&lf(89, 0))).unwrap());
         assert_ne!(l0, k0, "medium and large trains never merge");
         // Control frames and eager singles never form trains.
         for p in [
@@ -756,43 +842,44 @@ mod tests {
                 sender_handle: 7,
             },
         ] {
-            assert_eq!(gro_train_key(5, &p.pack()), None);
+            assert_eq!(gro_train_key(5, &header_of(&p)), None);
         }
         // Truncated payloads break the train instead of panicking.
-        assert_eq!(gro_train_key(5, &frag(9, 0).pack().slice(..8)), None);
-        assert_eq!(gro_train_key(5, &Bytes::new()), None);
+        assert_eq!(
+            gro_train_key(5, &header(&header_of(&frag(9, 0)).as_bytes()[..8])),
+            None
+        );
+        assert_eq!(gro_train_key(5, &FrameHeader::default()), None);
     }
 
     #[test]
     fn peek_large_frag_reads_only_large_fragments() {
-        let lf = Packet::LargeFrag {
+        let lf = header_of(&Packet::LargeFrag {
             src_ep: 3,
             dst_ep: 1,
             recv_handle: 0xABCD_1234,
             frag_idx: 5,
             offset: 5 * 4096,
             data: Bytes::from(vec![0u8; 4096]),
-        }
-        .pack();
+        });
         assert_eq!(peek_large_frag(&lf), Some((3, 1, 0xABCD_1234)));
         // Control frames, eager frames and truncated payloads peek to
         // nothing instead of misattributing (or panicking).
-        let ack = Packet::Ack {
+        let ack = header_of(&Packet::Ack {
             src_ep: 3,
             dst_ep: 1,
             msg_seq: 9,
-        }
-        .pack();
+        });
         assert_eq!(peek_large_frag(&ack), None);
-        assert_eq!(peek_large_frag(&lf.slice(..6)), None);
-        assert_eq!(peek_large_frag(&Bytes::new()), None);
+        assert_eq!(peek_large_frag(&header(&lf.as_bytes()[..6])), None);
+        assert_eq!(peek_large_frag(&FrameHeader::default()), None);
         // The peek agrees with the full parser.
         if let Packet::LargeFrag {
             src_ep,
             dst_ep,
             recv_handle,
             ..
-        } = Packet::parse(&lf).unwrap()
+        } = Packet::parse(&lf, Bytes::new()).unwrap()
         {
             assert_eq!(peek_large_frag(&lf), Some((src_ep, dst_ep, recv_handle)));
         } else {
@@ -801,26 +888,24 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_payload_slicing() {
-        // `rest()` slices the original buffer: parsing never copies the
-        // data payload.
-        let data = Bytes::from(vec![1u8; 4096]);
+    fn data_moves_through_encode_and_parse_uncopied() {
+        let message = Bytes::from(vec![1u8; 8192]);
+        let data = message.slice(4096..);
         let p = Packet::LargeFrag {
             src_ep: 0,
             dst_ep: 0,
             recv_handle: 1,
-            frag_idx: 0,
-            offset: 0,
-            data,
+            frag_idx: 1,
+            offset: 4096,
+            data: data.clone(),
         };
-        let packed = p.pack();
-        if let Packet::LargeFrag { data, .. } = Packet::parse(&packed).unwrap() {
-            // The parsed payload points into the packed buffer.
-            let base = packed.as_ptr() as usize;
-            let ptr = data.as_ptr() as usize;
-            assert!(ptr >= base && ptr < base + packed.len());
-        } else {
-            panic!("wrong kind");
+        let (h, payload) = p.encode();
+        assert_eq!(payload.as_ptr(), data.as_ptr(), "encode copied the data");
+        match Packet::parse(&h, payload).unwrap() {
+            Packet::LargeFrag { data: parsed, .. } => {
+                assert_eq!(parsed.as_ptr(), data.as_ptr(), "parse copied the data")
+            }
+            other => panic!("wrong kind {other:?}"),
         }
     }
 }

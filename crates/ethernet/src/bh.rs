@@ -144,7 +144,7 @@ mod tests {
     use omx_sim::Ps;
 
     fn skb(n: usize) -> Skbuff {
-        Skbuff::new(0, Bytes::from(vec![0u8; n]), Ps::ZERO)
+        Skbuff::new(0, Default::default(), Bytes::from(vec![0u8; n]), Ps::ZERO)
     }
 
     #[test]

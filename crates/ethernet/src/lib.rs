@@ -8,7 +8,8 @@
 //! and the protocol's receive callback must then *copy* the payload to
 //! its real destination. This crate models exactly those pieces:
 //!
-//! * [`frame`] — Ethernet frames with realistic wire framing overhead,
+//! * [`frame`] — Ethernet frames with realistic wire framing overhead
+//!   and the protocol header carried inline beside the payload,
 //! * [`skbuff`] — socket buffers carrying real payload bytes,
 //! * [`nic`] — a NIC with an RX ring (overflow drops included) and
 //!   interrupt dispatch,
@@ -31,7 +32,7 @@ pub mod skbuff;
 
 pub use bh::BottomHalfQueue;
 pub use fault::{FrameDisposition, LinkFaultParams, LinkFaultState};
-pub use frame::EthFrame;
+pub use frame::{EthFrame, FrameHeader};
 pub use link::{Link, LinkParams};
 pub use nic::{spread_queue_cores, Nic, NicParams, RxOutcome, RxWake};
 pub use skbuff::Skbuff;

@@ -7,7 +7,7 @@
 //! 1186 MiB/s — the "line rate" every throughput figure is measured
 //! against.
 
-use crate::frame::EthFrame;
+use crate::frame::{EthFrame, FrameHeader};
 use omx_sim::{FifoServer, Metrics, Ps, Rate};
 use serde::{Deserialize, Serialize};
 
@@ -119,7 +119,8 @@ impl Link {
     /// Achievable steady-state payload rate for `payload`-sized frames
     /// (analytic helper for tests and the MX baseline).
     pub fn payload_rate(&self, payload: u64) -> Rate {
-        let f = EthFrame::new(0, 1, bytes::Bytes::from(vec![0u8; payload as usize]));
+        let data = bytes::Bytes::from(vec![0u8; payload as usize]);
+        let f = EthFrame::new(0, 1, FrameHeader::default(), data);
         let t = self.params.rate.time_for(f.wire_bytes());
         Rate::from_transfer(payload, t).expect("nonzero serialization time")
     }
@@ -131,7 +132,7 @@ mod tests {
     use bytes::Bytes;
 
     fn frame(n: usize) -> EthFrame {
-        EthFrame::new(0, 1, Bytes::from(vec![0u8; n]))
+        EthFrame::new(0, 1, FrameHeader::default(), Bytes::from(vec![0u8; n]))
     }
 
     #[test]

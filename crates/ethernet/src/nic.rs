@@ -266,7 +266,7 @@ impl Nic {
     }
 
     /// RSS: hash the frame's `(src, dst, channel)` tuple onto a queue.
-    /// The channel is the endpoint pair in the OMX payload header
+    /// The channel is the endpoint pair in the OMX protocol header
     /// (bytes 1 and 2 behind the kind byte), so every fragment of one
     /// message — and more broadly one endpoint-pair flow — lands on
     /// one queue, preserving per-flow FIFO order. The hash is a fixed
@@ -276,10 +276,9 @@ impl Nic {
         if self.queues.len() == 1 {
             return 0;
         }
-        let channel = if frame.payload.len() >= 3 {
-            ((frame.payload[1] as u64) << 8) | frame.payload[2] as u64
-        } else {
-            0
+        let channel = match frame.header.as_bytes().get(1..3) {
+            Some(&[src_ep, dst_ep]) => (u64::from(src_ep) << 8) | u64::from(dst_ep),
+            _ => 0,
         };
         // Component multipliers decorrelate the low-entropy inputs
         // (node ids and endpoints are tiny integers, often linearly
@@ -301,10 +300,10 @@ impl Nic {
     /// [`Nic::rss_queue`]): run the hardware checks, deposit it into
     /// the queue's next ring skbuff and enqueue that skbuff on `bh` —
     /// which must be the BH of [`Nic::queue_core`]`(queue)`. Consumes
-    /// the frame — the payload `Bytes` moves from wire to skbuff to
-    /// callback without even refcount traffic, matching the paper's
-    /// model where the only charged receive copy is the one out of the
-    /// skbuff.
+    /// the frame — the inline header is copied, and the payload `Bytes`
+    /// moves from wire to skbuff to callback without even refcount
+    /// traffic, matching the paper's model where the only charged
+    /// receive copy is the one out of the skbuff.
     #[track_caller]
     pub fn deliver(
         &mut self,
@@ -354,7 +353,7 @@ impl Nic {
             ins::NIC_Q_RING_HIGH_WATERMARK.at(queue),
             pending as i64,
         );
-        let skb = Skbuff::new(frame.src, frame.payload, now);
+        let skb = Skbuff::new(frame.src, frame.header, frame.payload, now);
         let core = self.q(queue).core;
         let coalesced = matches!(self.q(queue).last_irq, Some(t)
             if now.saturating_sub(t) < self.params.irq_coalesce);
@@ -421,16 +420,19 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameHeader;
     use bytes::Bytes;
 
     fn frame(n: usize) -> EthFrame {
-        EthFrame::new(0, 1, Bytes::from(vec![0xABu8; n]))
+        EthFrame::new(0, 1, FrameHeader::default(), Bytes::from(vec![0xABu8; n]))
     }
 
     /// A frame whose OMX header carries the given endpoint pair (the
     /// RSS channel bytes).
     fn flow_frame(src: u32, dst: u32, src_ep: u8, dst_ep: u8) -> EthFrame {
-        EthFrame::new(src, dst, Bytes::from(vec![2u8, src_ep, dst_ep, 0, 0]))
+        let mut header = FrameHeader::default();
+        header.put(&[2u8, src_ep, dst_ep, 0, 0]);
+        EthFrame::new(src, dst, header, Bytes::new())
     }
 
     #[test]

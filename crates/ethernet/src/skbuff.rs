@@ -12,20 +12,24 @@
 //! is testable, plus the source-pinned-pages property the paper relies
 //! on (skbuff memory is kernel memory, always DMA-able).
 
+use crate::frame::FrameHeader;
 use bytes::Bytes;
 use omx_sim::sanitize::{Kind, SimSanitizer, Token};
 use omx_sim::Ps;
 
 /// One socket buffer holding a received (or about-to-be-sent) frame
-/// payload.
+/// payload: the protocol header and the data bytes behind it.
 #[derive(Debug, Clone)]
 pub struct Skbuff {
     /// Sending host id (filled from the frame on receive).
     pub src: u32,
-    /// Payload bytes. Shared (`Bytes`) because the send path attaches
-    /// user pages zero-copy and the receive path hands the same bytes
-    /// from NIC to BH to callback without copying — the only *charged*
-    /// copy is the one into the destination buffer, as in the paper.
+    /// Protocol header, carried inline from the frame.
+    pub header: FrameHeader,
+    /// Data bytes behind the header. Shared (`Bytes`): the send path
+    /// attaches a slice of the sender's message zero-copy and the
+    /// receive path hands the same bytes from NIC to BH to callback —
+    /// the only copy is the one into the destination buffer, as in
+    /// the paper.
     pub data: Bytes,
     /// Time the NIC finished DMA-ing this buffer (for latency stats).
     pub rx_time: Ps,
@@ -39,9 +43,10 @@ impl Skbuff {
     /// A received skbuff (the checked constructor: mints the lifecycle
     /// token with the caller as the allocation site).
     #[track_caller]
-    pub fn new(src: u32, data: Bytes, rx_time: Ps) -> Skbuff {
+    pub fn new(src: u32, header: FrameHeader, data: Bytes, rx_time: Ps) -> Skbuff {
         Skbuff {
             src,
+            header,
             data,
             rx_time,
             san: SimSanitizer::alloc(Kind::Skbuff),
@@ -53,14 +58,14 @@ impl Skbuff {
         self.san
     }
 
-    /// Payload length.
+    /// Frame payload length: protocol header plus data.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.header.as_bytes().len() + self.data.len()
     }
 
-    /// Whether the payload is empty (zero-length control frame).
+    /// Whether the frame payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Number of distinct pages this skbuff's payload spans, assuming
@@ -69,7 +74,7 @@ impl Skbuff {
     /// page", §IV-A; we model the aligned-one-chunk case and let the
     /// caller add slack for misalignment).
     pub fn pages(&self, page_size: u64) -> u64 {
-        (self.data.len() as u64).div_ceil(page_size).max(1)
+        (self.len() as u64).div_ceil(page_size).max(1)
     }
 }
 
@@ -79,13 +84,17 @@ mod tests {
 
     #[test]
     fn skbuff_reports_length_and_pages() {
-        let s = Skbuff::new(0, Bytes::from(vec![1u8; 4096]), Ps::ZERO);
+        let none = FrameHeader::default();
+        let s = Skbuff::new(0, none, Bytes::from(vec![1u8; 4096]), Ps::ZERO);
         assert_eq!(s.len(), 4096);
         assert!(!s.is_empty());
         assert_eq!(s.pages(4096), 1);
-        let s = Skbuff::new(0, Bytes::from(vec![1u8; 4097]), Ps::ZERO);
+        let mut header = FrameHeader::default();
+        header.put(&[6; 19]);
+        let s = Skbuff::new(0, header, Bytes::from(vec![1u8; 4096]), Ps::ZERO);
+        assert_eq!(s.len(), 19 + 4096, "the header counts");
         assert_eq!(s.pages(4096), 2);
-        let s = Skbuff::new(0, Bytes::new(), Ps::ZERO);
+        let s = Skbuff::new(0, none, Bytes::new(), Ps::ZERO);
         assert!(s.is_empty());
         assert_eq!(s.pages(4096), 1);
     }
@@ -93,7 +102,7 @@ mod tests {
     #[test]
     fn data_is_shared_not_copied() {
         let payload = Bytes::from(vec![9u8; 100]);
-        let s = Skbuff::new(3, payload.clone(), Ps::ns(5));
+        let s = Skbuff::new(3, FrameHeader::default(), payload.clone(), Ps::ns(5));
         assert_eq!(s.data.as_ptr(), payload.as_ptr());
         assert_eq!(s.src, 3);
         assert_eq!(s.rx_time, Ps::ns(5));

@@ -493,3 +493,19 @@ fn metrics_recording_allocates_nothing() {
         ROUNDS as u64 * u64::from(SCOPES)
     );
 }
+
+#[test]
+fn empty_bytes_allocate_nothing() {
+    // Every control frame (rendezvous and pull requests, notifies,
+    // acks, credit NACKs) carries an empty payload, so making, cloning,
+    // slicing and dropping one must stay off the heap.
+    use bytes::Bytes;
+    use std::hint::black_box;
+    let a0 = allocations();
+    for _ in 0..1000 {
+        let empty = black_box(Bytes::new());
+        let copy = black_box(empty.clone().slice(..));
+        black_box((empty, copy, Bytes::default()));
+    }
+    assert_eq!(allocations() - a0, 0, "empty Bytes touched the heap");
+}

@@ -4,6 +4,7 @@
 //! randomized end-to-end transfer integrity.
 
 use bytes::Bytes;
+use openmx_repro::ethernet::FrameHeader;
 use openmx_repro::hw::cache::{CacheModel, RegionKey};
 use openmx_repro::hw::{CoreId, HwParams, SubchipId};
 use openmx_repro::omx::cluster::ClusterParams;
@@ -112,7 +113,7 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
             any::<u32>(),
             any::<u32>(),
             any::<u64>(),
-            data
+            data.clone()
         )
             .prop_map(|(src_ep, dst_ep, recv_handle, frag_idx, offset, data)| {
                 Packet::LargeFrag {
@@ -131,7 +132,41 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
                 msg_seq,
             }
         }),
+        (any::<u8>(), any::<u8>(), any::<u64>(), any::<u32>(), data).prop_map(
+            |(src_ep, dst_ep, match_info, msg_seq, data)| Packet::Small {
+                src_ep,
+                dst_ep,
+                match_info,
+                msg_seq,
+                data
+            }
+        ),
+        (any::<u8>(), any::<u8>(), any::<u32>()).prop_map(|(src_ep, dst_ep, sender_handle)| {
+            Packet::Notify {
+                src_ep,
+                dst_ep,
+                sender_handle,
+            }
+        }),
+        (any::<u8>(), any::<u8>(), any::<u32>()).prop_map(|(src_ep, dst_ep, sender_handle)| {
+            Packet::CreditNack {
+                src_ep,
+                dst_ep,
+                sender_handle,
+            }
+        }),
     ]
+}
+
+/// Header length of each packet kind. Header plus data is the frame's
+/// Ethernet payload, so these lengths set the wire time of every frame.
+fn header_len(pkt: &Packet) -> usize {
+    match pkt {
+        Packet::Tiny { .. } | Packet::Small { .. } => 15,
+        Packet::MediumFrag { .. } | Packet::RndvReq { .. } => 27,
+        Packet::PullReq { .. } | Packet::LargeFrag { .. } => 19,
+        Packet::Notify { .. } | Packet::Ack { .. } | Packet::CreditNack { .. } => 7,
+    }
 }
 
 proptest! {
@@ -139,18 +174,26 @@ proptest! {
 
     #[test]
     fn packet_round_trip(pkt in arb_packet()) {
-        let bytes = pkt.pack();
-        let back = Packet::parse(&bytes).expect("round trip parses");
+        let (header, payload) = pkt.clone().encode();
+        prop_assert_eq!(header.as_bytes().len(), header_len(&pkt));
+        prop_assert_eq!(payload.len() as u64, pkt.data_len());
+        let back = Packet::parse(&header, payload).expect("round trip parses");
         prop_assert_eq!(pkt, back);
     }
 
     #[test]
     fn truncated_packets_never_panic(pkt in arb_packet(), cut in 0usize..64) {
-        let bytes = pkt.pack();
-        let cut = cut.min(bytes.len());
-        let short = bytes.slice(..cut);
-        // Either a parse error or a (shorter) packet — never a panic.
-        let _ = Packet::parse(&short);
+        let (header, payload) = pkt.encode();
+        let full = header.as_bytes();
+        // A header cut short is a parse error, never a panic...
+        let head = cut.min(full.len());
+        let mut short = FrameHeader::default();
+        short.put(&full[..head]);
+        prop_assert_eq!(Packet::parse(&short, Bytes::new()).is_ok(), head == full.len());
+        // ...and a cut payload parses to a packet with shorter data.
+        let data = cut.min(payload.len());
+        let back = Packet::parse(&header, payload.slice(..data)).expect("whole header parses");
+        prop_assert_eq!(back.data_len(), data as u64);
     }
 
     #[test]

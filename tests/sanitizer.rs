@@ -40,7 +40,12 @@ fn use_after_release_of_descriptor_is_caught() {
 #[test]
 #[should_panic(expected = "not released at teardown")]
 fn leaked_skbuff_fails_teardown() {
-    let skb = Skbuff::new(0, bytes::Bytes::from(vec![0u8; 128]), Ps::ZERO);
+    let skb = Skbuff::new(
+        0,
+        Default::default(),
+        bytes::Bytes::from(vec![0u8; 128]),
+        Ps::ZERO,
+    );
     SimSanitizer::submit(skb.token());
     // Nobody completes/releases the skbuff: teardown must name it.
     SimSanitizer::assert_quiesced();
