@@ -164,11 +164,12 @@ fn engine_bench(
 
 /// Expand one bench body for both engine types (they share the
 /// scheduling API verbatim, so the shape is written once). An
-/// optional leading argument sets the wheel depth for the `Sim` side;
-/// the reference heap has no levels.
+/// optional leading argument sets the wheel depth for the `Sim` side
+/// (default: the engine's default two levels); the reference heap has
+/// no levels.
 macro_rules! on_both {
     (|$sim:ident| $body:block) => {
-        on_both!(1, |$sim| $body)
+        on_both!(2, |$sim| $body)
     };
     ($levels:expr, |$sim:ident| $body:block) => {
         (
@@ -581,9 +582,10 @@ fn smoke() {
     let fp_pp = fingerprint(&pp.stats, &pp.breakdown, pp.events_executed);
     // The two PR-9 engine knobs must be invisible to the schedule:
     // batching at the default calibration (chain cost == submit cost)
-    // and a second wheel level both re-run the pingpong and must land
-    // on the very same fingerprint bytes. The golden then *contains*
-    // the identity claim instead of merely asserting it in a test.
+    // and a one-level wheel (the default has two) both re-run the
+    // pingpong and must land on the very same fingerprint bytes. The
+    // golden then *contains* the identity claim instead of merely
+    // asserting it in a test.
     let ppb = pingpong_cfg(
         6,
         OmxConfig {
@@ -600,11 +602,11 @@ fn smoke() {
     let ppw = pingpong_cfg(
         6,
         OmxConfig {
-            wheel_levels: 2,
+            wheel_levels: 1,
             ..fixed_cfg()
         },
     );
-    assert!(ppw.verified, "two-level pingpong failed verification");
+    assert!(ppw.verified, "one-level pingpong failed verification");
     let fp_ppw = fingerprint(&ppw.stats, &ppw.breakdown, ppw.events_executed);
     assert_eq!(fp_pp, fp_ppw, "wheel depth must not change the schedule");
     // The scale cell: the partitioned engine's 1024-rank Alltoall at 4
@@ -628,7 +630,7 @@ fn smoke() {
     assert_eq!(a1k.marks, a1k4.marks, "partitioning moved the rank-0 marks");
     println!(
         "{{\"schema\":\"perf-smoke-v5\",\"seed\":{},\"pingpong\":{},\
-         \"pingpong_batched\":{},\"pingpong_two_level\":{},\"stream\":{},\
+         \"pingpong_batched\":{},\"pingpong_one_level\":{},\"stream\":{},\
          \"alltoall\":{},\"fanin_mq\":{},\"incast_credit\":{},\
          \"alltoall_1k_partitioned\":{}}}",
         SEED,

@@ -9,7 +9,7 @@
 use crate::app::{App, AppCtx, Completion};
 use crate::config::{MsgClass, OmxConfig, StackKind};
 use crate::driver::Driver;
-use crate::endpoint::{Endpoint, RecvState, SendState};
+use crate::endpoint::{Endpoint, RecvBuf, RecvState, SendState};
 use crate::events::Event;
 use crate::mx_stack::MxNodeState;
 use crate::proto::Packet;
@@ -768,8 +768,8 @@ impl Cluster {
     /// The completion for this request hands the same `Vec` back as
     /// `Completion::Recv { data, .. }`, so an app that re-donates each
     /// delivered buffer to its next post recycles one allocation for
-    /// the whole conversation instead of paying `vec![0; max_len]` per
-    /// receive.
+    /// the whole conversation instead of allocating `max_len` bytes per
+    /// receive. The buffer's old contents are never read or exposed.
     #[allow(clippy::too_many_arguments)]
     pub fn post_irecv_into(
         &mut self,
@@ -778,15 +778,9 @@ impl Cluster {
         match_info: u64,
         mask: u64,
         max_len: u64,
-        mut buf: Vec<u8>,
+        buf: Vec<u8>,
         tag: Option<u64>,
     ) -> ReqId {
-        // Zero-fill to the posted length: a short delivery must not
-        // leak a previous message's bytes. `clear` + `resize` rewrites
-        // in place — no reallocation while the donated capacity covers
-        // `max_len`.
-        buf.clear();
-        buf.resize(max_len as usize, 0);
         self.post_irecv_buf(sim, me, match_info, mask, max_len, None, buf, tag)
     }
 
@@ -803,12 +797,12 @@ impl Cluster {
         seg_size: Option<u64>,
         tag: Option<u64>,
     ) -> ReqId {
-        let buf = vec![0u8; max_len as usize];
+        let buf = Vec::new();
         self.post_irecv_buf(sim, me, match_info, mask, max_len, seg_size, buf, tag)
     }
 
-    /// Common tail of the `post_irecv*` family: `buf` is already
-    /// `max_len` zeroed bytes, however the caller produced it.
+    /// Common tail of the `post_irecv*` family: `buf` lends only its
+    /// allocation (see [`RecvBuf`]), never its contents.
     #[allow(clippy::too_many_arguments)]
     fn post_irecv_buf(
         &mut self,
@@ -822,7 +816,6 @@ impl Cluster {
         tag: Option<u64>,
     ) -> ReqId {
         assert!(seg_size.is_none_or(|s| s > 0), "segments must be nonzero");
-        debug_assert_eq!(buf.len(), max_len as usize);
         let req = self.alloc_req(me);
         let core = self.ep(me).core;
         let (_, fin) = self.run_core(
@@ -838,13 +831,11 @@ impl Cluster {
                 req,
                 match_info,
                 mask,
-                buf,
-                received: 0,
+                buf: RecvBuf::new(buf, max_len as usize),
                 total: 0,
                 matched_info: None,
                 tag,
                 region: None,
-                frag_seen: Vec::new(),
                 seg_size,
             },
         );
@@ -1201,12 +1192,11 @@ impl Cluster {
     pub(crate) fn finish_recv(&mut self, sim: &mut Sim<Cluster>, addr: EpAddr, req: ReqId, at: Ps) {
         sim.schedule_at(at, move |c: &mut Cluster, s| {
             let ep = c.ep_mut(addr);
-            let Some(mut st) = ep.recvs.remove(&req) else {
+            let Some(st) = ep.recvs.remove(&req) else {
                 return; // duplicate completion suppressed
             };
-            // Trim the buffer to the delivered length.
-            let total = st.total.min(st.buf.len() as u64);
-            st.buf.truncate(total as usize);
+            let data = st.buf.into_delivered(st.total);
+            let total = data.len() as u64;
             // The app will now read the buffer: it becomes resident in
             // the app core's subchip cache.
             let core = ep.core;
@@ -1223,7 +1213,7 @@ impl Cluster {
             let comp = Completion::Recv {
                 req,
                 match_info: st.matched_info.unwrap_or(st.match_info),
-                data: st.buf,
+                data,
             };
             c.call_app(s, addr, comp);
         });

@@ -185,10 +185,11 @@ pub struct OmxConfig {
     pub seed: u64,
 
     // ---------------- engine ----------------
-    /// Timing-wheel depth of the DES engine driving the cluster: 1 =
-    /// single ~67 µs ring (events further out are boxed onto the
-    /// overflow heap), 2 = add a coarser ~34 ms ring so retransmit
-    /// timers and watchdogs stay slab-resident. Execution order — and
+    /// Timing-wheel depth of the DES engine driving the cluster: 2 (the
+    /// default) layers a coarser ~34 ms ring over the ~67 µs one, so
+    /// frame arrivals behind a queued link, retransmit timers and
+    /// watchdogs stay slab-resident; 1 = the single ring, with events
+    /// further out boxed onto the overflow heap. Execution order — and
     /// therefore every figure — is bit-identical at either depth; this
     /// is purely an events/sec knob (see BENCH_pr9.json).
     pub wheel_levels: u32,
@@ -270,7 +271,7 @@ impl Default for OmxConfig {
             ioat_stall_deadline: Ps::ms(2),
             ioat_quarantine_cooldown: Ps::ms(20),
             seed: 0x0031_4159_2653_5897,
-            wheel_levels: 1,
+            wheel_levels: 2,
             metrics: true,
             trace_capacity: 0,
             bh_frag_process: Ps::ns(1900),

@@ -148,10 +148,7 @@ impl Cluster {
                 let start = (offset as usize).min(end);
                 buf[start..end].copy_from_slice(&data[..end - start]);
             } else if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req.expect("matched")) {
-                let end = ((offset as usize) + data.len()).min(rs.buf.len());
-                let start = (offset as usize).min(end);
-                rs.buf[start..end].copy_from_slice(&data[..end - start]);
-                rs.received += (end - start) as u64;
+                rs.buf.write(u64::from(offset), &data);
             }
         }
         // Complete?

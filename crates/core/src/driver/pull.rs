@@ -348,11 +348,7 @@ impl Cluster {
         {
             let ep = self.ep_mut(me);
             if let Some(rs) = ep.recvs.get_mut(&req) {
-                let end = ((offset + len) as usize).min(rs.buf.len());
-                let start = (offset as usize).min(end);
-                // omx-lint: allow(fast-path-panic) start ≤ end ≤ buf.len() by the two clamps above, and end−start ≤ len = data.len() [test: tests/fault_soak.rs::flaky_10g_stream_recovers_with_fallback_and_backoff]
-                rs.buf[start..end].copy_from_slice(&data[..end - start]);
-                rs.received += (end - start) as u64;
+                rs.buf.write(offset, &data);
             }
         }
         let bf = self.p.cfg.pull_block_frags;

@@ -476,9 +476,7 @@ impl Cluster {
         {
             let ep = self.ep_mut(me);
             if let Some(rs) = ep.recvs.get_mut(&req) {
-                let n = (msg_len as usize).min(rs.buf.len()).min(data.len());
-                rs.buf[..n].copy_from_slice(&data[..n]);
-                rs.received = n as u64;
+                rs.buf.write(0, &data);
             }
         }
         // Complete both sides.

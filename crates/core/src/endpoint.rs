@@ -65,9 +65,7 @@ pub struct RecvState {
     /// Posted match mask.
     pub mask: u64,
     /// Destination buffer (filled in place).
-    pub buf: Vec<u8>,
-    /// Bytes delivered so far.
-    pub received: u64,
+    pub buf: RecvBuf,
     /// Total expected once matched (0 until known).
     pub total: u64,
     /// Match information of the message that matched (for the
@@ -77,14 +75,75 @@ pub struct RecvState {
     pub tag: Option<u64>,
     /// Pinned region backing a large receive.
     pub region: Option<Region>,
-    /// Per-fragment arrival bitmap for medium reassembly (duplicate
-    /// suppression under retransmission).
-    pub frag_seen: Vec<bool>,
     /// Segment size of a vectorial destination buffer (`None` =
     /// contiguous). Scattered buffers split every receive copy into
     /// per-segment chunks — the "highly-vectorial buffers" case of
     /// §IV-A that the fragment threshold protects against.
     pub seg_size: Option<u64>,
+}
+
+/// The destination buffer of a posted receive, written once per
+/// delivered byte.
+///
+/// It takes over the allocation the application donated but none of
+/// its contents: it starts empty and grows as data lands, so the one
+/// copy into it — the skbuff → user copy the paper offloads — is the
+/// only write a byte gets. Data arriving in order is appended. A write
+/// that lands past the written prefix zero-fills the gap it skips, and
+/// [`RecvBuf::into_delivered`] zero-fills any tail never written, so a
+/// recycled buffer never exposes a previous message's bytes. Every
+/// write is clamped to the posted length.
+#[derive(Debug)]
+pub struct RecvBuf {
+    /// Written prefix: each byte was delivered or zero-filled.
+    data: Vec<u8>,
+    /// Posted length; writes past it are dropped.
+    posted: usize,
+}
+
+impl RecvBuf {
+    /// A receive of at most `posted` bytes into `buf`'s allocation,
+    /// grown once here if it is smaller than `posted`.
+    pub fn new(mut buf: Vec<u8>, posted: usize) -> Self {
+        buf.clear();
+        buf.reserve_exact(posted);
+        RecvBuf { data: buf, posted }
+    }
+
+    /// The posted length.
+    pub fn posted_len(&self) -> usize {
+        self.posted
+    }
+
+    /// Write `src` at byte `offset`, clamped to the posted length;
+    /// returns how many bytes were written.
+    pub fn write(&mut self, offset: u64, src: &[u8]) -> usize {
+        let start = usize::try_from(offset).map_or(self.posted, |o| o.min(self.posted));
+        let src = src.get(..self.posted - start).unwrap_or(src);
+        if src.is_empty() {
+            return 0;
+        }
+        if start > self.data.len() {
+            self.data.resize(start, 0);
+        }
+        // Overwrite what overlaps the written prefix, append the rest.
+        let overlap = (self.data.len() - start).min(src.len());
+        let (over, fresh) = src.split_at(overlap);
+        if let Some(dst) = self.data.get_mut(start..start + overlap) {
+            dst.copy_from_slice(over);
+        }
+        self.data.extend_from_slice(fresh);
+        src.len()
+    }
+
+    /// The application's buffer holding the first `total` bytes of
+    /// the message, clamped to the posted length; bytes never written
+    /// read as zero.
+    pub fn into_delivered(mut self, total: u64) -> Vec<u8> {
+        let n = usize::try_from(total).map_or(self.posted, |t| t.min(self.posted));
+        self.data.resize(n, 0);
+        self.data
+    }
 }
 
 /// Reassembly of a multi-fragment eager message, matched or not.

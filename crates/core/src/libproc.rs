@@ -176,10 +176,7 @@ impl Cluster {
             Some(posted) => {
                 let ep = self.ep_mut(me);
                 if let Some(rs) = ep.recvs.get_mut(&posted.req) {
-                    let n = data.len().min(rs.buf.len());
-                    rs.buf[..n].copy_from_slice(&data[..n]);
-                    rs.received = n as u64;
-                    rs.total = n as u64;
+                    rs.total = rs.buf.write(0, &data) as u64;
                     rs.matched_info = Some(match_info);
                 }
                 self.finish_recv(sim, me, posted.req, fin);
@@ -220,11 +217,7 @@ impl Cluster {
             Some(posted) => {
                 let ep = self.ep_mut(me);
                 if let Some(rs) = ep.recvs.get_mut(&posted.req) {
-                    let data = ep.slots.read(slot, len);
-                    let n = data.len().min(rs.buf.len());
-                    rs.buf[..n].copy_from_slice(&data[..n]);
-                    rs.received = n as u64;
-                    rs.total = n as u64;
+                    rs.total = rs.buf.write(0, ep.slots.read(slot, len)) as u64;
                     rs.matched_info = Some(match_info);
                 }
                 ep.slots.release(slot);
@@ -313,11 +306,7 @@ impl Cluster {
                 match asm.req {
                     Some(req) => {
                         if let Some(rs) = ep.recvs.get_mut(&req) {
-                            let data = ep.slots.read(slot, len);
-                            let end = ((offset as usize) + len).min(rs.buf.len());
-                            let start = (offset as usize).min(end);
-                            rs.buf[start..end].copy_from_slice(&data[..end - start]);
-                            rs.received += (end - start) as u64;
+                            rs.buf.write(offset, ep.slots.read(slot, len));
                         }
                         let asm = ep.assemblies.get_mut(&key).expect("present");
                         if asm.is_complete() {
@@ -394,7 +383,7 @@ impl Cluster {
         let core = self.ep(me).core;
         let (match_info, mask, cap) = {
             let rs = self.ep(me).recvs.get(&req).expect("just posted");
-            (rs.match_info, rs.mask, rs.buf.len() as u64)
+            (rs.match_info, rs.mask, rs.buf.posted_len() as u64)
         };
         let hit = self.ep_mut(me).matcher.post_recv(PostedRecv {
             req,
@@ -417,10 +406,7 @@ impl Cluster {
                 let (_, fin) = self.run_core(me.node, core, now, cost, category::USER_LIB);
                 let ep = self.ep_mut(me);
                 if let Some(rs) = ep.recvs.get_mut(&req) {
-                    let n = (total as usize).min(rs.buf.len()).min(data.len());
-                    rs.buf[..n].copy_from_slice(&data[..n]);
-                    rs.received = n as u64;
-                    rs.total = n as u64;
+                    rs.total = rs.buf.write(0, &data) as u64;
                     rs.matched_info = Some(mi);
                 }
                 self.finish_recv(sim, me, req, fin);
@@ -460,11 +446,12 @@ impl Cluster {
                         let asm = ep.assemblies.get_mut(&key).expect("found");
                         let data = std::mem::take(&mut asm.data);
                         if let Some(rs) = ep.recvs.get_mut(&req) {
-                            let n = (arrived as usize).min(rs.buf.len()).min(data.len());
                             // Unmatched assemblies buffer the full
-                            // image; copy what arrived so far.
-                            rs.buf[..n].copy_from_slice(&data[..n]);
-                            rs.received = arrived;
+                            // image, zero where fragments are still
+                            // missing (they may have arrived out of
+                            // order): copy all of it, and the missing
+                            // fragments overwrite their ranges later.
+                            rs.buf.write(0, &data);
                             rs.total = total;
                             rs.matched_info = Some(mi);
                         }

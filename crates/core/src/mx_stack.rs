@@ -367,10 +367,7 @@ impl Cluster {
                 match asm.req {
                     Some(req) => {
                         if let Some(rs) = ep.recvs.get_mut(&req) {
-                            let end = ((offset as usize) + data.len()).min(rs.buf.len());
-                            let start = (offset as usize).min(end);
-                            rs.buf[start..end].copy_from_slice(&data[..end - start]);
-                            rs.received += (end - start) as u64;
+                            rs.buf.write(offset, data);
                         }
                         let asm = ep.assemblies.get_mut(&key).expect("present");
                         if asm.is_complete() {
@@ -477,10 +474,7 @@ impl Cluster {
         {
             let ep = self.ep_mut(me);
             if let Some(rs) = ep.recvs.get_mut(&req) {
-                let end = ((offset as usize) + data.len()).min(rs.buf.len());
-                let start = (offset as usize).min(end);
-                rs.buf[start..end].copy_from_slice(&data[..end - start]);
-                rs.received += (end - start) as u64;
+                rs.buf.write(offset, data);
             }
         }
         if done {

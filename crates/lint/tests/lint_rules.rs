@@ -383,7 +383,7 @@ fn actual_workspace_is_lint_clean() {
         vec![
             own("ad-hoc-rng", "crates/core/src/cluster.rs", 1),
             own("fast-path-panic", "crates/core/src/cluster.rs", 3),
-            own("fast-path-panic", "crates/core/src/driver/pull.rs", 6),
+            own("fast-path-panic", "crates/core/src/driver/pull.rs", 5),
             own("fast-path-panic", "crates/core/src/driver/recv.rs", 1),
             own("fast-path-panic", "crates/ethernet/src/nic.rs", 2),
             own("hot-path-alloc", "crates/core/src/driver/kmatch.rs", 3),

@@ -28,12 +28,14 @@
 //!   scheduling is an O(1) intrusive-list push into a shared node
 //!   slab; finding the next instant is a bitmap scan plus a cached
 //!   per-slot minimum.
+//!   A coarser second ring (the default two-level wheel) extends the
+//!   slab-resident coverage to ~34 ms, so frame arrivals queued behind
+//!   a busy link and retransmit timers stay in the slab too.
 //! * **overflow heap** — `(time, seq)`-ordered `BinaryHeap` of
 //!   small boxed-closure nodes for events beyond the wheel's coverage
-//!   (retransmit timers, watchdogs). They cascade into the wheel as
-//!   the cursor advances. [`Sim::with_wheel_levels`]`(2)` extends the
-//!   slab-resident coverage to ~34 ms with a coarser second ring, so
-//!   only truly-far events (seconds-scale watchdogs) pay the box.
+//!   (seconds-scale watchdogs; anything past ~67 µs on a
+//!   [`Sim::with_wheel_levels`]`(1)` wheel). They cascade into the
+//!   wheel as the cursor advances.
 //!
 //! Closures are packed by [`crate::event::EventFn`]: up to three words
 //! inline in the queue node, medium captures in pooled free-list
@@ -94,17 +96,19 @@ impl<W> Default for Sim<W> {
 }
 
 impl<W> Sim<W> {
-    /// A fresh simulator at time zero with an empty queue.
+    /// A fresh simulator at time zero with an empty queue and the
+    /// default two-level wheel.
     pub fn new() -> Self {
-        Self::with_wheel_levels(1)
+        Self::with_wheel_levels(2)
     }
 
-    /// A fresh simulator with an explicit timing-wheel depth. `1` is
-    /// the default single ring (~67 µs window, overflow boxed on the
-    /// far heap); `2` layers a coarser ring on top so events up to
-    /// ~34 ms out stay slab-resident and allocation-free. The executed
-    /// schedule is bit-identical either way — level count is purely a
-    /// throughput knob (`wheel_levels` in `OmxConfig`).
+    /// A fresh simulator with an explicit timing-wheel depth. `2` is
+    /// the default: a coarser ring on top of the ~67 µs one keeps
+    /// events up to ~34 ms out slab-resident and allocation-free. `1`
+    /// is the single ring, which boxes everything past ~67 µs onto the
+    /// far heap. The executed schedule is bit-identical either way —
+    /// level count is purely a throughput knob (`wheel_levels` in
+    /// `OmxConfig`).
     pub fn with_wheel_levels(levels: u32) -> Self {
         Sim {
             now: Ps::ZERO,
@@ -257,7 +261,7 @@ impl<W> Sim<W> {
             self.far.push(std::cmp::Reverse(FarEntry {
                 at,
                 seq,
-                // omx-lint: allow(hot-path-alloc) truly-far overflow heap only; events inside the wheel coverage (~67 µs, or ~34 ms with wheel_levels=2) stay slab-resident and steady state never lands here [test: crates/sim/tests/alloc_count.rs::steady_state_far_future_timers_allocate_nothing_with_two_levels]
+                // omx-lint: allow(hot-path-alloc) truly-far overflow heap only; events inside the default two-level wheel's ~34 ms coverage (~67 µs with wheel_levels=1) stay slab-resident and steady state never lands here [test: crates/sim/tests/alloc_count.rs::steady_state_far_future_timers_allocate_nothing_with_two_levels]
                 f: Box::new(f),
             }));
         }
@@ -501,21 +505,23 @@ mod tests {
 
     #[test]
     fn far_events_cascade_into_the_wheel() {
-        // Events far beyond the wheel window must still run in (time,
-        // seq) order, including a same-timestamp pair straddling the
-        // overflow heap and a near event scheduled later.
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut world = Vec::new();
-        let far = Ps::ms(5); // well beyond the ~67 µs window
-        sim.schedule_at(far, |w: &mut Vec<u32>, _| w.push(2));
-        sim.schedule_at(far, |w: &mut Vec<u32>, _| w.push(3));
-        sim.schedule_at(Ps::ns(10), move |w: &mut Vec<u32>, sim| {
-            w.push(1);
-            sim.schedule_at(far, |w: &mut Vec<u32>, _| w.push(4));
-        });
-        let end = sim.run(&mut world);
-        assert_eq!(world, vec![1, 2, 3, 4]);
-        assert_eq!(end, far);
+        // Events far beyond the wheel's coverage must still run in
+        // (time, seq) order, including a same-timestamp pair straddling
+        // the overflow heap and a near event scheduled later.
+        // Coverage is ~67 µs at one level and ~34 ms at two.
+        for (levels, far) in [(1, Ps::ms(5)), (2, Ps::ms(100))] {
+            let mut sim: Sim<Vec<u32>> = Sim::with_wheel_levels(levels);
+            let mut world = Vec::new();
+            sim.schedule_at(far, |w: &mut Vec<u32>, _| w.push(2));
+            sim.schedule_at(far, |w: &mut Vec<u32>, _| w.push(3));
+            sim.schedule_at(Ps::ns(10), move |w: &mut Vec<u32>, sim| {
+                w.push(1);
+                sim.schedule_at(far, |w: &mut Vec<u32>, _| w.push(4));
+            });
+            let end = sim.run(&mut world);
+            assert_eq!(world, vec![1, 2, 3, 4]);
+            assert_eq!(end, far);
+        }
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! Events beyond the window live in an overflow binary heap owned by
 //! the engine and cascade into the wheel as the cursor advances.
 //!
-//! With [`Wheel::with_levels`]`(2)` a second, coarser ring is layered
-//! on top, kernel-`timer_list` style: each level-1 slot spans the
-//! entire level-0 window (512 × ~67 µs ≈ 34 ms of coverage), and its
-//! entries live in the *same* node slab as level 0. An event beyond
-//! the level-0 window but inside level-1 coverage is an O(1) push into
-//! a level-1 list; only events further than ~34 ms out fall back to
-//! the boxed overflow heap. When the cursor crosses into a new level-1
+//! With [`Wheel::with_levels`]`(2)` — the engine's default — a second,
+//! coarser ring is layered on top, kernel-`timer_list` style: each
+//! level-1 slot spans the entire level-0 window (512 × ~67 µs ≈ 34 ms
+//! of coverage), and its entries live in the *same* node slab as
+//! level 0. An event beyond the level-0 window but inside level-1
+//! coverage is an O(1) push into a level-1 list; only events further
+//! than ~34 ms out fall back to the boxed overflow heap (at one level,
+//! everything past the level-0 window does). When the cursor crosses into a new level-1
 //! slot, that slot's nodes are relinked — no copy, no allocation —
 //! into the level-0 slots their timestamps select. Because the engine
 //! sorts a slot once on adoption by the unique `(time, seq)` key,

@@ -193,7 +193,7 @@ fn steady_state_far_future_timers_allocate_nothing_with_two_levels() {
     // Control: the same workload on a one-level wheel pays roughly one
     // box per event — proving the test would catch a regression where
     // level-1 events silently fall through to the heap.
-    let mut sim1: Sim<u64> = Sim::new();
+    let mut sim1: Sim<u64> = Sim::with_wheel_levels(1);
     far_pass(&mut sim1, 5_000);
     let b0 = allocations();
     far_pass(&mut sim1, 5_000);
@@ -380,17 +380,10 @@ mod driver_paths {
         sh.end - sh.warm
     }
 
-    fn two_level(cfg: OmxConfig) -> OmxConfig {
-        OmxConfig {
-            wheel_levels: 2,
-            ..cfg
-        }
-    }
-
     #[test]
     fn warmed_tiny_pingpong_allocates_nothing() {
         // Small-message path: inline frames, ring copy on receive.
-        let d = measured_allocs(16, two_level(OmxConfig::default()));
+        let d = measured_allocs(16, OmxConfig::default());
         assert_eq!(d, 0, "warmed 16 B ping-pong allocated {d} times");
     }
 
@@ -398,7 +391,7 @@ mod driver_paths {
     fn warmed_medium_pingpong_allocates_nothing() {
         // Medium path: fragmentation, per-message dedup bitmaps (from
         // the driver scratch pool), BH processing.
-        let d = measured_allocs(16 << 10, two_level(OmxConfig::default()));
+        let d = measured_allocs(16 << 10, OmxConfig::default());
         assert_eq!(d, 0, "warmed 16 KiB ping-pong allocated {d} times");
     }
 
@@ -406,7 +399,7 @@ mod driver_paths {
     fn warmed_large_pingpong_allocates_nothing() {
         // Large path: rendezvous pulls, block bitmaps and pending-copy
         // queues recycled through the driver scratch pool.
-        let d = measured_allocs(256 << 10, two_level(OmxConfig::default()));
+        let d = measured_allocs(256 << 10, OmxConfig::default());
         assert_eq!(d, 0, "warmed 256 KiB ping-pong allocated {d} times");
     }
 
@@ -414,7 +407,7 @@ mod driver_paths {
     fn warmed_large_ioat_pingpong_allocates_nothing() {
         // Large path with I/OAT offload: copy segments, handles and
         // completion bookkeeping all travel through pooled scratch.
-        let d = measured_allocs(256 << 10, two_level(OmxConfig::with_ioat()));
+        let d = measured_allocs(256 << 10, OmxConfig::with_ioat());
         assert_eq!(d, 0, "warmed 256 KiB I/OAT ping-pong allocated {d} times");
     }
 }

@@ -113,7 +113,7 @@ proptest! {
     #[test]
     fn wheel_matches_reference_scheduler(ops in proptest::collection::vec(op_strategy(), 0..200)) {
         let heap = run_ops!(ReferenceSim, ops);
-        let wheel = run_ops!(Sim, ops);
+        let wheel = run_ops!(Sim::with_wheel_levels(1), ops);
         prop_assert_eq!(&wheel, &heap);
         let wheel2 = run_ops!(Sim::with_wheel_levels(2), ops);
         prop_assert_eq!(&wheel2, &heap);

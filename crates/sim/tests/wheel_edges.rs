@@ -88,7 +88,7 @@ fn cancel_on_overflow_heap_before_cascade() {
             $sim.cancel(dead_later);
         };
     }
-    let wheel = trace!(Sim, scenario);
+    let wheel = trace!(Sim::with_wheel_levels(1), scenario);
     let heap = trace!(ReferenceSim, scenario);
     assert_eq!(wheel, heap);
     let labels: Vec<u32> = wheel.2.iter().map(|&(l, _)| l).collect();
@@ -111,7 +111,7 @@ fn cancel_far_future_entry_that_never_cascades() {
             $sim.cancel(doomed);
         };
     }
-    let wheel = trace!(Sim, scenario);
+    let wheel = trace!(Sim::with_wheel_levels(1), scenario);
     let heap = trace!(ReferenceSim, scenario);
     assert_eq!(wheel, heap);
     assert_eq!(wheel.2.len(), 1, "only the live event fires");
@@ -144,7 +144,7 @@ fn schedule_exactly_on_window_boundary() {
             mark!($sim, at base + WINDOW_PS + SLOT_PS, label 8);
         };
     }
-    let wheel = trace!(Sim, scenario);
+    let wheel = trace!(Sim::with_wheel_levels(1), scenario);
     let heap = trace!(ReferenceSim, scenario);
     assert_eq!(wheel, heap);
     assert_eq!(wheel.2.len(), 9, "every boundary event fires exactly once");
@@ -198,7 +198,7 @@ fn slab_reuse_after_tombstoned_cancels() {
             }
         };
     }
-    let wheel = trace!(Sim, scenario);
+    let wheel = trace!(Sim::with_wheel_levels(1), scenario);
     let heap = trace!(ReferenceSim, scenario);
     assert_eq!(wheel, heap);
     // 8 generations × (16 survivors + 16 plain) events.
@@ -221,7 +221,7 @@ fn cancel_after_fire_is_idempotent_across_engines() {
             $sim.cancel(early);
         };
     }
-    let wheel = trace!(Sim, scenario);
+    let wheel = trace!(Sim::with_wheel_levels(1), scenario);
     let heap = trace!(ReferenceSim, scenario);
     assert_eq!(wheel, heap);
     let labels: Vec<u32> = wheel.2.iter().map(|&(l, _)| l).collect();
@@ -261,7 +261,7 @@ fn level1_boundary_instants_match_reference() {
         };
     }
     let heap = trace!(ReferenceSim, scenario);
-    let wheel1 = trace!(Sim, scenario);
+    let wheel1 = trace!(Sim::with_wheel_levels(1), scenario);
     let wheel2 = trace!(Sim::with_wheel_levels(2), scenario);
     assert_eq!(wheel1, heap);
     assert_eq!(wheel2, heap);
@@ -305,7 +305,7 @@ fn cancel_while_resident_in_level1() {
         };
     }
     let heap = trace!(ReferenceSim, scenario);
-    let wheel1 = trace!(Sim, scenario);
+    let wheel1 = trace!(Sim::with_wheel_levels(1), scenario);
     let wheel2 = trace!(Sim::with_wheel_levels(2), scenario);
     assert_eq!(wheel1, heap);
     assert_eq!(wheel2, heap);
@@ -332,7 +332,7 @@ fn whole_level1_slot_cascades_onto_one_level0_slot() {
         };
     }
     let heap = trace!(ReferenceSim, scenario);
-    let wheel1 = trace!(Sim, scenario);
+    let wheel1 = trace!(Sim::with_wheel_levels(1), scenario);
     let wheel2 = trace!(Sim::with_wheel_levels(2), scenario);
     assert_eq!(wheel1, heap);
     assert_eq!(wheel2, heap);
@@ -381,7 +381,7 @@ fn reschedule_across_levels() {
         };
     }
     let heap = trace!(ReferenceSim, scenario);
-    let wheel1 = trace!(Sim, scenario);
+    let wheel1 = trace!(Sim::with_wheel_levels(1), scenario);
     let wheel2 = trace!(Sim::with_wheel_levels(2), scenario);
     assert_eq!(wheel1, heap);
     assert_eq!(wheel2, heap);

@@ -226,3 +226,137 @@ fn unexpected_messages_are_buffered_and_adopted() {
         assert!(d.iter().all(|&b| b == tag), "adopted payload intact");
     }
 }
+
+#[test]
+fn recycled_receive_buffers_never_expose_stale_bytes() {
+    // One receive buffer, dirty from the start and then full of each
+    // previous message, is re-donated through `irecv_into` for ever
+    // shorter messages of every class and for one message longer than
+    // its posting. Each delivery must be exactly the (truncated)
+    // payload: none of the buffer's earlier bytes may show. Run once
+    // with every receive posted before its message is sent, and once
+    // with every message sent up front, so most arrive unexpected and
+    // are adopted.
+    use openmx_repro::omx::app::{App, AppCtx, Completion};
+    use openmx_repro::omx::cluster::Cluster;
+    use openmx_repro::omx::{EpAddr, EpIdx, NodeId};
+    use openmx_repro::sim::Sim;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// (message length, posted length).
+    const MSGS: [(usize, u64); 7] = [
+        (128 << 10, 128 << 10),
+        (100 << 10, 128 << 10),
+        (20 << 10, 128 << 10),
+        (3000, 128 << 10),
+        (100, 128 << 10),
+        (7, 128 << 10),
+        (12 << 10, 8 << 10),
+    ];
+    /// Match info of the receiver's "post the next message" signal.
+    const NEXT: u64 = 1 << 32;
+
+    fn payload(i: usize) -> Vec<u8> {
+        (0..MSGS[i].0)
+            .map(|b| ((b % 251) as u8).wrapping_add(i as u8 + 1))
+            .collect()
+    }
+
+    struct Sender {
+        peer: EpAddr,
+        upfront: bool,
+        sent: usize,
+    }
+    impl App for Sender {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            if self.upfront {
+                for i in 0..MSGS.len() {
+                    ctx.isend(self.peer, i as u64, payload(i), None);
+                }
+            } else {
+                ctx.irecv(NEXT, u64::MAX, 1, None);
+            }
+        }
+        fn on_completion(&mut self, ctx: &mut AppCtx<'_>, comp: Completion) {
+            if let Completion::Recv { .. } = comp {
+                ctx.isend(self.peer, self.sent as u64, payload(self.sent), None);
+                self.sent += 1;
+                if self.sent < MSGS.len() {
+                    ctx.irecv(NEXT, u64::MAX, 1, None);
+                }
+            }
+        }
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+    struct Receiver {
+        peer: EpAddr,
+        upfront: bool,
+        got: Rc<RefCell<Vec<Vec<u8>>>>,
+    }
+    impl Receiver {
+        fn post(&mut self, ctx: &mut AppCtx<'_>, buf: Vec<u8>) {
+            let i = self.got.borrow().len();
+            ctx.irecv_into(i as u64, u64::MAX, MSGS[i].1, buf, None);
+            if !self.upfront {
+                ctx.isend(self.peer, NEXT, vec![1], None);
+            }
+        }
+    }
+    impl App for Receiver {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            self.post(ctx, vec![0xEE; MSGS[0].1 as usize]);
+        }
+        fn on_completion(&mut self, ctx: &mut AppCtx<'_>, comp: Completion) {
+            if let Completion::Recv { data, .. } = comp {
+                self.got.borrow_mut().push(data.clone());
+                if self.got.borrow().len() < MSGS.len() {
+                    self.post(ctx, data);
+                }
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.got.borrow().len() == MSGS.len()
+        }
+    }
+
+    for upfront in [false, true] {
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let mut cluster = Cluster::new(ClusterParams::default());
+        let mut sim: Sim<Cluster> = Sim::new();
+        let ep = |n| EpAddr {
+            node: NodeId(n),
+            ep: EpIdx(0),
+        };
+        let sender = Sender {
+            peer: ep(1),
+            upfront,
+            sent: 0,
+        };
+        let receiver = Receiver {
+            peer: ep(0),
+            upfront,
+            got: got.clone(),
+        };
+        cluster.add_endpoint(NodeId(0), CoreId(2), Box::new(sender));
+        cluster.add_endpoint(NodeId(1), CoreId(2), Box::new(receiver));
+        cluster.start(&mut sim);
+        sim.run(&mut cluster);
+        let got = got.borrow();
+        assert_eq!(
+            got.len(),
+            MSGS.len(),
+            "upfront {upfront}: every message delivered"
+        );
+        for (i, data) in got.iter().enumerate() {
+            let mut want = payload(i);
+            want.truncate(MSGS[i].1 as usize);
+            assert!(
+                *data == want,
+                "upfront {upfront}: message {i} is not its payload"
+            );
+        }
+    }
+}

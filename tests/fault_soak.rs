@@ -258,3 +258,117 @@ fn flaky_slowdown_is_bounded() {
         flaky.end_time
     );
 }
+
+/// Send one `len`-byte message at time zero and post its receive
+/// `post_after` later, so the receive adopts whatever part of the
+/// message has arrived by then. Returns the offset of the first
+/// delivered byte that differs from the payload (the length on a short
+/// delivery), or `None` when the delivery is intact.
+fn late_receive_first_bad_byte(cfg: OmxConfig, len: usize, post_after: Ps) -> Option<usize> {
+    use openmx_repro::omx::app::{App, AppCtx, Completion};
+    use openmx_repro::omx::cluster::Cluster;
+    use openmx_repro::omx::{EpAddr, EpIdx, NodeId};
+    use openmx_repro::sim::Sim;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    struct Sender {
+        peer: EpAddr,
+        payload: Vec<u8>,
+    }
+    impl App for Sender {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            ctx.isend(self.peer, 5, self.payload.clone(), None);
+        }
+        fn on_completion(&mut self, _ctx: &mut AppCtx<'_>, _c: Completion) {}
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+    struct LateReceiver {
+        len: u64,
+        post_after: Ps,
+        got: Rc<RefCell<Option<Vec<u8>>>>,
+    }
+    impl App for LateReceiver {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            ctx.compute(self.post_after);
+            ctx.irecv(5, u64::MAX, self.len, None);
+        }
+        fn on_completion(&mut self, _ctx: &mut AppCtx<'_>, comp: Completion) {
+            if let Completion::Recv { data, .. } = comp {
+                *self.got.borrow_mut() = Some(data);
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.got.borrow().is_some()
+        }
+    }
+
+    // No zero bytes: a hole left unfilled cannot pass for data.
+    let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8 + 1).collect();
+    let got = Rc::new(RefCell::new(None));
+    let mut cluster = Cluster::new(ClusterParams::with_cfg(cfg));
+    let mut sim: Sim<Cluster> = Sim::new();
+    let peer = EpAddr {
+        node: NodeId(1),
+        ep: EpIdx(0),
+    };
+    cluster.add_endpoint(
+        NodeId(0),
+        CoreId(2),
+        Box::new(Sender {
+            peer,
+            payload: payload.clone(),
+        }),
+    );
+    cluster.add_endpoint(
+        NodeId(1),
+        CoreId(2),
+        Box::new(LateReceiver {
+            len: len as u64,
+            post_after,
+            got: got.clone(),
+        }),
+    );
+    cluster.start(&mut sim);
+    sim.run(&mut cluster);
+    let data = got.borrow_mut().take().expect("the message was delivered");
+    (0..len).find(|&i| data.get(i) != Some(&payload[i]))
+}
+
+#[test]
+fn late_receive_adopts_out_of_order_medium_fragments_intact() {
+    // A receive posted while a medium message is still arriving adopts
+    // its partly filled buffer. Fragments can land out of order (wire
+    // reordering, or a lost fragment retransmitted after later ones),
+    // so the holes can sit anywhere, not only at the end: adoption
+    // must carry over the whole buffered image, not its first
+    // `arrived` bytes. Each plan below delivered zeros at some post
+    // delay when it did.
+    let reorder = FaultPlan {
+        default_link: openmx_repro::ethernet::fault::LinkFaultParams {
+            reorder_prob: 0.5,
+            reorder_depth: 4,
+            ..Default::default()
+        },
+        ..FaultPlan::default()
+    };
+    for (name, plan, seed) in [
+        ("flaky-10g", FaultPlan::flaky_10g(), 39),
+        ("reorder 0.5", reorder, 0),
+    ] {
+        for us in 0..60 {
+            let cfg = OmxConfig {
+                fault_plan: plan.clone(),
+                seed,
+                ..OmxConfig::default()
+            };
+            let bad = late_receive_first_bad_byte(cfg, 28 << 10, Ps::us(us));
+            assert_eq!(
+                bad, None,
+                "{name}, seed {seed}, receive posted at {us} µs: first bad byte"
+            );
+        }
+    }
+}

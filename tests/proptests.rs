@@ -9,6 +9,7 @@ use openmx_repro::hw::cache::{CacheModel, RegionKey};
 use openmx_repro::hw::{CoreId, HwParams, SubchipId};
 use openmx_repro::omx::cluster::ClusterParams;
 use openmx_repro::omx::config::OmxConfig;
+use openmx_repro::omx::endpoint::RecvBuf;
 use openmx_repro::omx::harness::{run_pingpong, PingPongConfig, Placement};
 use openmx_repro::omx::matching::{matches, Matcher, PostedRecv};
 use openmx_repro::omx::proto::Packet;
@@ -274,6 +275,35 @@ proptest! {
             chunked >= contiguous,
             "page-chunked {chunked} cheaper than contiguous {contiguous} for {bytes} B"
         );
+    }
+
+    /// Whatever the write sequence — out of order, duplicated,
+    /// overlapping, past the posted length, leaving gaps — a receive
+    /// buffer delivers exactly a zero-initialised array with the same
+    /// writes applied, and nothing of the donated buffer's old bytes.
+    #[test]
+    fn recv_buf_delivers_a_zeroed_image_of_its_writes(
+        posted in 0usize..2048,
+        capacity in 0usize..4096,
+        writes in proptest::collection::vec((0u64..2600, 0usize..700, any::<u8>()), 0..24),
+        replay in 0usize..4,
+        total in 0u64..2600,
+    ) {
+        // The donation is dirty: a previous message's bytes.
+        let mut buf = RecvBuf::new(vec![0xEE; capacity], posted);
+        let mut model = vec![0u8; posted];
+        // Replaying a suffix of the sequence duplicates writes.
+        let dups = writes.len().saturating_sub(replay * 2);
+        for &(offset, len, seed) in writes.iter().chain(&writes[dups..]) {
+            // Never zero, so a hole cannot pass for written data.
+            let src: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8) | 1).collect();
+            let start = (offset as usize).min(posted);
+            let end = (start + len).min(posted);
+            model[start..end].copy_from_slice(&src[..end - start]);
+            prop_assert_eq!(buf.write(offset, &src), end - start);
+        }
+        model.truncate((total as usize).min(posted));
+        prop_assert_eq!(buf.into_delivered(total), model);
     }
 
     #[test]
