@@ -292,8 +292,8 @@ pub struct Cluster {
     pub p: ClusterParams,
     /// Hosts.
     pub nodes: Vec<Node>,
-    /// Unidirectional links keyed by (src, dst).
-    pub links: BTreeMap<(u32, u32), Link>,
+    /// Unidirectional links, addressed by (src, dst).
+    pub links: LinkTable,
     /// Applications (taken out while their callback runs).
     pub apps: Vec<Option<Box<dyn App>>>,
     /// Counters.
@@ -320,6 +320,101 @@ pub struct Cluster {
     /// cluster (`parts == 1`) owns everything and never uses the
     /// outbox.
     pub(crate) part: crate::partition::PartitionCtx,
+}
+
+/// The unidirectional links one world transmits on, found by
+/// (src, dst) node pair without a search.
+///
+/// Links are created on first use, so a large cluster only pays for
+/// the pairs that talk, and a shard only for links its own nodes
+/// transmit on. An index of one `u32` per (owned source, destination)
+/// pair holds 1 + the link's position in creation order, or 0 while
+/// the link does not exist; it is sized on the first frame, not when
+/// the world is built, so building and idle worlds stay cheap. The
+/// diagonal `src == dst` link models the NIC's internal DMA loopback,
+/// which is how native MXoE moves intra-node traffic.
+pub struct LinkTable {
+    /// `index[(src / parts) * nodes + dst]`; empty until the first
+    /// link is created.
+    index: Vec<u32>,
+    /// Links in creation order.
+    links: Vec<Link>,
+    /// Nodes of the whole cluster (the index's row length).
+    nodes: usize,
+    /// This world's shard and the shard count: source `src` is owned
+    /// when `src % parts == my`, and owns index row `src / parts`.
+    my: usize,
+    parts: usize,
+}
+
+impl LinkTable {
+    /// An empty table for shard `my` of `parts` of a `nodes`-node
+    /// cluster; allocates nothing.
+    fn new(nodes: usize, my: usize, parts: usize) -> Self {
+        LinkTable {
+            index: Vec::new(),
+            links: Vec::new(),
+            nodes,
+            my,
+            parts,
+        }
+    }
+
+    /// Index position of the pair, if this world owns `src`.
+    fn slot(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        let (src, dst) = (src.0 as usize, dst.0 as usize);
+        (src % self.parts == self.my && dst < self.nodes)
+            .then(|| (src / self.parts) * self.nodes + dst)
+    }
+
+    /// The link `src → dst`, built by `make` if it does not exist yet.
+    ///
+    /// # Panics
+    ///
+    /// If this world does not own `src`, or `dst` is not a node.
+    pub fn get_or_insert_with(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        make: impl FnOnce() -> Link,
+    ) -> &mut Link {
+        let Some(slot) = self.slot(src, dst) else {
+            panic!("no link {src:?} -> {dst:?} in this world");
+        };
+        if self.index.is_empty() {
+            let rows = self.nodes.div_ceil(self.parts);
+            self.index.resize(rows * self.nodes, 0);
+        }
+        let entry = &mut self.index[slot];
+        if *entry == 0 {
+            self.links.push(make());
+            *entry = self.links.len() as u32;
+        }
+        &mut self.links[*entry as usize - 1]
+    }
+
+    /// Whether the link `src → dst` exists.
+    pub fn contains(&self, src: NodeId, dst: NodeId) -> bool {
+        self.slot(src, dst)
+            .and_then(|s| self.index.get(s))
+            .is_some_and(|&e| e != 0)
+    }
+
+    /// Every link, in creation order.
+    pub fn values(&self) -> impl Iterator<Item = &Link> {
+        self.links.iter()
+    }
+
+    /// Whether no link exists.
+    pub fn is_empty(&self) -> bool {
+        self.links.is_empty()
+    }
+
+    /// Heap bytes of the (src, dst) index: 0 until the first link.
+    #[cfg(test)]
+    fn index_bytes(&self) -> usize {
+        self.index.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 impl ClusterParams {
@@ -419,9 +514,9 @@ impl Cluster {
             }
         }
         Cluster {
+            links: LinkTable::new(p.nodes, my, parts),
             p,
             nodes,
-            links: BTreeMap::new(),
             apps: Vec::new(),
             stats: Stats::default(),
             metrics,
@@ -554,9 +649,9 @@ impl Cluster {
     /// Allocate a request id for endpoint `me`: the endpoint's address
     /// in the high bits, a per-endpoint counter below. Ids are unique
     /// across the cluster yet depend only on the endpoint's own
-    /// activity, so they are identical under any partitioning — and
-    /// within one endpoint's request maps they sort in allocation
-    /// order, exactly like the old global counter did.
+    /// activity, so they are identical under any partitioning. The
+    /// counter is handed out in order, and the endpoint's request
+    /// tables ([`crate::endpoint::ReqTable`]) address requests by it.
     pub(crate) fn alloc_req(&mut self, me: EpAddr) -> ReqId {
         let ep = self.ep_mut(me);
         let r = ReqId((u64::from(me.node.0) << 40) | (u64::from(me.ep.0) << 32) | ep.next_req);
@@ -857,22 +952,6 @@ impl Cluster {
     // frames and links
     // ------------------------------------------------------------------
 
-    /// Make sure the link `src → dst` exists (links are created on
-    /// first use: a large cluster only pays for the pairs that talk,
-    /// and a shard only materializes links its own nodes transmit on).
-    /// The diagonal `src == dst` link models the NIC's internal DMA
-    /// loopback, which is how native MXoE moves intra-node traffic.
-    pub(crate) fn ensure_link(&mut self, src: NodeId, dst: NodeId) {
-        let params = self.p.link;
-        let metrics = &self.metrics;
-        self.links.entry((src.0, dst.0)).or_insert_with(|| {
-            let mut link = Link::new(params);
-            // Wire busy time is attributed to the *sending* node.
-            link.attach_metrics(metrics.clone(), src.0);
-            link
-        });
-    }
-
     /// Per-frame fault draw for the link `src → dst`. The channel is
     /// created on the link's first frame from parameters and a RNG
     /// stream derived purely from the run seed and the link identity,
@@ -981,10 +1060,15 @@ impl Cluster {
                 frame.fcs_corrupt = true;
                 c.metrics.count(src.0, ins::FAULT_FRAMES_CORRUPTED, 1);
             }
-            c.ensure_link(src, dst);
             // Direct field access keeps the link borrow disjoint from
             // the stats/metrics fields updated alongside it.
-            let link = c.links.get_mut(&(src.0, dst.0)).expect("link exists");
+            let (params, metrics) = (c.p.link, &c.metrics);
+            let link = c.links.get_or_insert_with(src, dst, || {
+                let mut link = Link::new(params);
+                // Wire busy time is attributed to the *sending* node.
+                link.attach_metrics(metrics.clone(), src.0);
+                link
+            });
             let mut arrival = link.transmit_with_overhead(s.now(), &frame, extra);
             if disp.reorder_extra > 0 {
                 // Hold the frame back by k serialization times: frames
@@ -1264,15 +1348,73 @@ mod tests {
         let mut c = Cluster::new(ClusterParams::default());
         assert_eq!(c.nodes.len(), 2);
         assert!(c.links.is_empty(), "links are lazy: none before traffic");
-        c.ensure_link(NodeId(0), NodeId(1));
-        c.ensure_link(NodeId(1), NodeId(0));
-        assert!(c.links.contains_key(&(0, 1)));
-        assert!(c.links.contains_key(&(1, 0)));
-        c.ensure_link(NodeId(0), NodeId(0));
+        let params = c.p.link;
+        let link = |c: &mut Cluster, src: u32, dst: u32| {
+            c.links
+                .get_or_insert_with(NodeId(src), NodeId(dst), || Link::new(params));
+        };
+        link(&mut c, 0, 1);
+        link(&mut c, 1, 0);
+        link(&mut c, 0, 1);
+        assert!(c.links.contains(NodeId(0), NodeId(1)));
+        assert!(c.links.contains(NodeId(1), NodeId(0)));
+        assert!(!c.links.contains(NodeId(0), NodeId(0)));
+        assert_eq!(
+            c.links.values().count(),
+            2,
+            "a pair's second use finds its link"
+        );
+        link(&mut c, 0, 0);
         assert!(
-            c.links.contains_key(&(0, 0)),
+            c.links.contains(NodeId(0), NodeId(0)),
             "NIC loopback for MXoE local traffic"
         );
+        assert!(!c.links.contains(NodeId(0), NodeId(2)), "not a node");
+    }
+
+    /// The link index is sized by the first frame, not by building the
+    /// world: a world that has sent nothing holds no index, which keeps
+    /// set-up cost flat in the node count.
+    #[test]
+    fn link_index_is_sized_by_the_first_frame() {
+        let params = ClusterParams {
+            nodes: 64,
+            ..ClusterParams::default()
+        };
+        let (mut c, mut sim) = build(params.clone());
+        let rx = c.add_endpoint(NodeId(5), CoreId(2), Box::new(Nop));
+        c.add_endpoint(NodeId(0), CoreId(2), Box::new(Nop));
+        assert_eq!(c.links.index_bytes(), 0, "no index before the first frame");
+        let ping = Packet::Tiny {
+            src_ep: 0,
+            dst_ep: 0,
+            match_info: 7,
+            msg_seq: 0,
+            data: bytes::Bytes::from_static(b"ping"),
+        };
+        c.send_packet(&mut sim, NodeId(0), NodeId(5), ping, Ps::ZERO);
+        assert_eq!(c.links.index_bytes(), 0, "sized when the frame leaves");
+        sim.run(&mut c);
+        assert_eq!(c.ep(rx).counters.rx_tiny, 1);
+        assert!(c.links.contains(NodeId(0), NodeId(5)));
+        assert_eq!(c.links.index_bytes(), 64 * 64 * 4);
+
+        // A shard indexes only the rows of the sources it owns.
+        let mut shard = Cluster::new_shard(
+            ClusterParams {
+                partitions: 4,
+                ..params
+            },
+            1,
+        );
+        assert_eq!(shard.links.index_bytes(), 0);
+        let link = Link::new(shard.p.link);
+        shard
+            .links
+            .get_or_insert_with(NodeId(5), NodeId(0), || link);
+        assert!(shard.links.contains(NodeId(5), NodeId(0)));
+        assert!(!shard.links.contains(NodeId(4), NodeId(0)), "not owned");
+        assert_eq!(shard.links.index_bytes(), 16 * 64 * 4);
     }
 
     struct Nop;

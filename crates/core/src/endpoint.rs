@@ -14,7 +14,8 @@ use crate::matching::Matcher;
 use crate::region::{Region, RegionTable};
 use crate::{EpAddr, ReqId};
 use omx_hw::CoreId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 
 /// An outstanding send request.
 #[derive(Debug)]
@@ -187,9 +188,9 @@ pub struct Endpoint {
     /// Registered regions (+ registration cache).
     pub regions: RegionTable,
     /// Outstanding sends.
-    pub sends: BTreeMap<ReqId, SendState>,
+    pub sends: ReqTable<SendState>,
     /// Outstanding receives.
-    pub recvs: BTreeMap<ReqId, RecvState>,
+    pub recvs: ReqTable<RecvState>,
     /// In-flight medium reassemblies keyed by (source, sequence).
     pub assemblies: BTreeMap<(EpAddr, u32), MediumAssembly>,
     /// Next message sequence per destination partner.
@@ -237,8 +238,8 @@ impl Endpoint {
             events: EventRing::new(),
             slots: SlotPool::new(recvq_slots, slot_bytes),
             regions: RegionTable::new(regcache),
-            sends: BTreeMap::new(),
-            recvs: BTreeMap::new(),
+            sends: ReqTable::new(),
+            recvs: ReqTable::new(),
             assemblies: BTreeMap::new(),
             seq_tx: BTreeMap::new(),
             app,
@@ -270,6 +271,195 @@ impl Endpoint {
         self.completed_seqs
             .get(&src)
             .is_some_and(|s| s.contains(seq))
+    }
+}
+
+/// One endpoint's outstanding requests of one kind (its sends or its
+/// receives), found by id without a search.
+///
+/// `Cluster::alloc_req` hands out each endpoint's ids from one counter,
+/// kept in the low 32 bits of the [`ReqId`], so the table addresses a
+/// request by that counter. A window of slot numbers covers the
+/// counters from the oldest request held to the newest inserted: slot
+/// `k > 0` names entry `k - 1` of a slab whose freed entries are
+/// recycled through a free list, and 0 marks a counter with no request
+/// here (the other kind's id, or a request already removed). A hole
+/// thus costs 4 bytes, not an entry, and only while an older request
+/// is still outstanding: the window's front is trimmed up to the
+/// oldest request left. The slab keeps its peak size, so a steady
+/// state allocates nothing.
+///
+/// The methods are those of the `BTreeMap<ReqId, T>` the table
+/// replaced, and [`ReqTable::iter`] yields ascending ids as the map
+/// did; that order is simulation-visible (credit NACKs draw backoff
+/// jitter per request in it). All ids of one table belong to one
+/// endpoint, so they differ only in their counter.
+pub struct ReqTable<T> {
+    /// Counter of the window's first slot.
+    base: u32,
+    /// `window[i]` is 1 + the slab index of the request with counter
+    /// `base + i`, or 0 when this table holds none.
+    window: VecDeque<u32>,
+    /// Requests; `None` for entries on the free list.
+    slab: Vec<Option<(ReqId, T)>>,
+    /// Slab indices of the free entries.
+    free: Vec<u32>,
+}
+
+impl<T> Default for ReqTable<T> {
+    fn default() -> Self {
+        ReqTable {
+            base: 0,
+            window: VecDeque::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> ReqTable<T> {
+    /// An empty table; allocates nothing until the first insert.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The counter part of `id`.
+    fn counter(id: ReqId) -> u32 {
+        id.0 as u32
+    }
+
+    /// Window position of `id`'s counter (out of range when the
+    /// counter lies outside the window).
+    fn offset(&self, id: ReqId) -> usize {
+        Self::counter(id).wrapping_sub(self.base) as usize
+    }
+
+    /// Slab index of `id`'s entry, if the table holds `id`.
+    fn find(&self, id: ReqId) -> Option<usize> {
+        let slot = *self.window.get(self.offset(id))?;
+        let i = slot.checked_sub(1)? as usize;
+        match self.slab.get(i) {
+            Some(Some((held, _))) if *held == id => Some(i),
+            _ => None,
+        }
+    }
+
+    /// The request `id`, if outstanding.
+    pub fn get(&self, id: &ReqId) -> Option<&T> {
+        let i = self.find(*id)?;
+        self.slab.get(i)?.as_ref().map(|(_, v)| v)
+    }
+
+    /// The request `id`, mutably, if outstanding.
+    pub fn get_mut(&mut self, id: &ReqId) -> Option<&mut T> {
+        let i = self.find(*id)?;
+        self.slab.get_mut(i)?.as_mut().map(|(_, v)| v)
+    }
+
+    /// Whether `id` is outstanding.
+    pub fn contains_key(&self, id: &ReqId) -> bool {
+        self.find(*id).is_some()
+    }
+
+    /// Number of outstanding requests.
+    pub fn len(&self) -> usize {
+        self.slab.len() - self.free.len()
+    }
+
+    /// Whether no request is outstanding.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Add request `id`; returns the value it replaces, if `id` was
+    /// already held.
+    ///
+    /// # Panics
+    ///
+    /// If another endpoint's id with the same counter is held.
+    pub fn insert(&mut self, id: ReqId, value: T) -> Option<T> {
+        if let Some(i) = self.find(id) {
+            let old = self.slab.get_mut(i)?.replace((id, value));
+            return old.map(|(_, v)| v);
+        }
+        let counter = Self::counter(id);
+        if self.window.is_empty() {
+            self.base = counter;
+        } else if counter < self.base {
+            for _ in counter..self.base {
+                self.window.push_front(0);
+            }
+            self.base = counter;
+        }
+        let off = self.offset(id);
+        if off >= self.window.len() {
+            self.window.resize(off + 1, 0);
+        }
+        assert!(
+            self.window.get(off) == Some(&0),
+            "{id:?} shares its counter with another endpoint's request"
+        );
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slab[i as usize] = Some((id, value));
+                i
+            }
+            None => {
+                self.slab.push(Some((id, value)));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.window[off] = i + 1;
+        None
+    }
+
+    /// Remove request `id`, returning it if it was outstanding.
+    pub fn remove(&mut self, id: &ReqId) -> Option<T> {
+        let i = self.find(*id)?;
+        let (_, value) = self.slab.get_mut(i)?.take()?;
+        self.free.push(i as u32);
+        let off = self.offset(*id);
+        if let Some(slot) = self.window.get_mut(off) {
+            *slot = 0;
+        }
+        self.trim();
+        Some(value)
+    }
+
+    /// Drop the empty slots before the oldest request held, and hand
+    /// most of the window's memory back once a long-lived request that
+    /// held it open has gone. Empty slots after the newest request stay:
+    /// trimming them would make the next insert fill the gap again.
+    fn trim(&mut self) {
+        while self.window.front() == Some(&0) {
+            self.window.pop_front();
+            self.base = self.base.wrapping_add(1);
+        }
+        if self.window.capacity() > 64 && self.window.len() < self.window.capacity() / 4 {
+            self.window.shrink_to(2 * self.window.len());
+        }
+    }
+
+    /// Outstanding requests in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&ReqId, &T)> + '_ {
+        self.window.iter().filter_map(move |&slot| {
+            let (id, v) = self.slab.get(slot.checked_sub(1)? as usize)?.as_ref()?;
+            Some((id, v))
+        })
+    }
+
+    /// Heap bytes held: window, slab and free list at capacity.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.window.capacity() + self.free.capacity()) * size_of::<u32>()
+            + self.slab.capacity() * size_of::<Option<(ReqId, T)>>()
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for ReqTable<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -427,6 +617,120 @@ mod tests {
             w.record(s);
         }
         assert_eq!(w.bits.capacity(), cap, "bitmap must not grow");
+    }
+
+    /// An id of endpoint (3, 1) with request counter `counter`.
+    fn rid(counter: u32) -> ReqId {
+        ReqId((3 << 40) | (1 << 32) | u64::from(counter))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The request table answers every operation exactly as the
+        /// `BTreeMap` it replaced would. Ids are handed out in order to
+        /// two interleaved kinds, and only one kind enters the table,
+        /// so it sees gaps; removes, lookups and re-inserts pick any id
+        /// ever handed out, another endpoint's id with the same
+        /// counter, or one not handed out yet.
+        #[test]
+        fn req_table_matches_an_ordered_map(
+            ops in proptest::collection::vec((0u8..6, proptest::prelude::any::<u32>()), 1..200),
+        ) {
+            use proptest::prelude::*;
+            let mut table: ReqTable<u64> = ReqTable::new();
+            let mut model: BTreeMap<ReqId, u64> = BTreeMap::new();
+            let mut issued: Vec<ReqId> = Vec::new();
+            let mut next = 1u32;
+            for (step, (op, arg)) in ops.into_iter().enumerate() {
+                let value = u64::from(arg) << 8 | step as u64;
+                // Any id handed out so far, one not handed out yet, or
+                // another endpoint's id with an issued counter.
+                let pick = match issued.len() {
+                    0 => rid(next + arg % 3),
+                    n => match arg % 8 {
+                        0 => rid(next + arg % 5),
+                        1 => ReqId(issued[arg as usize % n].0 ^ (1 << 40)),
+                        _ => issued[(arg / 8) as usize % n],
+                    },
+                };
+                match op {
+                    // Hand out the next id; every other one, on average,
+                    // goes to the kind this table does not hold.
+                    0 | 1 => {
+                        let id = rid(next);
+                        next += 1;
+                        issued.push(id);
+                        if arg % 2 == 0 {
+                            prop_assert_eq!(table.insert(id, value), model.insert(id, value));
+                        }
+                    }
+                    2 => prop_assert_eq!(table.remove(&pick), model.remove(&pick)),
+                    3 => {
+                        prop_assert_eq!(table.get(&pick), model.get(&pick));
+                        prop_assert_eq!(table.contains_key(&pick), model.contains_key(&pick));
+                    }
+                    4 => {
+                        let t = table.get_mut(&pick).map(|v| {
+                            *v += 1;
+                            *v
+                        });
+                        let m = model.get_mut(&pick).map(|v| {
+                            *v += 1;
+                            *v
+                        });
+                        prop_assert_eq!(t, m);
+                    }
+                    // Re-insert an issued id of this endpoint, held or not.
+                    _ => {
+                        if pick.0 >> 32 == rid(0).0 >> 32 && pick.0 as u32 >= 1 {
+                            prop_assert_eq!(table.insert(pick, value), model.insert(pick, value));
+                        }
+                    }
+                }
+                prop_assert_eq!(table.len(), model.len());
+                prop_assert_eq!(table.is_empty(), model.is_empty());
+                let t: Vec<(ReqId, u64)> = table.iter().map(|(k, v)| (*k, *v)).collect();
+                let m: Vec<(ReqId, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+                prop_assert_eq!(t, m);
+            }
+        }
+    }
+
+    /// An id that is absent costs at most one 4-byte window slot, and
+    /// only while an older request is still outstanding; the window
+    /// gives its memory back once that request leaves.
+    #[test]
+    fn req_table_holes_cost_four_bytes_while_an_older_request_waits() {
+        const LATER: u32 = 100_000;
+        let mut t: ReqTable<u64> = ReqTable::new();
+        t.insert(rid(1), 1);
+        for c in 2..2 + LATER {
+            t.insert(rid(c), u64::from(c));
+            assert_eq!(t.remove(&rid(c)), Some(u64::from(c)));
+        }
+        assert_eq!(t.len(), 1);
+        // 4 B of window per later id, at most doubled by the window's
+        // amortized growth, plus a constant for the live entries.
+        let bound = 2 * 4 * LATER as usize + 1024;
+        assert!(t.heap_bytes() <= bound, "{} B > {bound} B", t.heap_bytes());
+        assert_eq!(t.remove(&rid(1)), Some(1));
+        assert!(t.heap_bytes() < 1024, "window kept {} B", t.heap_bytes());
+
+        // A request that stays outstanding only until the next one is
+        // posted never holds the window open: its front is trimmed.
+        let start = 10 * LATER;
+        t.insert(rid(start), 0);
+        for c in start + 1..start + LATER {
+            t.insert(rid(c), 0);
+            assert_eq!(t.remove(&rid(c - 1)), Some(0));
+        }
+        assert_eq!(t.len(), 1);
+        assert!(
+            t.heap_bytes() < 1024,
+            "sliding window held {} B",
+            t.heap_bytes()
+        );
     }
 
     #[test]

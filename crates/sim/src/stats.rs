@@ -3,7 +3,6 @@
 
 use crate::time::Ps;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Integrates busy time per named category over a simulation run.
@@ -12,9 +11,17 @@ use std::fmt;
 /// driver-command and bottom-half CPU time on the receiving host are
 /// each a category, and utilization is the integral divided by the
 /// experiment duration.
+///
+/// A meter holds a handful of categories (at most five in the
+/// simulation), so it keeps one row per category in a small vector
+/// sorted by name. [`BusyMeter::charge`], which runs for every CPU
+/// charge, finds its row by comparing string addresses first (callers
+/// pass the same `&'static str` constants) and by content only when
+/// that fails.
 #[derive(Debug, Clone, Default)]
 pub struct BusyMeter {
-    by_category: BTreeMap<&'static str, Ps>,
+    /// `(category, busy)` rows in category-name order.
+    rows: Vec<(&'static str, Ps)>,
 }
 
 impl BusyMeter {
@@ -25,17 +32,27 @@ impl BusyMeter {
 
     /// Charge `amount` of busy time to `category`.
     pub fn charge(&mut self, category: &'static str, amount: Ps) {
-        *self.by_category.entry(category).or_insert(Ps::ZERO) += amount;
+        if let Some(row) = self.rows.iter_mut().find(|r| std::ptr::eq(r.0, category)) {
+            row.1 += amount;
+            return;
+        }
+        match self.rows.binary_search_by(|r| r.0.cmp(category)) {
+            Ok(i) => self.rows[i].1 += amount,
+            Err(i) => self.rows.insert(i, (category, amount)),
+        }
     }
 
     /// Total charged to one category.
     pub fn total(&self, category: &str) -> Ps {
-        self.by_category.get(category).copied().unwrap_or(Ps::ZERO)
+        self.rows
+            .iter()
+            .find(|r| r.0 == category)
+            .map_or(Ps::ZERO, |r| r.1)
     }
 
     /// Total across all categories.
     pub fn grand_total(&self) -> Ps {
-        self.by_category.values().copied().sum()
+        self.rows.iter().map(|r| r.1).sum()
     }
 
     /// Utilization of one category over `[0, horizon]`, in `[0, 1]`.
@@ -48,7 +65,7 @@ impl BusyMeter {
 
     /// Iterate `(category, busy)` pairs in category order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Ps)> + '_ {
-        self.by_category.iter().map(|(k, v)| (*k, *v))
+        self.rows.iter().copied()
     }
 
     /// Fold another meter into this one (used when merging per-core
@@ -61,7 +78,7 @@ impl BusyMeter {
 
     /// Reset all categories to zero.
     pub fn reset(&mut self) {
-        self.by_category.clear();
+        self.rows.clear();
     }
 }
 
@@ -245,6 +262,39 @@ mod tests {
         assert_eq!(m.utilization("bh", Ps::ZERO), 0.0);
         m.reset();
         assert_eq!(m.grand_total(), Ps::ZERO);
+    }
+
+    #[test]
+    fn busy_meter_iterates_in_name_order() {
+        let mut m = BusyMeter::new();
+        for (cat, ns) in [("user", 1), ("bh", 2), ("driver", 3), ("app", 4), ("bh", 5)] {
+            m.charge(cat, Ps::ns(ns));
+        }
+        let rows: Vec<(&str, Ps)> = m.iter().collect();
+        assert_eq!(
+            rows,
+            [
+                ("app", Ps::ns(4)),
+                ("bh", Ps::ns(7)),
+                ("driver", Ps::ns(3)),
+                ("user", Ps::ns(1)),
+            ]
+        );
+    }
+
+    /// A category name stored at another address still charges the row
+    /// of the equal name: the address is only the fast path.
+    #[test]
+    fn busy_meter_matches_categories_by_content() {
+        let mut m = BusyMeter::new();
+        m.charge("bh", Ps::ns(10));
+        let copy: &'static str = String::from("bh").leak();
+        assert!(!std::ptr::eq(copy, "bh"));
+        m.charge(copy, Ps::ns(5));
+        m.charge("bh", Ps::ns(1));
+        assert_eq!(m.iter().count(), 1);
+        assert_eq!(m.total("bh"), Ps::ns(16));
+        assert_eq!(m.total(copy), Ps::ns(16));
     }
 
     #[test]
