@@ -203,7 +203,7 @@ impl Cluster {
                     let slot = self
                         .ep_mut(dest)
                         .slots
-                        .fill(&data[lo..hi])
+                        .fill(&data.slice(lo..hi))
                         .expect("slot availability checked");
                     self.push_event_at(
                         sim,

@@ -467,22 +467,33 @@ impl<T: fmt::Debug> fmt::Debug for ReqTable<T> {
 /// sequences.
 ///
 /// Replaces the old per-partner `BTreeSet<u32>`: sequences arrive
-/// (near-)monotonically, so a fixed bitmap over the last
+/// (near-)monotonically, so a bitmap over the last
 /// [`SeqWindow::SPAN`] sequences answers membership with one bit test
 /// and — unlike a B-tree, whose leaf splits allocated roughly once
-/// every dozen messages — never touches the allocator after the
-/// per-partner setup. Only recent sequences can ever be retransmitted
+/// every dozen messages — stops touching the allocator once the
+/// window is in use. Only recent sequences can ever be retransmitted
 /// (the sender gives up after a bounded number of attempts), so
 /// anything that has fallen below the window is reported as already
 /// completed rather than remembered individually.
+///
+/// The bitmap is stored only as far as it is used. A full front word
+/// is dropped and counted in `done` instead, so a partner whose
+/// sequences arrive in order needs one word however long it talks, and
+/// a one-message partner costs 8 B. A sequence that lands past the
+/// first stored word, while an older one is still missing, grows the
+/// window to all `SPAN / 64` words at once; a word past the stored
+/// length reads as zero. The window therefore allocates at most twice
+/// and never again.
 #[derive(Debug, Default)]
 pub struct SeqWindow {
-    /// Lowest sequence the bitmap still tracks; everything below it is
+    /// Lowest sequence the window still tracks; everything below it is
     /// treated as completed (an ancient duplicate, never a live
     /// message).
     base: u32,
-    /// Bit `i` tracks sequence `base + i`. Allocated to
-    /// `SPAN / 64` words on first use, never resized.
+    /// Every sequence in `base..base + done` is recorded; a multiple
+    /// of 64, at most `SPAN`.
+    done: u32,
+    /// Bit `i` tracks sequence `base + done + i`.
     bits: Vec<u64>,
 }
 
@@ -495,52 +506,74 @@ impl SeqWindow {
 
     /// Record `seq`; returns `false` when it was already recorded.
     pub fn record(&mut self, seq: u32) -> bool {
-        if self.bits.is_empty() {
-            // One-time setup per partner (1 KiB), amortized over the
-            // whole conversation.
-            // omx-lint: allow(hot-path-alloc) one-time 1 KiB window per partner, never touched again in steady state [test: crates/sim/tests/alloc_count.rs::warmed_tiny_pingpong_allocates_nothing]
-            self.bits = vec![0u64; Self::WORDS];
-        }
         if seq < self.base {
             return false;
         }
-        if seq - self.base >= 2 * Self::SPAN {
+        let ahead = seq - self.base;
+        if ahead >= 2 * Self::SPAN {
             // A jump far beyond the window (fresh partner after reuse,
             // or a test fabricating sequences): restart the window at
             // the word holding `seq` instead of shifting through the
             // gap word by word.
-            self.bits.iter_mut().for_each(|w| *w = 0);
+            self.bits.clear();
             self.base = seq & !63;
+            self.done = 0;
+        } else if ahead >= Self::SPAN {
+            // Slide up by whole words until `seq` fits; what falls
+            // below the new base is forgotten, recorded or not.
+            let slide = 64 * ((ahead - Self::SPAN) / 64 + 1);
+            self.base += slide;
+            if slide <= self.done {
+                self.done -= slide;
+            } else {
+                let words = ((slide - self.done) / 64) as usize;
+                self.bits.drain(..self.bits.len().min(words));
+                self.done = 0;
+            }
         }
-        while seq - self.base >= Self::SPAN {
-            self.advance_word();
+        let Some(idx) = (seq - self.base).checked_sub(self.done) else {
+            return false;
+        };
+        let (word, mask) = (idx as usize / 64, 1u64 << (idx % 64));
+        if word >= self.bits.len() {
+            self.grow(word);
         }
-        let idx = (seq - self.base) as usize;
-        let mask = 1u64 << (idx % 64);
-        let fresh = self.bits[idx / 64] & mask == 0;
-        self.bits[idx / 64] |= mask;
+        let fresh = self.bits[word] & mask == 0;
+        self.bits[word] |= mask;
+        // Full front words need no bits: count them in `done`.
+        let full = self.bits.iter().take_while(|&&w| w == u64::MAX).count();
+        if full > 0 {
+            self.bits.drain(..full);
+            self.done += 64 * full as u32;
+        }
         fresh
     }
 
     /// Whether `seq` was already recorded (sequences below the window
     /// count as recorded: they can only be ancient retransmissions).
     pub fn contains(&self, seq: u32) -> bool {
-        if self.bits.is_empty() || seq >= self.base + Self::SPAN {
-            return false;
-        }
         if seq < self.base {
             return true;
         }
-        let idx = (seq - self.base) as usize;
-        self.bits[idx / 64] & (1u64 << (idx % 64)) != 0
+        let ahead = seq - self.base;
+        if ahead >= Self::SPAN {
+            return false;
+        }
+        let Some(idx) = ahead.checked_sub(self.done) else {
+            return true;
+        };
+        self.bits
+            .get(idx as usize / 64)
+            .is_some_and(|w| w & (1u64 << (idx % 64)) != 0)
     }
 
-    /// Slide the window up by one 64-bit word (in-place shift; no
-    /// reallocation).
-    fn advance_word(&mut self) {
-        self.bits.copy_within(1.., 0);
-        *self.bits.last_mut().expect("fixed-size bitmap") = 0;
-        self.base += 64;
+    /// Store words up to `word`, zero-filled: one word while only the
+    /// first is needed, otherwise the whole span at once, so the
+    /// window reallocates at most once after its first word.
+    fn grow(&mut self, word: usize) {
+        let words = if word == 0 { 1 } else { Self::WORDS };
+        self.bits.reserve_exact(words - self.bits.len());
+        self.bits.resize(word + 1, 0);
     }
 }
 
@@ -607,16 +640,102 @@ mod tests {
         assert!(w.contains(3), "ancient sequence reads as completed");
     }
 
-    /// The window never reallocates after its per-partner setup.
+    /// A window's storage stays proportional to its use: one word for
+    /// a partner that sent one message or sends in order, at most two
+    /// allocations over a long conversation with holes, and never more
+    /// than the span.
     #[test]
-    fn seq_window_bitmap_is_fixed_size() {
+    fn seq_window_storage_grows_with_use() {
         let mut w = SeqWindow::default();
+        assert_eq!(w.bits.capacity(), 0, "no storage before the first record");
         w.record(0);
-        let cap = w.bits.capacity();
-        for s in 0..4 * SeqWindow::SPAN {
+        assert!(w.bits.capacity() <= 1, "one message holds one word");
+        for s in 1..4 * SeqWindow::SPAN {
             w.record(s);
+            assert!(
+                w.bits.capacity() <= 1,
+                "in-order sequence {s} grew the window"
+            );
         }
-        assert_eq!(w.bits.capacity(), cap, "bitmap must not grow");
+
+        // Every 100th sequence arrives 200 sequences late.
+        let mut w = SeqWindow::default();
+        let mut allocations = 0;
+        let mut cap = w.bits.capacity();
+        for s in 0..4 * SeqWindow::SPAN + 200 {
+            if s < 4 * SeqWindow::SPAN && s % 100 != 0 {
+                assert!(w.record(s));
+            }
+            if s >= 200 && (s - 200) % 100 == 0 {
+                assert!(w.record(s - 200), "late sequence {}", s - 200);
+            }
+            if w.bits.capacity() != cap {
+                allocations += 1;
+                cap = w.bits.capacity();
+            }
+            assert!(cap <= SeqWindow::WORDS, "{cap} words exceed the span");
+        }
+        assert!(allocations <= 2, "{allocations} allocations");
+        assert!(w.contains(4 * SeqWindow::SPAN - 100));
+    }
+
+    /// A window near the top of the sequence space still answers: the
+    /// span check must not overflow.
+    #[test]
+    fn seq_window_contains_near_u32_max() {
+        let mut w = SeqWindow::default();
+        assert!(w.record(u32::MAX - 5));
+        assert!(w.contains(u32::MAX - 5));
+        assert!(!w.contains(u32::MAX));
+        assert!(!w.record(u32::MAX - 5));
+    }
+
+    /// The fixed-size bitmap `SeqWindow` used to be: all `SPAN / 64`
+    /// words from the first record on, slid one word at a time. Its
+    /// span check is the overflow-free one.
+    #[derive(Default)]
+    struct FixedWindow {
+        base: u32,
+        bits: Vec<u64>,
+    }
+
+    impl FixedWindow {
+        fn record(&mut self, seq: u32) -> bool {
+            if self.bits.is_empty() {
+                self.bits = vec![0u64; SeqWindow::WORDS];
+            }
+            if seq < self.base {
+                return false;
+            }
+            if seq - self.base >= 2 * SeqWindow::SPAN {
+                self.bits.iter_mut().for_each(|w| *w = 0);
+                self.base = seq & !63;
+            }
+            while seq - self.base >= SeqWindow::SPAN {
+                self.bits.copy_within(1.., 0);
+                *self.bits.last_mut().unwrap() = 0;
+                self.base += 64;
+            }
+            let idx = (seq - self.base) as usize;
+            let mask = 1u64 << (idx % 64);
+            let fresh = self.bits[idx / 64] & mask == 0;
+            self.bits[idx / 64] |= mask;
+            fresh
+        }
+
+        fn contains(&self, seq: u32) -> bool {
+            if self.bits.is_empty() {
+                return false;
+            }
+            if seq < self.base {
+                return true;
+            }
+            if seq - self.base >= SeqWindow::SPAN {
+                return false;
+            }
+            let idx = (seq - self.base) as usize;
+            self.bits[idx / 64] & (1u64 << (idx % 64)) != 0
+        }
     }
 
     /// An id of endpoint (3, 1) with request counter `counter`.
@@ -694,6 +813,64 @@ mod tests {
                 let m: Vec<(ReqId, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
                 prop_assert_eq!(t, m);
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The grow-on-use window answers every `record` and
+        /// `contains` exactly as the fixed bitmap does. A cursor walks
+        /// the sequence space in monotone runs, with duplicates and
+        /// sequences below the window between them, jumps of at least
+        /// twice the span, and restarts near `u32::MAX`.
+        #[test]
+        fn seq_window_matches_the_fixed_bitmap(
+            ops in proptest::collection::vec((0u8..6, proptest::prelude::any::<u32>()), 1..32),
+        ) {
+            use proptest::prelude::*;
+            const SPAN: u32 = SeqWindow::SPAN;
+            let mut w = SeqWindow::default();
+            let mut model = FixedWindow::default();
+            let mut cursor = 0u32;
+            for (op, arg) in ops {
+                let seqs: Vec<u32> = match op {
+                    // A monotone run, short or longer than the span.
+                    0 | 1 => {
+                        let n = if arg % 16 == 0 { arg % (2 * SPAN) } else { arg % 200 };
+                        (0..n).map(|i| cursor.wrapping_add(i)).collect()
+                    }
+                    // Duplicates of recent sequences.
+                    2 => (0..arg % 16)
+                        .map(|i| cursor.wrapping_sub(1 + (arg >> 8).wrapping_add(i * 97) % 128))
+                        .collect(),
+                    // Below the window, or just under its top.
+                    3 => vec![cursor.wrapping_sub(SPAN + arg % SPAN), cursor.wrapping_sub(arg % SPAN)],
+                    // A jump of at least twice the span.
+                    4 => vec![cursor.wrapping_add(2 * SPAN + arg % (4 * SPAN))],
+                    // A restart near the top of the sequence space.
+                    _ => vec![u32::MAX - arg % (3 * SPAN)],
+                };
+                for seq in seqs {
+                    prop_assert_eq!(w.contains(seq), model.contains(seq));
+                    prop_assert_eq!(w.record(seq), model.record(seq));
+                    if seq >= cursor {
+                        cursor = seq.wrapping_add(1);
+                    }
+                    for probe in [seq, seq.wrapping_add(1), seq.wrapping_add(64), seq.wrapping_sub(64),
+                                  seq.wrapping_add(SPAN), seq.wrapping_sub(SPAN), 0, u32::MAX] {
+                        prop_assert_eq!(w.contains(probe), model.contains(probe));
+                    }
+                }
+            }
+            // Every sequence in and around the final window.
+            let lo = model.base.saturating_sub(128);
+            let hi = model.base.saturating_add(SPAN + 128);
+            for probe in lo..hi {
+                prop_assert_eq!(w.contains(probe), model.contains(probe));
+            }
+            prop_assert_eq!(w.base, model.base);
+            prop_assert!(w.bits.capacity() <= SeqWindow::WORDS);
         }
     }
 

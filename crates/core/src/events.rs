@@ -145,13 +145,18 @@ impl EventRing {
 /// The BH copies small/medium payloads here; the library copies them
 /// out and frees the slot. Slot exhaustion mirrors the real stack: the
 /// packet is dropped and the sender's retransmission recovers it.
+///
+/// The simulated copy into the slot is charged by the caller
+/// (`bh_copy_cost`, `shm_memcpy_cost`, the synchronous I/OAT medium
+/// path); the host does not repeat it. A slot holds a refcounted slice
+/// of the frame's own payload, so the pool costs a few words per slot
+/// ever touched, whatever `slot_bytes` is.
 #[derive(Debug)]
 pub struct SlotPool {
-    /// Backing storage, grown one slot at a time up to `limit`: a
-    /// 10k-endpoint cluster only pays for the slots its endpoints
-    /// actually touch, while a warmed steady-state endpoint never
-    /// allocates again (the `alloc_count` suite pins that).
-    slots: Vec<Vec<u8>>,
+    /// Payload held by each slot, grown one slot at a time up to
+    /// `limit`; a released slot holds the empty buffer, which shares
+    /// no allocation.
+    slots: Vec<Bytes>,
     slot_bytes: usize,
     limit: usize,
     free: Vec<usize>,
@@ -159,10 +164,9 @@ pub struct SlotPool {
 }
 
 impl SlotPool {
-    /// A pool of up to `n` slots of `slot_bytes` each. Slot memory is
-    /// committed lazily on first use; indices are handed out in the
-    /// exact order the old eagerly-built pool produced (lowest unused
-    /// first, released slots LIFO), so run traces are unchanged.
+    /// A pool of up to `n` slots of `slot_bytes` each. Indices are
+    /// handed out lowest unused first, released slots LIFO, so run
+    /// traces do not depend on how slots are stored.
     pub fn new(n: usize, slot_bytes: usize) -> Self {
         SlotPool {
             slots: Vec::new(),
@@ -173,15 +177,19 @@ impl SlotPool {
         }
     }
 
-    /// Driver side: claim a slot and fill it with `data`. Returns the
+    /// Driver side: claim a slot and let it hold `data`. Returns the
     /// slot index, or `None` (and counts a drop) when the ring is full.
-    pub fn fill(&mut self, data: &[u8]) -> Option<usize> {
+    pub fn fill(&mut self, data: &Bytes) -> Option<usize> {
+        assert!(
+            data.len() <= self.slot_bytes,
+            "payload {} exceeds slot size {}",
+            data.len(),
+            self.slot_bytes
+        );
         let i = match self.free.pop() {
             Some(i) => i,
             None if self.slots.len() < self.limit => {
-                // First touch of this slot: commit its backing memory.
-                // omx-lint: allow(hot-path-alloc) one-time per-slot warm-up; steady state pops the free list, and the 10k-endpoint footprint depends on this staying lazy [test: tests/memory_budget.rs::ten_k_endpoint_cluster_stays_under_budget]
-                self.slots.push(vec![0u8; self.slot_bytes]);
+                self.slots.push(Bytes::new());
                 self.slots.len() - 1
             }
             None => {
@@ -189,24 +197,28 @@ impl SlotPool {
                 return None;
             }
         };
-        assert!(
-            data.len() <= self.slots[i].len(),
-            "payload {} exceeds slot size {}",
-            data.len(),
-            self.slots[i].len()
-        );
-        self.slots[i][..data.len()].copy_from_slice(data);
+        self.slots[i] = data.clone();
         Some(i)
     }
 
-    /// Library side: read `len` bytes out of `slot`.
+    /// Library side: the first `len` bytes held by `slot`.
     pub fn read(&self, slot: usize, len: usize) -> &[u8] {
         &self.slots[slot][..len]
     }
 
-    /// Library side: release a slot after copying it out.
+    /// Library side: release `slot` and keep its first `len` bytes
+    /// without copying them (an unexpected message buffers these).
+    pub fn take(&mut self, slot: usize, len: usize) -> Bytes {
+        let data = self.slots[slot].slice(..len);
+        self.release(slot);
+        data
+    }
+
+    /// Library side: release a slot after copying it out. The slot
+    /// drops its payload, so no reference outlives it.
     pub fn release(&mut self, slot: usize) {
         debug_assert!(!self.free.contains(&slot), "double release of slot {slot}");
+        self.slots[slot] = Bytes::new();
         self.free.push(slot);
     }
 
@@ -270,26 +282,43 @@ mod tests {
     #[test]
     fn slot_pool_fill_read_release() {
         let mut p = SlotPool::new(2, 4096);
-        let a = p.fill(b"aaaa").unwrap();
-        let b = p.fill(b"bbbb").unwrap();
+        let a = p.fill(&Bytes::from_static(b"aaaa")).unwrap();
+        let b = p.fill(&Bytes::from_static(b"bbbb")).unwrap();
         assert_ne!(a, b);
         assert_eq!(p.free_slots(), 0);
         assert_eq!(p.read(a, 4), b"aaaa");
         assert_eq!(p.read(b, 4), b"bbbb");
         // Exhausted: drop counted.
-        assert!(p.fill(b"cccc").is_none());
+        assert!(p.fill(&Bytes::from_static(b"cccc")).is_none());
         assert_eq!(p.drops(), 1);
         p.release(a);
         assert_eq!(p.free_slots(), 1);
-        let c = p.fill(b"cccc").unwrap();
+        let c = p.fill(&Bytes::from_static(b"cccc")).unwrap();
         assert_eq!(c, a, "released slot reused");
         assert_eq!(p.read(c, 4), b"cccc");
+        assert_eq!(&p.take(b, 2)[..], b"bb");
+        assert_eq!(p.free_slots(), 1, "take releases the slot");
+    }
+
+    /// A slot holds the filled payload itself, not a copy of it, and
+    /// lets go of it on release.
+    #[test]
+    fn slot_read_borrows_the_filled_payload() {
+        let mut p = SlotPool::new(1, 4096);
+        let data = Bytes::from(vec![7u8; 1024]).slice(100..600);
+        let s = p.fill(&data).unwrap();
+        assert_eq!(p.read(s, 500).as_ptr(), data.as_ptr());
+        assert_eq!(p.read(s, 10).as_ptr(), data.as_ptr());
+        let kept = p.take(s, 300);
+        assert_eq!(kept.as_ptr(), data.as_ptr());
+        assert_eq!(kept.len(), 300);
+        assert!(p.slots[s].is_empty(), "released slot holds no payload");
     }
 
     #[test]
     #[should_panic(expected = "exceeds slot size")]
     fn oversized_payload_panics() {
         let mut p = SlotPool::new(1, 8);
-        p.fill(&[0u8; 9]);
+        p.fill(&Bytes::from(vec![0u8; 9]));
     }
 }

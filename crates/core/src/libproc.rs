@@ -200,7 +200,7 @@ impl Cluster {
     /// pinned ring slot. A matched receive copies slot → application
     /// buffer directly (the slot pool and the receive table are
     /// disjoint endpoint fields, so no intermediate buffer is needed);
-    /// an unmatched one buffers the slot contents exactly once.
+    /// an unmatched one keeps the slot's payload slice, uncopied.
     #[allow(clippy::too_many_arguments)]
     fn lib_deliver_eager_from_slot(
         &mut self,
@@ -225,8 +225,7 @@ impl Cluster {
             }
             None => {
                 let ep = self.ep_mut(me);
-                let data = Bytes::from(ep.slots.read(slot, len));
-                ep.slots.release(slot);
+                let data = ep.slots.take(slot, len);
                 ep.counters.unexpected += 1;
                 let total = len as u64;
                 ep.matcher.push_unexpected(Unexpected::Eager {

@@ -38,8 +38,8 @@ pub enum Unexpected {
         /// Per-partner message sequence (reassembly key).
         msg_seq: u32,
         /// Buffered payload. Shared `Bytes`: tiny messages hand the
-        /// event's inline payload over without copying, small ones
-        /// buffer their ring slot exactly once.
+        /// event's inline payload over and small ones their ring
+        /// slot's payload, neither copied.
         data: Bytes,
         /// Bytes arrived so far.
         arrived: u64,

@@ -389,8 +389,6 @@ fn actual_workspace_is_lint_clean() {
             own("hot-path-alloc", "crates/core/src/driver/kmatch.rs", 3),
             own("hot-path-alloc", "crates/core/src/driver/mod.rs", 1),
             own("hot-path-alloc", "crates/core/src/driver/recv.rs", 2),
-            own("hot-path-alloc", "crates/core/src/endpoint.rs", 1),
-            own("hot-path-alloc", "crates/core/src/events.rs", 1),
             own("hot-path-alloc", "crates/core/src/libproc.rs", 2),
             own("hot-path-alloc", "crates/sim/src/engine.rs", 1),
             own("hot-path-alloc", "crates/sim/src/event.rs", 1),

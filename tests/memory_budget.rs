@@ -1,26 +1,43 @@
-//! Memory footprint of an idle large cluster: a 10k-endpoint world
-//! must stay lean enough that the scale ablation's 1k–10k-rank runs
-//! fit comfortably in memory. The receive slot pools dominate the
-//! naive footprint — `recvq_slots` (256) × `frag_size` (4 KiB) would
-//! be 1 MiB per endpoint, 10 GiB for the cluster — so this test pins
-//! the lazy-commit behaviour of `SlotPool` (slots are backed only on
-//! first use) with a byte-counting global allocator.
+//! Memory footprint of large clusters, idle and busy.
+//!
+//! An idle 10k-endpoint world must stay lean enough that the scale
+//! ablation's 1k–10k-rank runs fit comfortably in memory: its
+//! endpoints commit no receive slots, no partner windows and no
+//! request tables until traffic arrives. A wide exchange must then
+//! cost memory in proportion to what arrives: a receive slot holds a
+//! refcounted slice of the frame's payload rather than a
+//! `frag_size` buffer of its own, and a partner's duplicate window
+//! holds one word while its sequences arrive in order. A byte-counting
+//! global allocator measures both, live and at peak.
 
 use openmx_repro::hw::CoreId;
+use openmx_repro::mpi::{run_kernel, Kernel, Layout as RankLayout};
 use openmx_repro::omx::app::{App, AppCtx, Completion};
 use openmx_repro::omx::cluster::{Cluster, ClusterParams};
 use openmx_repro::omx::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
 /// Live heap bytes (allocated minus freed).
 static LIVE: AtomicU64 = AtomicU64::new(0);
+/// Highest `LIVE` since the last [`reset_peak`].
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// The allocator counts every thread, so each test measures with this
+/// held: the harness runs tests concurrently.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn grew(n: u64) {
+    let now = LIVE.fetch_add(n, Relaxed) + n;
+    PEAK.fetch_max(now, Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        LIVE.fetch_add(l.size() as u64, Relaxed);
+        grew(l.size() as u64);
         System.alloc(l)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
@@ -28,12 +45,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.dealloc(p, l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        LIVE.fetch_add(n as u64, Relaxed);
+        grew(n as u64);
         LIVE.fetch_sub(l.size() as u64, Relaxed);
         System.realloc(p, l, n)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        LIVE.fetch_add(l.size() as u64, Relaxed);
+        grew(l.size() as u64);
         System.alloc_zeroed(l)
     }
 }
@@ -43,6 +60,15 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn live() -> u64 {
     LIVE.load(Relaxed)
+}
+
+/// Restart peak tracking from the current live heap.
+fn reset_peak() {
+    PEAK.store(live(), Relaxed);
+}
+
+fn peak() -> u64 {
+    PEAK.load(Relaxed)
 }
 
 /// An app that never posts anything — the endpoint exists, with all
@@ -81,6 +107,7 @@ const PER_ENDPOINT_BUDGET: u64 = 64 * 1024;
 
 #[test]
 fn ten_k_endpoint_cluster_stays_under_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Node-only baseline: same world, no endpoints. Subtracting it
     // isolates the endpoint cost from NIC/driver/metrics fixtures.
     let baseline = build(0);
@@ -95,4 +122,35 @@ fn ten_k_endpoint_cluster_stays_under_budget() {
     );
     drop(cluster);
     drop(baseline);
+}
+
+/// The pinned budget for a wide exchange: peak heap bytes per ordered
+/// pair of ranks, above the heap live before the job. Copying each
+/// 1 KiB message into a slot buffer of its own and giving each
+/// partner a 1 KiB window took about 1.8 KiB per pair; holding the
+/// frame's payload and growing the window with use takes about
+/// 730 B.
+const PER_PAIR_PEAK_BUDGET: u64 = 1024;
+
+#[test]
+fn wide_exchange_peak_heap_stays_under_budget() {
+    const RANKS: usize = 64;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let before = live();
+    reset_peak();
+    let r = run_kernel(
+        Kernel::Alltoall,
+        RankLayout::Nodes(RANKS),
+        1024,
+        2,
+        ClusterParams::default(),
+    );
+    assert!(r.verified, "the exchange must deliver every message");
+    let pairs = (RANKS * (RANKS - 1)) as u64;
+    let per_pair = (peak() - before) / pairs;
+    assert!(
+        per_pair <= PER_PAIR_PEAK_BUDGET,
+        "a 64-rank 1 KiB Alltoall peaks at {per_pair} heap bytes per ordered pair \
+         (budget {PER_PAIR_PEAK_BUDGET})"
+    );
 }
