@@ -28,8 +28,8 @@ use open_mx::cluster::ClusterParams;
 use open_mx::config::OmxConfig;
 use open_mx::fault::FaultPlan;
 use open_mx::harness::{
-    run_fanin, run_incast, run_pingpong, run_stream, FaninConfig, IncastConfig, PingPongConfig,
-    Placement, StreamConfig,
+    run_fanin, run_incast, run_pingpong, run_stream, ComponentBreakdown, FaninConfig, IncastConfig,
+    PingPongConfig, Placement, RunReport, StreamConfig,
 };
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -189,8 +189,7 @@ fn engine_benches(scale: u64) -> Vec<EngineBench> {
     let n = 10_000 * scale;
     let reps = 9;
     let mut out = Vec::new();
-    // Mirror of the Criterion `sim_engine_schedule_run_10k` shape:
-    // distinct nanosecond timestamps, trivial closures.
+    // Distinct nanosecond timestamps, trivial closures.
     let (w, h) = on_both!(|sim| {
         let mut world = 0u64;
         for i in 0..n {
@@ -521,27 +520,27 @@ fn e2e_benches() -> Vec<E2eBench> {
         e2e_bench("pingpong_256k", 5, || {
             let r = pingpong_fixed(12);
             assert!(r.verified, "pingpong failed verification");
-            (r.end_time, r.throughput_mibs, r.events_executed)
+            (r.run.end, r.throughput_mibs, r.run.events)
         }),
         e2e_bench("stream_1m", 3, || {
             let r = stream_fixed(8);
             assert!(r.verified, "stream failed verification");
-            (r.elapsed, r.throughput_mibs, r.events_executed)
+            (r.elapsed, r.throughput_mibs, r.run.events)
         }),
         e2e_bench("alltoall_1m", 3, || {
             let r = alltoall_fixed(2);
             assert!(r.verified, "alltoall failed verification");
-            (r.end, 0.0, r.events_executed)
+            (r.run.end, 0.0, r.run.events)
         }),
         e2e_bench("fanin_mq_16k", 3, || {
             let r = fanin_fixed(16);
             assert!(r.verified, "fan-in failed verification");
-            (r.elapsed, r.throughput_mibs, r.events_executed)
+            (r.elapsed, r.throughput_mibs, r.run.events)
         }),
         e2e_bench("incast_credit_96k", 3, || {
             let r = incast_fixed();
             assert!(r.verified, "incast failed verification");
-            (r.elapsed, 0.0, r.events_executed)
+            (r.elapsed, 0.0, r.run.events)
         }),
     ]
 }
@@ -550,15 +549,11 @@ fn e2e_benches() -> Vec<E2eBench> {
 // Smoke mode: deterministic fingerprints only
 // ---------------------------------------------------------------------
 
-fn fingerprint<S: serde::Serialize, B: serde::Serialize>(
-    stats: &S,
-    breakdown: &B,
-    events_executed: u64,
-) -> String {
+fn fingerprint(run: &RunReport, breakdown: &ComponentBreakdown) -> String {
     format!(
         "{{\"events_executed\":{},\"stats\":{},\"breakdown\":{}}}",
-        events_executed,
-        serde_json::to_string(stats).expect("stats serialize"),
+        run.events,
+        serde_json::to_string(&run.stats).expect("stats serialize"),
         serde_json::to_string(breakdown).expect("breakdown serialize")
     )
 }
@@ -576,10 +571,10 @@ fn smoke() {
     let ic = incast_fixed();
     assert!(ic.verified, "incast failed verification");
     assert!(
-        ic.stats.credit_shrinks > 0,
+        ic.run.stats.credit_shrinks > 0,
         "incast smoke must engage the credit controller"
     );
-    let fp_pp = fingerprint(&pp.stats, &pp.breakdown, pp.events_executed);
+    let fp_pp = fingerprint(&pp.run, &pp.breakdown);
     // The two PR-9 engine knobs must be invisible to the schedule:
     // batching at the default calibration (chain cost == submit cost)
     // and a one-level wheel (the default has two) both re-run the
@@ -594,7 +589,7 @@ fn smoke() {
         },
     );
     assert!(ppb.verified, "batched pingpong failed verification");
-    let fp_ppb = fingerprint(&ppb.stats, &ppb.breakdown, ppb.events_executed);
+    let fp_ppb = fingerprint(&ppb.run, &ppb.breakdown);
     assert_eq!(
         fp_pp, fp_ppb,
         "ioat_batch must be bit-invisible at the default calibration"
@@ -607,7 +602,7 @@ fn smoke() {
         },
     );
     assert!(ppw.verified, "one-level pingpong failed verification");
-    let fp_ppw = fingerprint(&ppw.stats, &ppw.breakdown, ppw.events_executed);
+    let fp_ppw = fingerprint(&ppw.run, &ppw.breakdown);
     assert_eq!(fp_pp, fp_ppw, "wheel depth must not change the schedule");
     // The scale cell: the partitioned engine's 1024-rank Alltoall at 4
     // partitions must land byte-for-byte on the single-engine run, and
@@ -620,13 +615,16 @@ fn smoke() {
         a1k4.verified,
         "partitioned 1k-rank alltoall failed verification"
     );
-    let fp_a1k = fingerprint(&a1k.stats, &a1k.breakdown, a1k.events_executed);
-    let fp_a1k4 = fingerprint(&a1k4.stats, &a1k4.breakdown, a1k4.events_executed);
+    let fp_a1k = fingerprint(&a1k.run, &a1k.breakdown);
+    let fp_a1k4 = fingerprint(&a1k4.run, &a1k4.breakdown);
     assert_eq!(
         fp_a1k, fp_a1k4,
         "1k-rank alltoall at 4 partitions must be byte-identical to the single engine"
     );
-    assert_eq!(a1k.end, a1k4.end, "partitioning moved the completion time");
+    assert_eq!(
+        a1k.run.end, a1k4.run.end,
+        "partitioning moved the completion time"
+    );
     assert_eq!(a1k.marks, a1k4.marks, "partitioning moved the rank-0 marks");
     println!(
         "{{\"schema\":\"perf-smoke-v5\",\"seed\":{},\"pingpong\":{},\
@@ -637,10 +635,10 @@ fn smoke() {
         fp_pp,
         fp_ppb,
         fp_ppw,
-        fingerprint(&st.stats, &st.breakdown, st.events_executed),
-        fingerprint(&a2a.stats, &a2a.breakdown, a2a.events_executed),
-        fingerprint(&fi.stats, &fi.breakdown, fi.events_executed),
-        fingerprint(&ic.stats, &ic.breakdown, ic.events_executed),
+        fingerprint(&st.run, &st.breakdown),
+        fingerprint(&a2a.run, &a2a.breakdown),
+        fingerprint(&fi.run, &fi.breakdown),
+        fingerprint(&ic.run, &ic.breakdown),
         fp_a1k4,
     );
 }

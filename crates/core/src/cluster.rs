@@ -498,13 +498,10 @@ impl Cluster {
                 }
             })
             .collect();
-        // Whether any link can ever inject: the declarative plan or
-        // the uniform loss_one_in knob (folded into the per-link
-        // channels as a degenerate Gilbert–Elliott state). The
-        // channels themselves are created lazily on a link's first
-        // frame — see `link_fault_next`.
-        let link_faults_possible =
-            p.cfg.fault_plan.has_link_faults() || matches!(p.cfg.loss_one_in, Some(n) if n > 0);
+        // Whether any link can ever inject. The channels themselves are
+        // created lazily on a link's first frame — see
+        // `link_fault_next`.
+        let link_faults_possible = p.cfg.fault_plan.has_link_faults();
         let mut nodes: Vec<Node> = nodes;
         if p.cfg.pull_credits {
             // Seed every node's shared pull-block budget; with credits
@@ -969,11 +966,7 @@ impl Cluster {
         let p = &self.p;
         let root = &self.fault_root;
         let entry = self.link_faults.entry((src.0, dst.0)).or_insert_with(|| {
-            let lp = p
-                .cfg
-                .fault_plan
-                .link_params(src.0, dst.0)
-                .combined_with_uniform_loss(p.cfg.loss_one_in);
+            let lp = p.cfg.fault_plan.link_params(src.0, dst.0);
             lp.is_active().then(|| {
                 let tag = 0x4000_0000_0000_0000u64 | (u64::from(src.0) << 24) | u64::from(dst.0);
                 LinkFaultState::new(lp, root.derive(tag))

@@ -165,10 +165,6 @@ pub struct OmxConfig {
     /// Fig 3's prediction mode: process receives normally but charge
     /// zero CPU time for the BH data copy.
     pub ignore_bh_copy: bool,
-    /// Drop one frame in N on every link (None = lossless). Kept as a
-    /// convenience knob: it is folded into [`Self::fault_plan`]'s link
-    /// parameters as a degenerate (memoryless) Gilbert–Elliott channel.
-    pub loss_one_in: Option<u64>,
     /// Declarative fault plan: bursty loss, corruption, duplication,
     /// reordering per link; RX ring pressure and scheduled I/OAT
     /// channel faults per node (see [`crate::fault::FaultPlan`]). The
@@ -266,7 +262,6 @@ impl Default for OmxConfig {
             gro: false,
             gro_frag_process: Ps::ns(700),
             ignore_bh_copy: false,
-            loss_one_in: None,
             fault_plan: FaultPlan::default(),
             ioat_stall_deadline: Ps::ms(2),
             ioat_quarantine_cooldown: Ps::ms(20),
@@ -328,12 +323,12 @@ impl OmxConfig {
         len.div_ceil(self.frag_size).max(1)
     }
 
-    /// Whether any fault injection is configured (fault plan or the
-    /// legacy uniform-loss knob). Harnesses use this to decide whether
-    /// NIC drops mean "injected hazard, recovery expected" or "silent
-    /// overload that must fail verification loudly".
+    /// Whether the fault plan injects anything. Harnesses use this to
+    /// decide whether NIC drops mean "injected hazard, recovery
+    /// expected" or "silent overload that must fail verification
+    /// loudly".
     pub fn fault_injection_active(&self) -> bool {
-        !self.fault_plan.is_inactive() || matches!(self.loss_one_in, Some(n) if n > 0)
+        !self.fault_plan.is_inactive()
     }
 }
 
@@ -353,6 +348,7 @@ pub enum MsgClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omx_ethernet::fault::LinkFaultParams;
 
     #[test]
     fn default_thresholds_match_paper() {
@@ -413,7 +409,10 @@ mod tests {
         let c = OmxConfig::default();
         assert!(!c.fault_injection_active(), "default config is clean");
         let lossy = OmxConfig {
-            loss_one_in: Some(100),
+            fault_plan: FaultPlan {
+                default_link: LinkFaultParams::uniform_loss(100),
+                ..FaultPlan::default()
+            },
             ..OmxConfig::default()
         };
         assert!(lossy.fault_injection_active());

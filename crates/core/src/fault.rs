@@ -86,9 +86,7 @@ impl FaultPlan {
     }
 
     /// Whether any directed link can inject wire hazards (the plan
-    /// default or any override is active). The uniform
-    /// `OmxConfig::loss_one_in` knob is folded in separately by the
-    /// cluster, which owns that config.
+    /// default or any override is active).
     pub fn has_link_faults(&self) -> bool {
         self.default_link.is_active() || self.links.iter().any(|o| o.params.is_active())
     }

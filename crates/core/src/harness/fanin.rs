@@ -15,7 +15,7 @@ use crate::{EpAddr, EpIdx, NodeId};
 use omx_hw::cpu::category;
 use omx_hw::CoreId;
 use omx_sim::instruments as ins;
-use omx_sim::{Ps, Sim};
+use omx_sim::Ps;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -59,22 +59,15 @@ pub struct FaninResult {
     pub elapsed: Ps,
     /// Every payload matched its pattern and no send was aborted.
     pub verified: bool,
-    /// Engine events executed over the whole run (deterministic; feeds
-    /// benchrun's events/sec figure and the perf-smoke fingerprint).
-    pub events_executed: u64,
     /// Receiver-host BH+IRQ busy time per core, indexed by core id —
     /// the spread (or pile-up) the multi-queue path is about.
     pub bh_busy_per_core: Vec<Ps>,
     /// Frames that rode a GRO train (0 unless `cfg.gro`).
     pub gro_coalesced: u64,
-    /// Aggregate cluster counters at the end of the run.
-    pub stats: crate::cluster::Stats,
     /// Per-component time accounting over the fan-in window.
     pub breakdown: super::ComponentBreakdown,
-    /// Leak detectors (must both be zero after the run drained).
-    pub end_skbuffs_held: u64,
-    /// Pinned regions still registered at the end.
-    pub end_pinned_regions: u64,
+    /// Counters, event count, end time and leak detectors of the run.
+    pub run: super::RunReport,
 }
 
 /// One constant pattern for every message: verification stays
@@ -167,74 +160,86 @@ impl App for FaninReceiver {
     }
 }
 
-/// Run one fan-in experiment.
+/// Run one fan-in experiment (partitioned per
+/// `cfg.params.partitions`; results are identical for every value).
 pub fn run_fanin(cfg: FaninConfig) -> FaninResult {
     assert_eq!(cfg.params.nodes as u32, 1 + SENDERS, "fan-in topology");
-    let shared = Rc::new(RefCell::new(SharedState::default()));
     let total = SENDERS * cfg.count;
-    let mut cluster = Cluster::new(cfg.params.clone());
-    let mut sim: Sim<Cluster> = Sim::with_wheel_levels(cluster.p.cfg.wheel_levels);
-    // Receiver endpoints on the odd cores (1, 3, 5, 7).
-    for e in 0..RECV_ENDPOINTS {
-        let quota = total / RECV_ENDPOINTS;
-        cluster.add_endpoint(
-            NodeId(0),
-            CoreId(1 + 2 * e),
-            Box::new(FaninReceiver {
-                size: cfg.size,
-                to_post: quota,
-                quota,
-                got: 0,
-                shared: shared.clone(),
-            }),
-        );
-    }
-    // Sender s (node s+1) targets receiver endpoint s % RECV_ENDPOINTS.
-    for s in 0..SENDERS {
-        let peer = EpAddr {
-            node: NodeId(0),
-            ep: EpIdx((s % RECV_ENDPOINTS) as u8),
-        };
-        cluster.add_endpoint(
-            NodeId(1 + s),
-            CoreId(2),
-            Box::new(FaninSender {
-                peer,
-                size: cfg.size,
-                count: cfg.count,
-                sent: 0,
-            }),
-        );
-    }
-    cluster.start(&mut sim);
-    sim.run(&mut cluster);
-    let sh = shared.borrow();
+    let (size, count) = (cfg.size, cfg.count);
+    let install = |cluster: &mut Cluster, _shard: usize| {
+        let shared = Rc::new(RefCell::new(SharedState::default()));
+        // Receiver endpoints on the odd cores (1, 3, 5, 7).
+        if cluster.owns(NodeId(0)) {
+            for e in 0..RECV_ENDPOINTS {
+                let quota = total / RECV_ENDPOINTS;
+                cluster.add_endpoint(
+                    NodeId(0),
+                    CoreId(1 + 2 * e),
+                    Box::new(FaninReceiver {
+                        size,
+                        to_post: quota,
+                        quota,
+                        got: 0,
+                        shared: shared.clone(),
+                    }),
+                );
+            }
+        }
+        // Sender s (node s+1) targets receiver endpoint s % RECV_ENDPOINTS.
+        for s in 0..SENDERS {
+            if !cluster.owns(NodeId(1 + s)) {
+                continue;
+            }
+            let peer = EpAddr {
+                node: NodeId(0),
+                ep: EpIdx((s % RECV_ENDPOINTS) as u8),
+            };
+            cluster.add_endpoint(
+                NodeId(1 + s),
+                CoreId(2),
+                Box::new(FaninSender {
+                    peer,
+                    size,
+                    count,
+                    sent: 0,
+                }),
+            );
+        }
+        shared
+    };
+    // The receiver's tally, per-core BH split and GRO count, read on
+    // the shard that owns node 0.
+    let collect = |cluster: &Cluster, shared: Rc<RefCell<SharedState>>| {
+        cluster.owns(NodeId(0)).then(|| {
+            let cpus = &cluster.node(NodeId(0)).cpus;
+            let bh_busy_per_core: Vec<Ps> = cluster
+                .p
+                .topology
+                .cores()
+                .map(|c| cpus.core(c).busy_in(category::BH) + cpus.core(c).busy_in(category::IRQ))
+                .collect();
+            let gro_coalesced = cluster.metrics.counter(0, ins::BH_GRO_COALESCED);
+            (shared.take(), bh_busy_per_core, gro_coalesced)
+        })
+    };
+    let (run, shards) = super::run_cluster(cfg.params, install, collect);
+    let (sh, bh_busy_per_core, gro_coalesced) = shards
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("the receiver node ran");
     assert_eq!(sh.received, total, "fan-in did not complete");
     let elapsed = sh.last_recv - sh.first_post;
     let horizon = elapsed.max(Ps::ps(1));
-    let recv_node = cluster.node(NodeId(0));
-    let bh_busy_per_core = cluster
-        .p
-        .topology
-        .cores()
-        .map(|c| {
-            let core = recv_node.cpus.core(c);
-            core.busy_in(category::BH) + core.busy_in(category::IRQ)
-        })
-        .collect();
-    let bytes = cfg.size * total as u64;
-    let (clean_wire, end_skbuffs_held, end_pinned_regions) = super::drain_check(&cluster);
+    let bytes = size * total as u64;
     FaninResult {
         throughput_mibs: bytes as f64 / horizon.as_secs_f64() / (1u64 << 20) as f64,
         elapsed,
-        verified: sh.corrupt == 0 && cluster.stats.sends_failed == 0 && clean_wire,
-        events_executed: sim.events_executed(),
+        verified: sh.corrupt == 0 && run.stats.sends_failed == 0 && run.clean_wire(),
         bh_busy_per_core,
-        gro_coalesced: cluster.metrics.counter(0, ins::BH_GRO_COALESCED),
-        stats: cluster.stats_snapshot(),
-        breakdown: super::ComponentBreakdown::from_cluster(&cluster, horizon),
-        end_skbuffs_held,
-        end_pinned_regions,
+        gro_coalesced,
+        breakdown: run.breakdown(horizon),
+        run,
     }
 }
 
@@ -255,7 +260,7 @@ mod tests {
     fn single_queue_fanin_piles_on_the_irq_core() {
         let r = quick(1, false);
         assert!(r.verified);
-        assert_eq!(r.end_skbuffs_held, 0);
+        assert_eq!(r.run.skbuffs_held, 0);
         let busy = &r.bh_busy_per_core;
         let total: Ps = busy.iter().fold(Ps::ZERO, |a, &b| a + b);
         assert!(total > Ps::ZERO);
@@ -307,5 +312,58 @@ mod tests {
             sum(&gro),
             sum(&plain)
         );
+    }
+
+    #[test]
+    fn partitioned_fanin_matches_single_engine() {
+        // The receiver and the eight senders dealt over 2 or 4 shards,
+        // run by one worker or two, must reproduce the single engine
+        // on one queue and on four, with GRO trains and with credits.
+        fn json<T: serde::Serialize>(v: &T) -> String {
+            serde_json::to_string(v).expect("serialize")
+        }
+        let cells = [1, 4]
+            .into_iter()
+            .flat_map(|q| [(q, false, false), (q, true, false), (q, false, true)]);
+        for (num_queues, gro, credits) in cells {
+            let run = |partitions: usize, workers: usize| {
+                let mut params = ClusterParams::default();
+                params.nic.num_queues = num_queues;
+                params.cfg.gro = gro;
+                params.cfg.pull_credits = credits;
+                params.partitions = partitions;
+                params.partition_workers = workers;
+                let mut cfg = FaninConfig::new(params, 16 << 10);
+                cfg.count = 8;
+                let r = run_fanin(cfg);
+                assert!(r.verified);
+                assert_eq!(r.run.shards.len(), partitions, "one load per shard");
+                r
+            };
+            let single = run(1, 1);
+            for (parts, workers) in [(2, 1), (2, 2), (4, 1), (4, 2)] {
+                let split = run(parts, workers);
+                let name = format!(
+                    "{num_queues} queues, gro={gro}, credits={credits}, \
+                     {parts} partitions, {workers} workers"
+                );
+                assert_eq!(single.elapsed, split.elapsed, "{name}: elapsed");
+                assert_eq!(single.run.events, split.run.events, "{name}: events");
+                assert_eq!(
+                    json(&single.run.stats),
+                    json(&split.run.stats),
+                    "{name}: stats"
+                );
+                assert_eq!(
+                    json(&single.breakdown),
+                    json(&split.breakdown),
+                    "{name}: breakdown"
+                );
+                assert_eq!(
+                    single.bh_busy_per_core, split.bh_busy_per_core,
+                    "{name}: BH split"
+                );
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@ use crate::app::{App, AppCtx, Completion};
 use crate::cluster::{Cluster, ClusterParams};
 use crate::{EpAddr, EpIdx, NodeId};
 use omx_hw::CoreId;
-use omx_sim::{Ps, Sim};
+use omx_sim::Ps;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -92,18 +92,11 @@ pub struct IncastResult {
     /// Every expected message arrived intact, no send was aborted,
     /// and nothing leaked.
     pub verified: bool,
-    /// Engine events executed over the whole run (deterministic; feeds
-    /// benchrun's events/sec figure and the perf-smoke fingerprint).
-    pub events_executed: u64,
-    /// Aggregate cluster counters at the end of the run (includes the
-    /// credit counters and per-queue ring high-watermarks).
-    pub stats: crate::cluster::Stats,
     /// Per-component time accounting over the incast window.
     pub breakdown: super::ComponentBreakdown,
-    /// Skbuffs still held by drivers after the run drained.
-    pub end_skbuffs_held: u64,
-    /// Pinned regions still registered at the end.
-    pub end_pinned_regions: u64,
+    /// Counters (credit counters and per-queue ring high-watermarks
+    /// included), event count and leak detectors of the run.
+    pub run: super::RunReport,
 }
 
 /// One constant pattern for every message, order-independent under
@@ -197,23 +190,6 @@ impl App for IncastReceiver {
     }
 }
 
-/// Per-shard reduction of one (possibly partitioned) incast run. The
-/// receiver node (0) lives on exactly one shard, so `window` is `Some`
-/// there and `None` on pure-sender shards; with `partitions = 1` the
-/// merge is the identity and the result matches the historical
-/// single-engine harness byte for byte.
-struct ShardTally {
-    received: u32,
-    corrupt: u64,
-    /// `(first_post, last_recv)` on the receiver's shard.
-    window: Option<(Ps, Ps)>,
-    stats: crate::cluster::Stats,
-    busy: super::BusyTotals,
-    events: u64,
-    skbuffs: u64,
-    pinned: u64,
-}
-
 /// Run one incast experiment (partitioned per
 /// `cfg.params.partitions`; results are identical for every value).
 pub fn run_incast(cfg: IncastConfig) -> IncastResult {
@@ -221,7 +197,6 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
     let expected = cfg.senders * cfg.count;
     let (senders, size, count) = (cfg.senders, cfg.size, cfg.count);
     let frag_size = cfg.params.cfg.frag_size;
-    let faults_active = cfg.params.cfg.fault_injection_active();
     let install = |cluster: &mut Cluster, _shard: usize| {
         let shared = Rc::new(RefCell::new(SharedState::default()));
         // Receiver endpoints on the odd cores (1, 3, 5, 7). Flows are
@@ -262,53 +237,20 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
         }
         shared
     };
-    let finish = |_shard: usize,
-                  sim: &mut Sim<Cluster>,
-                  cluster: &mut Cluster,
-                  shared: Rc<RefCell<SharedState>>| {
-        // Thread-local sanitizer: quiesce on the worker that ran this
-        // shard.
-        omx_sim::sanitize::SimSanitizer::assert_quiesced();
-        let sh = shared.borrow();
-        let (skbuffs, pinned) = super::leak_counts(cluster);
-        ShardTally {
-            received: sh.received,
-            corrupt: sh.corrupt,
-            window: cluster
-                .owns(NodeId(0))
-                .then_some((sh.first_post, sh.last_recv)),
-            stats: cluster.stats_snapshot(),
-            busy: super::BusyTotals::of(cluster),
-            events: sim.events_executed(),
-            skbuffs,
-            pinned,
-        }
+    // Every receiver endpoint lives on node 0, so its shard holds the
+    // whole tally.
+    let collect = |cluster: &Cluster, shared: Rc<RefCell<SharedState>>| {
+        cluster.owns(NodeId(0)).then(|| shared.take())
     };
-    let tallies = crate::partition::run_partitioned(cfg.params, install, finish);
-    let mut stats: Option<crate::cluster::Stats> = None;
-    let mut busy = super::BusyTotals::default();
-    let (mut delivered, mut corrupt) = (0u32, 0u64);
-    let (mut events, mut skbuffs, mut pinned) = (0u64, 0u64, 0u64);
-    let mut window = None;
-    for t in tallies {
-        delivered += t.received;
-        corrupt += t.corrupt;
-        if t.window.is_some() {
-            window = t.window;
-        }
-        match &mut stats {
-            None => stats = Some(t.stats),
-            Some(s) => s.absorb(&t.stats),
-        }
-        busy.absorb(&t.busy);
-        events += t.events;
-        skbuffs += t.skbuffs;
-        pinned += t.pinned;
-    }
-    let stats = stats.expect("at least one shard");
-    let (first_post, last_recv) = window.expect("the receiver node ran");
+    let (run, shards) = super::run_cluster(cfg.params, install, collect);
+    let sh = shards
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("the receiver node ran");
+    let delivered = sh.received;
     let elapsed = if delivered > 0 {
-        last_recv - first_post
+        sh.last_recv - sh.first_post
     } else {
         Ps::ZERO
     };
@@ -317,40 +259,36 @@ pub fn run_incast(cfg: IncastConfig) -> IncastResult {
     // or belonged to a pull the receiver later abandoned.
     let frags_per_msg = size.div_ceil(frag_size);
     let needed = frags_per_msg * delivered as u64;
-    let sent_frags = stats.counters.tx_large_frags;
+    let sent_frags = run.stats.counters.tx_large_frags;
     let excess_frag_pct = if needed > 0 {
         (sent_frags.saturating_sub(needed)) as f64 * 100.0 / needed as f64
     } else {
         0.0
     };
-    let ring_dropped_injected = stats.frames_ring_dropped_injected;
-    let ring_dropped_genuine = stats.frames_ring_dropped - ring_dropped_injected;
-    let clean_wire = super::wire_stayed_clean(faults_active, &stats);
+    let ring_dropped_injected = run.stats.frames_ring_dropped_injected;
+    let ring_dropped_genuine = run.stats.frames_ring_dropped - ring_dropped_injected;
     // Pinned regions are not part of `verified`: with the registration
     // cache enabled (the default) regions legitimately stay pinned
     // after the run. Callers that disable the cache can check the
     // reported count themselves.
     let verified = delivered == expected
-        && corrupt == 0
-        && stats.sends_failed == 0
-        && clean_wire
-        && skbuffs == 0;
+        && sh.corrupt == 0
+        && run.stats.sends_failed == 0
+        && run.clean_wire()
+        && run.skbuffs_held == 0;
     IncastResult {
         senders,
         expected,
         delivered,
-        corrupt,
+        corrupt: sh.corrupt,
         elapsed,
         per_msg: Ps::ps(elapsed.as_ps() / u64::from(delivered.max(1))),
         excess_frag_pct,
         ring_dropped_genuine,
         ring_dropped_injected,
         verified,
-        events_executed: events,
-        breakdown: super::ComponentBreakdown::from_totals(&busy, elapsed.max(Ps::ps(1))),
-        stats,
-        end_skbuffs_held: skbuffs,
-        end_pinned_regions: pinned,
+        breakdown: run.breakdown(elapsed.max(Ps::ps(1))),
+        run,
     }
 }
 
@@ -377,13 +315,13 @@ mod tests {
                 r.delivered,
                 r.expected,
                 r.corrupt,
-                r.stats.sends_failed,
-                r.stats.frames_ring_dropped,
-                r.stats.frames_corrupt_dropped,
-                r.end_skbuffs_held,
-                r.end_pinned_regions
+                r.run.stats.sends_failed,
+                r.run.stats.frames_ring_dropped,
+                r.run.stats.frames_corrupt_dropped,
+                r.run.skbuffs_held,
+                r.run.pinned_regions
             );
-            assert_eq!(r.end_skbuffs_held, 0);
+            assert_eq!(r.run.skbuffs_held, 0);
         }
     }
 
@@ -412,8 +350,9 @@ mod tests {
             on.excess_frag_pct,
             off.excess_frag_pct
         );
-        assert!(on.stats.credit_shrinks > 0, "AIMD shrink must engage");
+        assert!(on.run.stats.credit_shrinks > 0, "AIMD shrink must engage");
         let peak = on
+            .run
             .stats
             .ring_high_watermarks
             .first()
@@ -439,10 +378,10 @@ mod tests {
         ] {
             assert_eq!(single.delivered, other.delivered, "{name}");
             assert_eq!(single.elapsed, other.elapsed, "{name}");
-            assert_eq!(single.events_executed, other.events_executed, "{name}");
+            assert_eq!(single.run.events, other.run.events, "{name}");
             assert_eq!(
-                serde_json::to_string(&single.stats).unwrap(),
-                serde_json::to_string(&other.stats).unwrap(),
+                serde_json::to_string(&single.run.stats).unwrap(),
+                serde_json::to_string(&other.run.stats).unwrap(),
                 "{name}: serialized stats"
             );
         }
@@ -455,8 +394,8 @@ mod tests {
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(
-            a.stats.counters.tx_large_frags,
-            b.stats.counters.tx_large_frags
+            a.run.stats.counters.tx_large_frags,
+            b.run.stats.counters.tx_large_frags
         );
     }
 }

@@ -10,6 +10,10 @@
 //!   RSS ablation workload),
 //! * [`incast`] — many-to-one large-message incast (the pull
 //!   congestion-control survival workload).
+//!
+//! Every simulated harness, and the MPI job runner, runs through
+//! [`run_cluster`]: it honors `ClusterParams::partitions` and ends
+//! each run with the same [`RunReport`].
 
 pub mod copybench;
 pub mod fanin;
@@ -23,9 +27,10 @@ pub use incast::{run_incast, IncastConfig, IncastResult};
 pub use pingpong::{run_pingpong, PingPongConfig, PingPongResult, Placement};
 pub use stream::{run_stream, StreamConfig, StreamResult};
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, ClusterParams, Stats};
 use omx_sim::instruments as ins;
-use omx_sim::Ps;
+use omx_sim::sanitize::SimSanitizer;
+use omx_sim::{Ps, Sim};
 use serde::Serialize;
 
 /// Where the time of a run went, per component, in nanoseconds.
@@ -104,15 +109,104 @@ impl BusyTotals {
     }
 }
 
-impl ComponentBreakdown {
-    /// Assemble the breakdown from a finished cluster's registry over
-    /// the measurement window `elapsed`.
-    pub fn from_cluster(cluster: &Cluster, elapsed: Ps) -> Self {
-        Self::from_totals(&BusyTotals::of(cluster), elapsed)
+/// The leak detectors, per world: skbuffs still held by drivers and
+/// pinned regions still registered (summable across shards: a
+/// shard's unowned nodes never hold driver state).
+pub fn leak_counts(cluster: &Cluster) -> (u64, u64) {
+    let end_skbuffs_held = cluster.nodes.iter().map(|n| n.driver.skbuffs_held).sum();
+    let end_pinned_regions = cluster
+        .nodes
+        .iter()
+        .flat_map(|n| n.endpoints.iter())
+        .map(|e| e.regions.pinned_count() as u64)
+        .sum();
+    (end_skbuffs_held, end_pinned_regions)
+}
+
+/// One shard's deterministic load and footprint figures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardLoad {
+    /// Engine events this shard executed.
+    pub events: u64,
+    /// Peak simultaneous pending events on this shard's wheel — the
+    /// engine's peak-memory proxy (event pool + slab occupancy track
+    /// the pending population), deterministic per schedule.
+    pub peak_pending: usize,
+    /// Endpoints installed on this shard's nodes.
+    pub endpoints: usize,
+}
+
+/// The accounting every harness ends a run with, folded over the
+/// shards of a (possibly partitioned) run. Each simulated event, busy
+/// interval and held resource belongs to exactly one shard, so every
+/// figure here is the same for any partition or worker count.
+#[derive(Debug, Clone)]
+pub struct RunReport {
+    /// Aggregate cluster counters at the end of the run, fault and
+    /// recovery events included.
+    pub stats: Stats,
+    /// Busy totals the component breakdowns are computed from.
+    pub busy: BusyTotals,
+    /// Engine events executed over the whole run — deterministic, and
+    /// the denominator of benchrun's events/sec figure.
+    pub events: u64,
+    /// Simulation end time.
+    pub end: Ps,
+    /// Skbuffs still held by drivers after the run drained (leak
+    /// detector: must be zero).
+    pub skbuffs_held: u64,
+    /// Pinned regions still registered at the end, summed over every
+    /// endpoint (with the registration cache disabled this must be
+    /// zero).
+    pub pinned_regions: u64,
+    /// Per-shard load, in shard order (one entry for an unpartitioned
+    /// run).
+    pub shards: Vec<ShardLoad>,
+    /// Whether the configuration deliberately injects faults.
+    faults_active: bool,
+}
+
+impl RunReport {
+    fn of_shard(sim: &Sim<Cluster>, cluster: &Cluster) -> Self {
+        let (skbuffs_held, pinned_regions) = leak_counts(cluster);
+        RunReport {
+            stats: cluster.stats_snapshot(),
+            busy: BusyTotals::of(cluster),
+            events: sim.events_executed(),
+            end: sim.now(),
+            skbuffs_held,
+            pinned_regions,
+            shards: vec![ShardLoad {
+                events: sim.events_executed(),
+                peak_pending: sim.events_peak_pending(),
+                endpoints: cluster.nodes.iter().map(|n| n.endpoints.len()).sum(),
+            }],
+            faults_active: cluster.p.cfg.fault_injection_active(),
+        }
     }
 
-    /// Assemble the breakdown from (possibly merged) busy totals.
-    pub fn from_totals(t: &BusyTotals, elapsed: Ps) -> Self {
+    fn absorb(&mut self, o: RunReport) {
+        self.stats.absorb(&o.stats);
+        self.busy.absorb(&o.busy);
+        self.events += o.events;
+        self.end = self.end.max(o.end);
+        self.skbuffs_held += o.skbuffs_held;
+        self.pinned_regions += o.pinned_regions;
+        self.shards.extend(o.shards);
+    }
+
+    /// Whether the wire stayed clean enough to call the run verified:
+    /// `true` when the configuration deliberately injects faults
+    /// (drops are then expected and recovery is what is being tested)
+    /// or when no frame was lost to ring overflow or FCS corruption.
+    pub fn clean_wire(&self) -> bool {
+        self.faults_active
+            || (self.stats.frames_ring_dropped == 0 && self.stats.frames_corrupt_dropped == 0)
+    }
+
+    /// The component breakdown over a measurement window of `elapsed`.
+    pub fn breakdown(&self, elapsed: Ps) -> ComponentBreakdown {
+        let t = &self.busy;
         let accounted = t.wire + t.bh_copy + t.ioat_channel + t.submit_cpu;
         let idle = elapsed.saturating_sub(accounted);
         let ns = |p: Ps| p.as_ps() as f64 / 1e3;
@@ -128,45 +222,38 @@ impl ComponentBreakdown {
     }
 }
 
-/// End-of-run hygiene shared by every harness: whether the wire stayed
-/// clean enough to call the run `verified`, and the leak detectors.
+/// Run one cluster simulation to completion — partitioned per
+/// `params.partitions` on [`crate::run_partitioned`], so the result is
+/// identical for every partition and worker count — and account for
+/// it.
 ///
-/// Returns `(clean_wire, end_skbuffs_held, end_pinned_regions)`.
-/// `clean_wire` is `true` when the configuration deliberately injects
-/// faults (drops are then expected and recovery is what is being
-/// tested) or when no frame was lost to ring overflow or FCS
-/// corruption. The two leak counters must read zero after a drained
-/// run — any held skbuff or (with the registration cache disabled)
-/// pinned region is driver state that escaped cleanup.
-pub fn drain_check(cluster: &Cluster) -> (bool, u64, u64) {
-    // Debug builds: every lifecycle handle (skbuff, pinned region,
-    // I/OAT descriptor, pull handle) must be completed or released by
-    // now — a handle still allocated or in flight is a leak and the
-    // sanitizer panics with its allocation site.
-    omx_sim::sanitize::SimSanitizer::assert_quiesced();
-    let clean_wire = wire_stayed_clean(cluster.p.cfg.fault_injection_active(), &cluster.stats);
-    let (end_skbuffs_held, end_pinned_regions) = leak_counts(cluster);
-    (clean_wire, end_skbuffs_held, end_pinned_regions)
-}
-
-/// The `clean_wire` predicate of [`drain_check`], usable on *merged*
-/// stats of a partitioned run (ring/corrupt drops are global
-/// properties: each drop happened on exactly one shard).
-pub fn wire_stayed_clean(fault_injection_active: bool, stats: &crate::cluster::Stats) -> bool {
-    fault_injection_active || (stats.frames_ring_dropped == 0 && stats.frames_corrupt_dropped == 0)
-}
-
-/// The leak detectors of [`drain_check`], per world (summable across
-/// shards: a shard's unowned nodes never hold driver state).
-pub fn leak_counts(cluster: &Cluster) -> (u64, u64) {
-    let end_skbuffs_held = cluster.nodes.iter().map(|n| n.driver.skbuffs_held).sum();
-    let end_pinned_regions = cluster
-        .nodes
-        .iter()
-        .flat_map(|n| n.endpoints.iter())
-        .map(|e| e.regions.pinned_count() as u64)
-        .sum();
-    (end_skbuffs_held, end_pinned_regions)
+/// `install(cluster, shard)` adds the endpoints of the shard's own
+/// nodes and returns the state its apps share; `collect(cluster,
+/// state)` reduces that state once the run drained. Both run once per
+/// shard. Returns the folded [`RunReport`] and each shard's collected
+/// tally, in shard order.
+pub fn run_cluster<S, T, I, C>(params: ClusterParams, install: I, collect: C) -> (RunReport, Vec<T>)
+where
+    I: Fn(&mut Cluster, usize) -> S + Sync,
+    C: Fn(&Cluster, S) -> T + Sync,
+    T: Send,
+{
+    let finish = |_shard: usize, sim: &mut Sim<Cluster>, cluster: &mut Cluster, state: S| {
+        // Every lifecycle handle (skbuff, pinned region, I/OAT
+        // descriptor, pull handle) must be completed or released by
+        // now. The sanitizer is thread-local, so this runs on the
+        // worker that ran the shard's handles (debug builds only).
+        SimSanitizer::assert_quiesced();
+        (RunReport::of_shard(sim, cluster), collect(cluster, state))
+    };
+    let mut shards = crate::run_partitioned(params, install, finish).into_iter();
+    let (mut run, first) = shards.next().expect("at least one shard");
+    let mut tallies = vec![first];
+    for (report, tally) in shards {
+        run.absorb(report);
+        tallies.push(tally);
+    }
+    (run, tallies)
 }
 
 /// The message-size sweep used by the paper's throughput figures

@@ -10,7 +10,7 @@ use crate::app::{App, AppCtx, Completion};
 use crate::cluster::{Cluster, ClusterParams};
 use crate::{EpAddr, EpIdx, NodeId};
 use omx_hw::CoreId;
-use omx_sim::{Ps, Sim, Summary};
+use omx_sim::{Ps, Summary};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -86,24 +86,10 @@ pub struct PingPongResult {
     /// configuration deliberately injects faults — the wire stayed
     /// clean (no ring or FCS drops).
     pub verified: bool,
-    /// Engine events executed over the whole run — the denominator of
-    /// benchrun's events/sec figure, and deterministic (it goes into
-    /// the perf-smoke fingerprint).
-    pub events_executed: u64,
-    /// Simulation end time.
-    pub end_time: Ps,
     /// Per-component time accounting over the whole run.
     pub breakdown: super::ComponentBreakdown,
-    /// Aggregate cluster counters at the end of the run, fault and
-    /// recovery events included.
-    pub stats: crate::cluster::Stats,
-    /// Skbuffs still held by pending copies after the run drained
-    /// (leak detector: must be zero).
-    pub end_skbuffs_held: u64,
-    /// Pinned regions still registered at the end, summed over every
-    /// endpoint (with the registration cache disabled this must be
-    /// zero).
-    pub end_pinned_regions: u64,
+    /// Counters, event count, end time and leak detectors of the run.
+    pub run: super::RunReport,
 }
 
 fn pattern(iter: u32, size: u64) -> Vec<u8> {
@@ -201,23 +187,6 @@ impl App for Ponger {
     }
 }
 
-/// Per-shard reduction of one (possibly partitioned) ping-pong run.
-/// With `partitions = 1` there is exactly one tally and the merge
-/// below is the identity, so the result is byte-identical to the
-/// historical single-engine harness.
-struct ShardTally {
-    rtts: Vec<Ps>,
-    corrupt: u64,
-    /// `Some(done)` on the shard hosting the pinger, `None` elsewhere.
-    done: Option<bool>,
-    stats: crate::cluster::Stats,
-    busy: super::BusyTotals,
-    events: u64,
-    end: Ps,
-    skbuffs: u64,
-    pinned: u64,
-}
-
 /// Run one ping-pong experiment (partitioned per
 /// `cfg.params.partitions`; results are identical for every value).
 pub fn run_pingpong(cfg: PingPongConfig) -> PingPongResult {
@@ -237,12 +206,10 @@ pub fn run_pingpong(cfg: PingPongConfig) -> PingPongResult {
     };
     let size = cfg.size;
     let (iters, warmup) = (cfg.iters, cfg.warmup);
-    let faults_active = cfg.params.cfg.fault_injection_active();
     let install = |cluster: &mut Cluster, _shard: usize| {
         // Each shard only hosts the endpoints of its own nodes; the
         // collector is per shard and merged after the run.
         let shared = Rc::new(RefCell::new(SharedState::default()));
-        let mut has_pinger = false;
         if cluster.owns(node_a) {
             cluster.add_endpoint(
                 node_a,
@@ -257,7 +224,6 @@ pub fn run_pingpong(cfg: PingPongConfig) -> PingPongResult {
                     shared: shared.clone(),
                 }),
             );
-            has_pinger = true;
         }
         if cluster.owns(node_b) {
             cluster.add_endpoint(
@@ -272,73 +238,26 @@ pub fn run_pingpong(cfg: PingPongConfig) -> PingPongResult {
                 }),
             );
         }
-        (shared, has_pinger)
+        shared
     };
-    let finish = |_shard: usize,
-                  sim: &mut Sim<Cluster>,
-                  cluster: &mut Cluster,
-                  (shared, has_pinger): (Rc<RefCell<SharedState>>, bool)| {
-        // The leak sanitizer is thread-local: quiesce on the worker
-        // that actually ran this shard's handles.
-        omx_sim::sanitize::SimSanitizer::assert_quiesced();
-        let sh = shared.borrow();
-        let (skbuffs, pinned) = super::leak_counts(cluster);
-        ShardTally {
-            rtts: sh.rtts.clone(),
-            corrupt: sh.corrupt,
-            done: has_pinger.then_some(sh.done),
-            stats: cluster.stats_snapshot(),
-            busy: super::BusyTotals::of(cluster),
-            events: sim.events_executed(),
-            end: sim.now(),
-            skbuffs,
-            pinned,
-        }
-    };
-    let tallies = crate::partition::run_partitioned(cfg.params, install, finish);
-    let mut rtts = Vec::new();
-    let mut stats: Option<crate::cluster::Stats> = None;
-    let mut busy = super::BusyTotals::default();
-    let (mut corrupt, mut events, mut skbuffs, mut pinned) = (0u64, 0u64, 0u64, 0u64);
-    let mut end_time = Ps::ZERO;
-    let mut done = None;
-    for t in tallies {
-        rtts.extend(t.rtts); // only the pinger's shard contributes
-        corrupt += t.corrupt;
-        if t.done.is_some() {
-            done = t.done;
-        }
-        match &mut stats {
-            None => stats = Some(t.stats),
-            Some(s) => s.absorb(&t.stats),
-        }
-        busy.absorb(&t.busy);
-        events += t.events;
-        end_time = end_time.max(t.end);
-        skbuffs += t.skbuffs;
-        pinned += t.pinned;
+    let (run, shards) = super::run_cluster(cfg.params, install, |_, shared| shared.take());
+    let (mut rtts, mut corrupt, mut done) = (Vec::new(), 0, false);
+    for sh in shards {
+        rtts.extend(sh.rtts); // only the pinger's shard contributes
+        corrupt += sh.corrupt;
+        done |= sh.done;
     }
-    let stats = stats.expect("at least one shard");
-    assert_eq!(
-        done,
-        Some(true),
-        "ping-pong did not complete: a message was lost"
-    );
+    assert!(done, "ping-pong did not complete: a message was lost");
     let halves: Vec<Ps> = rtts.iter().map(|r| *r / 2).collect();
     let half_rtt = Summary::of(&halves).expect("at least one iteration");
     let throughput_mibs = size as f64 / half_rtt.median.as_secs_f64() / (1u64 << 20) as f64;
-    let clean_wire = super::wire_stayed_clean(faults_active, &stats);
     PingPongResult {
-        verified: corrupt == 0 && stats.sends_failed == 0 && clean_wire,
+        verified: corrupt == 0 && run.stats.sends_failed == 0 && run.clean_wire(),
         rtts,
         half_rtt,
         throughput_mibs,
-        events_executed: events,
-        end_time,
-        breakdown: super::ComponentBreakdown::from_totals(&busy, end_time),
-        stats,
-        end_skbuffs_held: skbuffs,
-        end_pinned_regions: pinned,
+        breakdown: run.breakdown(run.end),
+        run,
     }
 }
 
@@ -394,7 +313,7 @@ mod tests {
         let traced = run_with(true, 4096);
         assert_eq!(off.rtts, on.rtts, "metrics changed timing");
         assert_eq!(off.rtts, traced.rtts, "tracing changed timing");
-        assert_eq!(off.end_time, traced.end_time);
+        assert_eq!(off.run.end, traced.run.end);
         // Disabled registry reads zero everywhere and attributes the
         // whole window to idle.
         assert_eq!(off.breakdown.wire_ns, 0.0);
@@ -423,14 +342,11 @@ mod tests {
         let threaded = run(2, 2);
         for (name, other) in [("partitions=2", &split), ("2 threaded workers", &threaded)] {
             assert_eq!(single.rtts, other.rtts, "{name}: per-iteration timings");
-            assert_eq!(single.end_time, other.end_time, "{name}: end time");
+            assert_eq!(single.run.end, other.run.end, "{name}: end time");
+            assert_eq!(single.run.events, other.run.events, "{name}: event count");
             assert_eq!(
-                single.events_executed, other.events_executed,
-                "{name}: event count"
-            );
-            assert_eq!(
-                serde_json::to_string(&single.stats).unwrap(),
-                serde_json::to_string(&other.stats).unwrap(),
+                serde_json::to_string(&single.run.stats).unwrap(),
+                serde_json::to_string(&other.run.stats).unwrap(),
                 "{name}: serialized stats"
             );
         }

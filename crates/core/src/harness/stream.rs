@@ -12,7 +12,7 @@ use crate::cluster::{Cluster, ClusterParams};
 use crate::{EpAddr, EpIdx, NodeId};
 use omx_hw::cpu::category;
 use omx_hw::CoreId;
-use omx_sim::{Ps, Sim};
+use omx_sim::Ps;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -63,9 +63,6 @@ pub struct StreamResult {
     /// deliberately injects faults — the wire stayed clean (no ring or
     /// FCS drops).
     pub verified: bool,
-    /// Engine events executed over the whole run (deterministic; feeds
-    /// benchrun's events/sec figure and the perf-smoke fingerprint).
-    pub events_executed: u64,
     /// Peak skbuffs held by pending I/OAT copies on the receiver (the
     /// §III-B resource bound).
     pub max_skbuffs_held: u64,
@@ -73,16 +70,8 @@ pub struct StreamResult {
     pub elapsed: Ps,
     /// Per-component time accounting over the stream window.
     pub breakdown: super::ComponentBreakdown,
-    /// Aggregate cluster counters at the end of the run, fault and
-    /// recovery events included.
-    pub stats: crate::cluster::Stats,
-    /// Skbuffs still held by pending copies after the run drained
-    /// (leak detector: must be zero).
-    pub end_skbuffs_held: u64,
-    /// Pinned regions still registered at the end, summed over every
-    /// endpoint (with the registration cache disabled this must be
-    /// zero).
-    pub end_pinned_regions: u64,
+    /// Counters, event count, end time and leak detectors of the run.
+    pub run: super::RunReport,
 }
 
 fn pattern(i: u32, size: u64) -> Vec<u8> {
@@ -164,59 +153,75 @@ impl App for StreamReceiver {
     }
 }
 
-/// Run one stream experiment.
+/// Run one stream experiment (partitioned per
+/// `cfg.params.partitions`; results are identical for every value).
 pub fn run_stream(cfg: StreamConfig) -> StreamResult {
-    let shared = Rc::new(RefCell::new(SharedState::default()));
     let recv_addr = EpAddr {
         node: NodeId(1),
         ep: EpIdx(0),
     };
-    let mut cluster = Cluster::new(cfg.params);
-    let mut sim: Sim<Cluster> = Sim::with_wheel_levels(cluster.p.cfg.wheel_levels);
-    cluster.add_endpoint(
-        NodeId(0),
-        cfg.send_core,
-        Box::new(StreamSender {
-            peer: recv_addr,
-            size: cfg.size,
-            count: cfg.count,
-            sent: 0,
-        }),
-    );
-    cluster.add_endpoint(
-        NodeId(1),
-        cfg.recv_core,
-        Box::new(StreamReceiver {
-            size: cfg.size,
-            count: cfg.count,
-            shared: shared.clone(),
-        }),
-    );
-    cluster.start(&mut sim);
-    sim.run(&mut cluster);
-    let sh = shared.borrow();
+    let (size, count) = (cfg.size, cfg.count);
+    let (send_core, recv_core) = (cfg.send_core, cfg.recv_core);
+    let install = |cluster: &mut Cluster, _shard: usize| {
+        let shared = Rc::new(RefCell::new(SharedState::default()));
+        if cluster.owns(NodeId(0)) {
+            cluster.add_endpoint(
+                NodeId(0),
+                send_core,
+                Box::new(StreamSender {
+                    peer: recv_addr,
+                    size,
+                    count,
+                    sent: 0,
+                }),
+            );
+        }
+        if cluster.owns(NodeId(1)) {
+            cluster.add_endpoint(
+                NodeId(1),
+                recv_core,
+                Box::new(StreamReceiver {
+                    size,
+                    count,
+                    shared: shared.clone(),
+                }),
+            );
+        }
+        shared
+    };
+    // The receiver's tally, CPU meter and skbuff peak, read on the
+    // shard that owns node 1.
+    let collect = |cluster: &Cluster, shared: Rc<RefCell<SharedState>>| {
+        cluster.owns(NodeId(1)).then(|| {
+            let node = cluster.node(NodeId(1));
+            (
+                shared.take(),
+                node.cpus.merged_meter(),
+                node.driver.skbuffs_held_max,
+            )
+        })
+    };
+    let (run, shards) = super::run_cluster(cfg.params, install, collect);
+    let (sh, meter, max_skbuffs_held) = shards
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("the receiver node ran");
     assert!(sh.done, "stream did not complete");
     let elapsed = sh.last_recv - sh.first_recv_post;
     let horizon = elapsed.max(Ps::ps(1));
-    let recv_node = cluster.node(NodeId(1));
-    let meter = recv_node.cpus.merged_meter();
     let util = |cat: &str| meter.total(cat).as_ps() as f64 / horizon.as_ps() as f64;
-    let bytes = cfg.size * cfg.count as u64;
-    let max_skbuffs_held = recv_node.driver.skbuffs_held_max;
-    let (clean_wire, end_skbuffs_held, end_pinned_regions) = super::drain_check(&cluster);
+    let bytes = size * count as u64;
     StreamResult {
         bh_util: util(category::BH) + util(category::IRQ),
         driver_util: util(category::DRIVER),
         user_util: util(category::USER_LIB),
         throughput_mibs: bytes as f64 / horizon.as_secs_f64() / (1u64 << 20) as f64,
-        verified: sh.corrupt == 0 && cluster.stats.sends_failed == 0 && clean_wire,
-        events_executed: sim.events_executed(),
+        verified: sh.corrupt == 0 && run.stats.sends_failed == 0 && run.clean_wire(),
         max_skbuffs_held,
         elapsed,
-        breakdown: super::ComponentBreakdown::from_cluster(&cluster, horizon),
-        stats: cluster.stats_snapshot(),
-        end_skbuffs_held,
-        end_pinned_regions,
+        breakdown: run.breakdown(horizon),
+        run,
     }
 }
 
@@ -257,5 +262,48 @@ mod tests {
         );
         assert!(ioat.throughput_mibs > base.throughput_mibs);
         assert!(ioat.max_skbuffs_held > 0, "async copies must hold skbuffs");
+    }
+
+    #[test]
+    fn partitioned_stream_matches_single_engine() {
+        // Sender and receiver on different shards, run by one worker
+        // or two, must reproduce the single engine on both copy paths.
+        fn json<T: serde::Serialize>(v: &T) -> String {
+            serde_json::to_string(v).expect("serialize")
+        }
+        for (path, omx) in [
+            ("memcpy", OmxConfig::default()),
+            ("I/OAT", OmxConfig::with_ioat()),
+        ] {
+            let run = |partitions: usize, workers: usize| {
+                let mut params = ClusterParams::with_cfg(omx.clone());
+                params.partitions = partitions;
+                params.partition_workers = workers;
+                let mut cfg = StreamConfig::new(params, 1 << 20);
+                cfg.count = 8;
+                let r = run_stream(cfg);
+                assert!(r.verified, "{path}");
+                assert_eq!(r.run.shards.len(), partitions, "{path}: one load per shard");
+                r
+            };
+            let single = run(1, 1);
+            for workers in [1, 2] {
+                let split = run(2, workers);
+                let name = format!("{path}, 2 partitions, {workers} workers");
+                assert_eq!(single.elapsed, split.elapsed, "{name}: elapsed");
+                assert_eq!(single.run.events, split.run.events, "{name}: events");
+                assert_eq!(
+                    json(&single.run.stats),
+                    json(&split.run.stats),
+                    "{name}: stats"
+                );
+                assert_eq!(
+                    json(&single.breakdown),
+                    json(&split.breakdown),
+                    "{name}: breakdown"
+                );
+                assert_eq!(single.bh_util, split.bh_util, "{name}: BH utilization");
+            }
+        }
     }
 }

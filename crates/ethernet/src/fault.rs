@@ -14,8 +14,8 @@
 //! ```
 //!
 //! and the mean burst length is `1 / p_exit_bad` frames. Uniform loss
-//! (the legacy `loss_one_in` knob) is the degenerate case where both
-//! states drop at the same rate — see [`LinkFaultParams::uniform_loss`].
+//! is the degenerate case where both states drop at the same rate —
+//! see [`LinkFaultParams::uniform_loss`].
 //!
 //! Frames that survive the loss draw may still be corrupted (FCS
 //! damage — the receiving NIC drops them before they consume a ring
@@ -74,8 +74,8 @@ impl LinkFaultParams {
             || self.reorder_prob > 0.0
     }
 
-    /// The legacy uniform-loss knob as a degenerate Gilbert–Elliott
-    /// channel: both states drop at `1/one_in`, no state dynamics.
+    /// Uniform loss as a degenerate Gilbert–Elliott channel: both
+    /// states drop at `1/one_in`, no state dynamics.
     pub fn uniform_loss(one_in: u64) -> LinkFaultParams {
         let p = if one_in == 0 {
             0.0
@@ -87,19 +87,6 @@ impl LinkFaultParams {
             loss_bad: p,
             ..LinkFaultParams::default()
         }
-    }
-
-    /// Fold an independent uniform loss source into this channel
-    /// (drop if either source drops: `1 - (1-a)(1-b)` per state).
-    pub fn combined_with_uniform_loss(mut self, one_in: Option<u64>) -> LinkFaultParams {
-        if let Some(one_in) = one_in {
-            if one_in > 0 {
-                let p = 1.0 / one_in as f64;
-                self.loss_good = 1.0 - (1.0 - self.loss_good) * (1.0 - p);
-                self.loss_bad = 1.0 - (1.0 - self.loss_bad) * (1.0 - p);
-            }
-        }
-        self
     }
 
     /// Stationary (long-run) drop probability of the channel.
@@ -235,9 +222,9 @@ mod tests {
 
     #[test]
     fn certain_loss_drops_every_frame() {
-        // loss_one_in = Some(1) must still drop everything through
-        // the Gilbert–Elliott adapter.
-        let p = LinkFaultParams::default().combined_with_uniform_loss(Some(1));
+        // One-in-one uniform loss must drop everything through the
+        // Gilbert–Elliott channel.
+        let p = LinkFaultParams::uniform_loss(1);
         let mut st = LinkFaultState::new(p, SplitMix64::new(1));
         for _ in 0..1000 {
             assert!(st.next_frame().dropped);

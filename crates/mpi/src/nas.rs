@@ -118,10 +118,10 @@ mod tests {
         let p = ClusterParams::with_cfg(OmxConfig::with_ioat());
         let ioat = run_scripts(p, Layout::OnePerNode, is_scripts(2, 8 << 20, 3));
         assert!(
-            ioat.end < base.end,
+            ioat.run.end < base.run.end,
             "I/OAT {} vs memcpy {}",
-            ioat.end,
-            base.end
+            ioat.run.end,
+            base.run.end
         );
     }
 }

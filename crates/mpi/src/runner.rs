@@ -4,9 +4,10 @@
 use crate::kernels::Kernel;
 use crate::ops::{match_info, Phase, Script};
 use omx_hw::CoreId;
-use omx_sim::{Ps, Sim};
+use omx_sim::Ps;
 use open_mx::app::{App, AppCtx, Completion};
 use open_mx::cluster::{Cluster, ClusterParams};
+use open_mx::harness::RunReport;
 use open_mx::{EpAddr, EpIdx, NodeId, ReqId};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -81,8 +82,6 @@ pub struct KernelResult {
     /// Steady-state time per iteration (rank 0 mark spacing, warm-up
     /// marks skipped).
     pub time_per_iter: Ps,
-    /// Simulation end time.
-    pub end: Ps,
     /// Rank-0 mark timestamps.
     pub marks: Vec<Ps>,
     /// Per-component time accounting over the whole job.
@@ -91,36 +90,9 @@ pub struct KernelResult {
     /// unless the configuration deliberately injects faults — the wire
     /// stayed clean (no ring or FCS drops).
     pub verified: bool,
-    /// Engine events executed over the whole job (deterministic; feeds
-    /// benchrun's events/sec figure and the perf-smoke fingerprint).
-    pub events_executed: u64,
-    /// Aggregate cluster counters at the end of the job, fault and
-    /// recovery events included.
-    pub stats: open_mx::cluster::Stats,
-    /// Skbuffs still held by pending copies after the job drained
-    /// (leak detector: must be zero).
-    pub end_skbuffs_held: u64,
-    /// Pinned regions still registered at the end, summed over every
-    /// endpoint (with the registration cache disabled this must be
-    /// zero).
-    pub end_pinned_regions: u64,
-    /// Per-shard deterministic load figures, in shard order (one entry
-    /// for an unpartitioned run). The scale ablation renders these as
-    /// its events / peak-memory-proxy columns.
-    pub shards: Vec<ShardLoad>,
-}
-
-/// One shard's deterministic load and footprint figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Engine events this shard executed.
-    pub events: u64,
-    /// Peak simultaneous pending events on this shard's wheel — the
-    /// engine's peak-memory proxy (event pool + slab occupancy track
-    /// the pending population), deterministic per schedule.
-    pub peak_pending: usize,
-    /// Ranks whose scripts lived on this shard.
-    pub ranks: usize,
+    /// Counters, event count, end time, leak detectors and per-shard
+    /// load of the job (the scale ablation renders the shard loads).
+    pub run: RunReport,
 }
 
 impl KernelResult {
@@ -135,8 +107,6 @@ impl KernelResult {
 struct JobShared {
     marks: Vec<Ps>,
     done_ranks: usize,
-    /// Ranks installed on this shard (owned nodes only).
-    ranks_installed: usize,
 }
 
 struct RankApp {
@@ -239,22 +209,6 @@ pub fn run_scripts(params: ClusterParams, layout: Layout, scripts: Vec<Script>) 
     run_job(params, layout, move |rank| scripts[rank].clone())
 }
 
-/// Per-shard reduction of one (possibly partitioned) job. With
-/// `partitions = 1` there is one tally and the merge in [`run_job`]
-/// is the identity, so results match the historical single-engine
-/// runner byte for byte.
-struct ShardTally {
-    marks: Vec<Ps>,
-    done_ranks: usize,
-    stats: open_mx::cluster::Stats,
-    busy: open_mx::harness::BusyTotals,
-    events: u64,
-    end: Ps,
-    skbuffs: u64,
-    pinned: u64,
-    load: ShardLoad,
-}
-
 /// Run one job from a per-rank script generator, partitioned per
 /// `params.partitions` and fanned across `params.partition_workers`
 /// threads (results are identical for any value of either knob).
@@ -268,7 +222,6 @@ where
 {
     let np = layout.np();
     params.nodes = params.nodes.max(layout.nodes());
-    let faults_active = params.cfg.fault_injection_active();
     let install = |cluster: &mut Cluster, _shard: usize| {
         let shared = Rc::new(RefCell::new(JobShared::default()));
         let addrs = Rc::new((0..np).map(|r| layout.addr(r)).collect::<Vec<EpAddr>>());
@@ -277,7 +230,6 @@ where
             if !cluster.owns(node) {
                 continue;
             }
-            shared.borrow_mut().ranks_installed += 1;
             cluster.add_endpoint(
                 node,
                 core,
@@ -295,54 +247,12 @@ where
         }
         shared
     };
-    let finish = |_shard: usize,
-                  sim: &mut Sim<Cluster>,
-                  cluster: &mut Cluster,
-                  shared: Rc<RefCell<JobShared>>| {
-        // Thread-local sanitizer: quiesce on the worker that ran this
-        // shard.
-        omx_sim::sanitize::SimSanitizer::assert_quiesced();
-        let sh = shared.borrow();
-        let (skbuffs, pinned) = open_mx::harness::leak_counts(cluster);
-        ShardTally {
-            marks: sh.marks.clone(),
-            done_ranks: sh.done_ranks,
-            stats: cluster.stats_snapshot(),
-            busy: open_mx::harness::BusyTotals::of(cluster),
-            events: sim.events_executed(),
-            end: sim.now(),
-            skbuffs,
-            pinned,
-            load: ShardLoad {
-                events: sim.events_executed(),
-                peak_pending: sim.events_peak_pending(),
-                ranks: sh.ranks_installed,
-            },
-        }
-    };
-    let tallies = open_mx::run_partitioned(params, install, finish);
-    let mut marks = Vec::new();
-    let mut stats: Option<open_mx::cluster::Stats> = None;
-    let mut busy = open_mx::harness::BusyTotals::default();
-    let (mut done_ranks, mut events) = (0usize, 0u64);
-    let (mut skbuffs, mut pinned) = (0u64, 0u64);
-    let mut end = Ps::ZERO;
-    let mut shards = Vec::with_capacity(tallies.len());
-    for t in tallies {
-        shards.push(t.load);
-        marks.extend(t.marks);
-        done_ranks += t.done_ranks;
-        match &mut stats {
-            None => stats = Some(t.stats),
-            Some(s) => s.absorb(&t.stats),
-        }
-        busy.absorb(&t.busy);
-        events += t.events;
-        end = end.max(t.end);
-        skbuffs += t.skbuffs;
-        pinned += t.pinned;
+    let (run, shards) = open_mx::harness::run_cluster(params, install, |_, shared| shared.take());
+    let (mut marks, mut done_ranks) = (Vec::new(), 0);
+    for sh in shards {
+        marks.extend(sh.marks);
+        done_ranks += sh.done_ranks;
     }
-    let stats = stats.expect("at least one shard");
     assert_eq!(
         done_ranks, np,
         "job deadlocked: {done_ranks}/{np} ranks finished"
@@ -351,19 +261,12 @@ where
     // re-sorted (stably — the single-shard case is untouched) so the
     // timeline reads the same however the marking ranks were dealt.
     marks.sort();
-    let time_per_iter = iter_time(&marks);
-    let clean_wire = open_mx::harness::wire_stayed_clean(faults_active, &stats);
     KernelResult {
-        time_per_iter,
-        end,
+        time_per_iter: iter_time(&marks),
         marks,
-        breakdown: open_mx::harness::ComponentBreakdown::from_totals(&busy, end),
-        verified: clean_wire && stats.sends_failed == 0,
-        events_executed: events,
-        stats,
-        end_skbuffs_held: skbuffs,
-        end_pinned_regions: pinned,
-        shards,
+        breakdown: run.breakdown(run.end),
+        verified: run.clean_wire() && run.stats.sends_failed == 0,
+        run,
     }
 }
 
@@ -499,14 +402,11 @@ mod tests {
             ("4 shards, 4 workers", run(4, 4)),
         ] {
             assert_eq!(single.marks, other.marks, "{name}: marks");
-            assert_eq!(single.end, other.end, "{name}: end time");
+            assert_eq!(single.run.end, other.run.end, "{name}: end time");
+            assert_eq!(single.run.events, other.run.events, "{name}: event count");
             assert_eq!(
-                single.events_executed, other.events_executed,
-                "{name}: event count"
-            );
-            assert_eq!(
-                serde_json::to_string(&single.stats).unwrap(),
-                serde_json::to_string(&other.stats).unwrap(),
+                serde_json::to_string(&single.run.stats).unwrap(),
+                serde_json::to_string(&other.run.stats).unwrap(),
                 "{name}: serialized stats"
             );
         }

@@ -14,7 +14,9 @@ use open_mx::autotune;
 use open_mx::cluster::ClusterParams;
 use open_mx::config::{OmxConfig, SyncWaitPolicy};
 use open_mx::fault::FaultPlan;
-use open_mx::harness::{run_pingpong, run_stream, PingPongConfig, Placement, StreamConfig};
+use open_mx::harness::{
+    run_cluster, run_pingpong, run_stream, PingPongConfig, Placement, StreamConfig,
+};
 
 fn net_rate(size: u64, cfg: OmxConfig) -> f64 {
     net_pingpong(size, cfg).throughput_mibs
@@ -28,7 +30,7 @@ fn shm_rate(size: u64, cfg: OmxConfig) -> f64 {
 /// of offloaded copies for `seg`-byte receive segments under
 /// `frag_threshold`.
 fn vectored_recv(seg: u64, frag_threshold: u64) -> (omx_sim::Ps, u64) {
-    use omx_sim::{Ps, Sim};
+    use omx_sim::Ps;
     use open_mx::app::{App, AppCtx, Completion};
     use open_mx::cluster::Cluster;
     use open_mx::{EpAddr, EpIdx, NodeId};
@@ -65,30 +67,36 @@ fn vectored_recv(seg: u64, frag_threshold: u64) -> (omx_sim::Ps, u64) {
         }
     }
 
-    let done_at = Rc::new(StdCell::new(Ps::ZERO));
     let params = ClusterParams::with_cfg(OmxConfig {
         ioat_frag_threshold: frag_threshold,
         ..OmxConfig::with_ioat()
     });
-    let mut cluster = Cluster::new(params);
-    let mut sim: Sim<Cluster> = Sim::with_wheel_levels(cluster.p.cfg.wheel_levels);
     let peer = EpAddr {
         node: NodeId(1),
         ep: EpIdx(0),
     };
-    cluster.add_endpoint(NodeId(0), CoreId(2), Box::new(VecSender { peer }));
-    cluster.add_endpoint(
-        NodeId(1),
-        CoreId(2),
-        Box::new(VecReceiver {
-            seg,
-            done_at: done_at.clone(),
-        }),
-    );
-    cluster.start(&mut sim);
-    sim.run(&mut cluster);
-    let offloaded = cluster.ep(peer).counters.copies_offloaded;
-    (done_at.get(), offloaded)
+    let install = |cluster: &mut Cluster, _shard: usize| {
+        let done_at = Rc::new(StdCell::new(Ps::ZERO));
+        if cluster.owns(NodeId(0)) {
+            cluster.add_endpoint(NodeId(0), CoreId(2), Box::new(VecSender { peer }));
+        }
+        if cluster.owns(peer.node) {
+            let done_at = done_at.clone();
+            cluster.add_endpoint(peer.node, CoreId(2), Box::new(VecReceiver { seg, done_at }));
+        }
+        done_at
+    };
+    let collect = |cluster: &Cluster, done_at: Rc<StdCell<Ps>>| {
+        cluster
+            .owns(peer.node)
+            .then(|| (done_at.get(), cluster.ep(peer).counters.copies_offloaded))
+    };
+    let (_, shards) = run_cluster(params, install, collect);
+    shards
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("the receiver node ran")
 }
 
 const VEC_SEGS: [(&str, u64); 3] = [
@@ -240,9 +248,9 @@ pub fn plan(grid: &Grid) -> Plan {
         pp.iters = 12;
         let r = run_pingpong(pp);
         assert!(r.verified, "fault run failed verification");
-        assert_eq!(r.end_skbuffs_held, 0, "leaked skbuffs under faults");
+        assert_eq!(r.run.skbuffs_held, 0, "leaked skbuffs under faults");
         assert_eq!(
-            r.end_pinned_regions, 0,
+            r.run.pinned_regions, 0,
             "leaked pinned regions under faults"
         );
         r
@@ -260,7 +268,7 @@ pub fn plan(grid: &Grid) -> Plan {
                 let r = fault_pp(FaultPlan::flaky_10g(), seed);
                 CellOut::NumText(
                     r.throughput_mibs,
-                    breakdown_line("flaky-10g recovery counters", &r.stats),
+                    breakdown_line("flaky-10g recovery counters", &r.run.stats),
                 )
             },
         ));

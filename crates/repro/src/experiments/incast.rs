@@ -34,7 +34,8 @@ fn incast_run(senders: u32, credits: bool, plan: Option<&'static str>) -> Incast
 }
 
 fn peak_ring(r: &IncastResult) -> u64 {
-    r.stats
+    r.run
+        .stats
         .ring_high_watermarks
         .first()
         .map(|q| q.iter().copied().max().unwrap_or(0))
@@ -97,9 +98,9 @@ fn survival_cell(plan: &'static str, senders: u32, credits: bool) -> String {
         r.excess_frag_pct,
         r.ring_dropped_injected,
         r.ring_dropped_genuine,
-        r.stats.credit_shrinks,
-        r.stats.credit_nacks,
-        r.stats.credit_stalls,
+        r.run.stats.credit_shrinks,
+        r.run.stats.credit_nacks,
+        r.run.stats.credit_stalls,
     )
 }
 
@@ -130,7 +131,10 @@ pub fn plan(grid: &Grid) -> Plan {
     }
     cells.push(cell("incast/stats/ring-pressure-on", move || {
         let r = incast_run(survival_senders, true, Some("ring-pressure"));
-        CellOut::Text(breakdown_line("incast_ring_pressure_credits_on", &r.stats))
+        CellOut::Text(breakdown_line(
+            "incast_ring_pressure_credits_on",
+            &r.run.stats,
+        ))
     }));
 
     let render = Box::new(move |mut o: Outs| {

@@ -14,7 +14,7 @@ fn run(total: u64, ioat: bool, layout: Layout) -> f64 {
         OmxConfig::default()
     });
     let r = run_scripts(params, layout, is_scripts(layout.np(), total, 4));
-    r.end.as_secs_f64()
+    r.run.end.as_secs_f64()
 }
 
 /// Grid: layout × key count × {memcpy, I/OAT}, plus the breakdown

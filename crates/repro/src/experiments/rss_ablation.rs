@@ -26,7 +26,7 @@ fn fanin_run(queues: usize, count: u32, gro: bool) -> FaninResult {
     cfg.count = count;
     let r = run_fanin(cfg);
     assert!(r.verified, "fan-in corruption at {queues} queues");
-    assert_eq!(r.end_skbuffs_held, 0, "skbuff leak at {queues} queues");
+    assert_eq!(r.run.skbuffs_held, 0, "skbuff leak at {queues} queues");
     r
 }
 

@@ -38,7 +38,7 @@ fn alltoall(ranks: usize, parts: usize, workers: usize) -> KernelResult {
         r.verified,
         "alltoall failed at {ranks} ranks / {parts} partitions"
     );
-    assert_eq!(r.end_skbuffs_held, 0, "skbuff leak at {ranks}/{parts}");
+    assert_eq!(r.run.skbuffs_held, 0, "skbuff leak at {ranks}/{parts}");
     r
 }
 
@@ -46,11 +46,11 @@ fn alltoall(ranks: usize, parts: usize, workers: usize) -> KernelResult {
 fn fingerprint(r: &KernelResult) -> String {
     format!(
         "{}\n{}\n{:?}\n{}\n{}",
-        serde_json::to_string(&r.stats).expect("stats serialize"),
+        serde_json::to_string(&r.run.stats).expect("stats serialize"),
         serde_json::to_string(&r.breakdown).expect("breakdown serialize"),
         r.marks,
-        r.end,
-        r.events_executed,
+        r.run.end,
+        r.run.events,
     )
 }
 
@@ -82,14 +82,20 @@ fn ranks_cell(ranks: usize, gate_speedup: bool) -> String {
             identical,
             "{ranks} ranks: partitions={parts} diverged from the single engine"
         );
-        let peak_pending = r.shards.iter().map(|s| s.peak_pending).max().unwrap_or(0);
-        let peak_ranks = r.shards.iter().map(|s| s.ranks).max().unwrap_or(0);
-        let sim_ms = r.end.as_ps() as f64 / 1e9;
+        let peak_pending = r
+            .run
+            .shards
+            .iter()
+            .map(|s| s.peak_pending)
+            .max()
+            .unwrap_or(0);
+        let peak_ranks = r.run.shards.iter().map(|s| s.endpoints).max().unwrap_or(0);
+        let sim_ms = r.run.end.as_ps() as f64 / 1e9;
         rows += &format!(
             "{:>8} {:>6} {:>12} {:>10.3} {:>15} {:>12} {:>9}\n",
-            ranks, parts, r.events_executed, sim_ms, peak_pending, peak_ranks, "ok"
+            ranks, parts, r.run.events, sim_ms, peak_pending, peak_ranks, "ok"
         );
-        let eps = r.events_executed as f64 / secs.max(1e-9);
+        let eps = r.run.events as f64 / secs.max(1e-9);
         eprintln!(
             "scale_ablation: {ranks} ranks x {parts} partitions: \
              {:.0} events/s ({:.2}x vs single engine, host-dependent)",

@@ -239,7 +239,7 @@ pub struct Plan {
 }
 
 /// A rendered experiment: the results-file text plus the figure series
-/// (for the `--json` flag of the `fig*` shim binaries).
+/// (printed as JSON by `omx-repro --json`).
 pub struct Rendered {
     /// Byte-exact contents of the results file.
     pub text: String,

@@ -5,6 +5,7 @@
 //! omx-repro --all [--jobs N] [--reduced]        regenerate results/*.txt
 //! omx-repro --check [--jobs N] [--reduced]      byte-compare against committed files
 //! omx-repro --only fig3,fig8 --all|--check      restrict to named experiments
+//! omx-repro --only fig7 --json [--reduced]      print the text, then the series as JSON
 //! omx-repro --list                              list experiments and golden paths
 //! ```
 //!
@@ -20,6 +21,7 @@ struct Opts {
     check: bool,
     regen: bool,
     list: bool,
+    json: bool,
     jobs: usize,
     reduced: bool,
     only: Option<Vec<String>>,
@@ -28,7 +30,7 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: omx-repro (--all | --check | --list) [--only a,b] [--jobs N] [--reduced] [--results-dir DIR]"
+        "usage: omx-repro (--all | --check | --list | --json) [--only a,b] [--jobs N] [--reduced] [--results-dir DIR]"
     );
     std::process::exit(2)
 }
@@ -38,6 +40,7 @@ fn parse_opts() -> Opts {
         check: false,
         regen: false,
         list: false,
+        json: false,
         jobs: 0,
         reduced: false,
         only: None,
@@ -49,6 +52,7 @@ fn parse_opts() -> Opts {
             "--all" => o.regen = true,
             "--check" => o.check = true,
             "--list" => o.list = true,
+            "--json" => o.json = true,
             "--reduced" => o.reduced = true,
             "--jobs" => {
                 o.jobs = args
@@ -72,7 +76,8 @@ fn parse_opts() -> Opts {
             _ => usage(),
         }
     }
-    if !(o.regen || o.check || o.list) || (o.regen && o.check) {
+    let modes = [o.regen, o.check, o.list, o.json];
+    if modes.into_iter().filter(|&m| m).count() != 1 {
         usage()
     }
     o
@@ -146,7 +151,11 @@ fn main() -> ExitCode {
     for e in &experiments {
         let rendered = run_experiment(e, &grid, opts.jobs);
         let path = root.join(golden_path(e, scale));
-        if opts.check {
+        if opts.json {
+            print!("{}", rendered.text);
+            let series = serde_json::to_string_pretty(&rendered.series).expect("serialize");
+            println!("{series}");
+        } else if opts.check {
             match std::fs::read_to_string(&path) {
                 Err(err) => {
                     println!("DRIFT {:<12} {} ({err})", e.name, path.display());

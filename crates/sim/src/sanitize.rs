@@ -1,7 +1,7 @@
 //! Debug-build lifecycle sanitizer for simulation resources.
 //!
-//! The end-of-run leak counters (`end_skbuffs_held`,
-//! `end_pinned_regions`) can tell you *that* a resource drifted, but
+//! The end-of-run leak counters (a run report's `skbuffs_held` and
+//! `pinned_regions`) can tell you *that* a resource drifted, but
 //! not *which* allocation leaked or *where* it was misused. This
 //! module upgrades those counters into precise diagnoses: every
 //! skbuff, pinned region, I/OAT copy descriptor, pull handle and

@@ -57,7 +57,7 @@ fn pingpong_fingerprint(plan: FaultPlan) -> String {
     c.iters = 6;
     c.warmup = 1;
     let r = run_pingpong(c);
-    fingerprint(&r.stats, &r.breakdown)
+    fingerprint(&r.run.stats, &r.breakdown)
 }
 
 fn stream_fingerprint(plan: FaultPlan) -> String {
@@ -65,7 +65,7 @@ fn stream_fingerprint(plan: FaultPlan) -> String {
     let mut c = StreamConfig::new(params, 1 << 20);
     c.count = 4;
     let r = run_stream(c);
-    fingerprint(&r.stats, &r.breakdown)
+    fingerprint(&r.run.stats, &r.breakdown)
 }
 
 fn alltoall_fingerprint(plan: FaultPlan) -> String {
@@ -74,7 +74,7 @@ fn alltoall_fingerprint(plan: FaultPlan) -> String {
         ..ClusterParams::with_cfg(cfg(plan))
     };
     let r = run_kernel(Kernel::Alltoall, Layout::TwoPerNode, 1 << 20, 2, params);
-    fingerprint(&r.stats, &r.breakdown)
+    fingerprint(&r.run.stats, &r.breakdown)
 }
 
 #[test]
@@ -105,7 +105,7 @@ fn incast_fingerprint(plan: FaultPlan) -> String {
     });
     params.nic.num_queues = 4;
     let r = run_incast(IncastConfig::new(params, 8, 96 << 10, 2));
-    fingerprint(&r.stats, &r.breakdown)
+    fingerprint(&r.run.stats, &r.breakdown)
 }
 
 #[test]
@@ -186,7 +186,7 @@ fn partitioned_pingpong_fingerprint(plan: FaultPlan, parts: usize, workers: usiz
     c.iters = 6;
     c.warmup = 1;
     let r = run_pingpong(c);
-    fingerprint(&r.stats, &r.breakdown)
+    fingerprint(&r.run.stats, &r.breakdown)
 }
 
 fn partitioned_alltoall_fingerprint(plan: FaultPlan, parts: usize, workers: usize) -> String {
@@ -194,7 +194,7 @@ fn partitioned_alltoall_fingerprint(plan: FaultPlan, parts: usize, workers: usiz
     // spreads the job (TwoPerNode would leave half the shards empty).
     let params = with_partitions(ClusterParams::with_cfg(cfg(plan)), parts, workers);
     let r = run_kernel(Kernel::Alltoall, Layout::Nodes(8), 256 << 10, 2, params);
-    fingerprint(&r.stats, &r.breakdown)
+    fingerprint(&r.run.stats, &r.breakdown)
 }
 
 fn partitioned_incast_fingerprint(plan: FaultPlan, parts: usize, workers: usize) -> String {
@@ -205,7 +205,7 @@ fn partitioned_incast_fingerprint(plan: FaultPlan, parts: usize, workers: usize)
     params.nic.num_queues = 4;
     let params = with_partitions(params, parts, workers);
     let r = run_incast(IncastConfig::new(params, 8, 96 << 10, 2));
-    fingerprint(&r.stats, &r.breakdown)
+    fingerprint(&r.run.stats, &r.breakdown)
 }
 
 /// The wide credit incast behind the partition-identity check: 32
@@ -220,8 +220,8 @@ fn wide_incast_fingerprint(plan: FaultPlan, parts: usize, workers: usize) -> Str
     let r = run_incast(IncastConfig::new(params, 32, 48 << 10, 4));
     format!(
         "{}\nevents {}",
-        fingerprint(&r.stats, &r.breakdown),
-        r.events_executed
+        fingerprint(&r.run.stats, &r.breakdown),
+        r.run.events
     )
 }
 
@@ -268,7 +268,7 @@ fn batch_pingpong(plan: FaultPlan, size: u64, batch: bool) -> (Vec<openmx_repro:
     c.warmup = 1;
     let r = run_pingpong(c);
     assert!(r.verified);
-    (r.rtts, fingerprint(&r.stats, &r.breakdown))
+    (r.rtts, fingerprint(&r.run.stats, &r.breakdown))
 }
 
 #[test]
@@ -315,12 +315,12 @@ fn snapshot_carries_aggregated_counters() {
     let r = run_pingpong(c);
     assert!(r.verified);
     assert!(
-        r.stats.counters.tx_large > 0,
+        r.run.stats.counters.tx_large > 0,
         "stats {:?}",
-        r.stats.counters
+        r.run.stats.counters
     );
-    assert!(r.stats.counters.tx_bytes > 0);
-    let json = serde_json::to_string(&r.stats).expect("serialize");
+    assert!(r.run.stats.counters.tx_bytes > 0);
+    let json = serde_json::to_string(&r.run.stats).expect("serialize");
     assert!(
         json.contains("\"counters\"") && json.contains("\"tx_large\""),
         "serialized stats must surface the counter block: {json}"

@@ -21,7 +21,7 @@ use openmx_repro::sim::Ps;
 const SEEDS: [u64; 3] = [11, 23, 47];
 
 /// An I/OAT-enabled configuration under `plan`. The registration cache
-/// is disabled so `end_pinned_regions == 0` proves every region was
+/// is disabled so `run.pinned_regions == 0` proves every region was
 /// actually released (a cached region legitimately stays pinned).
 fn faulty_cfg(plan: FaultPlan, seed: u64) -> OmxConfig {
     OmxConfig {
@@ -51,23 +51,23 @@ fn flaky_10g_pingpong_recovers_with_fallback_and_backoff() {
     for seed in SEEDS {
         let r = pingpong(faulty_cfg(FaultPlan::flaky_10g(), seed), 256 << 10, 12);
         assert!(r.verified, "seed {seed}: payload corrupted or send failed");
-        assert_eq!(r.end_skbuffs_held, 0, "seed {seed}: leaked skbuffs");
+        assert_eq!(r.run.skbuffs_held, 0, "seed {seed}: leaked skbuffs");
         assert_eq!(
-            r.end_pinned_regions, 0,
+            r.run.pinned_regions, 0,
             "seed {seed}: leaked pinned regions"
         );
         assert!(
-            r.stats.ioat_fallback_copies >= 1,
+            r.run.stats.ioat_fallback_copies >= 1,
             "seed {seed}: the stalled channel must force at least one memcpy fallback, stats {:?}",
-            r.stats
+            r.run.stats
         );
         assert!(
-            r.stats.backoff_escalations >= 1,
+            r.run.stats.backoff_escalations >= 1,
             "seed {seed}: bursty loss must escalate at least one retransmit timeout, stats {:?}",
-            r.stats
+            r.run.stats
         );
         assert!(
-            r.stats.frames_lost > 0,
+            r.run.stats.frames_lost > 0,
             "seed {seed}: ≈1 % bursty loss must actually drop frames"
         );
     }
@@ -81,20 +81,20 @@ fn flaky_10g_stream_recovers_with_fallback_and_backoff() {
         cfg.count = 12;
         let r = run_stream(cfg);
         assert!(r.verified, "seed {seed}: payload corrupted or send failed");
-        assert_eq!(r.end_skbuffs_held, 0, "seed {seed}: leaked skbuffs");
+        assert_eq!(r.run.skbuffs_held, 0, "seed {seed}: leaked skbuffs");
         assert_eq!(
-            r.end_pinned_regions, 0,
+            r.run.pinned_regions, 0,
             "seed {seed}: leaked pinned regions"
         );
         assert!(
-            r.stats.ioat_fallback_copies >= 1,
+            r.run.stats.ioat_fallback_copies >= 1,
             "seed {seed}: no memcpy fallback recorded, stats {:?}",
-            r.stats
+            r.run.stats
         );
         assert!(
-            r.stats.backoff_escalations >= 1,
+            r.run.stats.backoff_escalations >= 1,
             "seed {seed}: no backoff escalation recorded, stats {:?}",
-            r.stats
+            r.run.stats
         );
     }
 }
@@ -111,20 +111,20 @@ fn flaky_10g_alltoall_recovers_with_fallback_and_backoff() {
             r.verified,
             "seed {seed}: alltoall send failed or wire dirty"
         );
-        assert_eq!(r.end_skbuffs_held, 0, "seed {seed}: leaked skbuffs");
+        assert_eq!(r.run.skbuffs_held, 0, "seed {seed}: leaked skbuffs");
         assert_eq!(
-            r.end_pinned_regions, 0,
+            r.run.pinned_regions, 0,
             "seed {seed}: leaked pinned regions"
         );
         assert!(
-            r.stats.ioat_fallback_copies >= 1,
+            r.run.stats.ioat_fallback_copies >= 1,
             "seed {seed}: no memcpy fallback recorded, stats {:?}",
-            r.stats
+            r.run.stats
         );
         assert!(
-            r.stats.backoff_escalations >= 1,
+            r.run.stats.backoff_escalations >= 1,
             "seed {seed}: no backoff escalation recorded, stats {:?}",
-            r.stats
+            r.run.stats
         );
     }
 }
@@ -137,8 +137,8 @@ fn remaining_named_plans_complete_verified() {
         let plan = FaultPlan::named(name).expect("known plan");
         let r = pingpong(faulty_cfg(plan, 7), 256 << 10, 8);
         assert!(r.verified, "{name}: payload corrupted or send failed");
-        assert_eq!(r.end_skbuffs_held, 0, "{name}: leaked skbuffs");
-        assert_eq!(r.end_pinned_regions, 0, "{name}: leaked pinned regions");
+        assert_eq!(r.run.skbuffs_held, 0, "{name}: leaked skbuffs");
+        assert_eq!(r.run.pinned_regions, 0, "{name}: leaked pinned regions");
     }
 }
 
@@ -147,17 +147,17 @@ fn dead_channel_forces_fallback_and_quarantine() {
     let r = pingpong(faulty_cfg(FaultPlan::ioat_dead(), 3), 512 << 10, 8);
     assert!(r.verified);
     assert!(
-        r.stats.ioat_fallback_copies >= 1,
+        r.run.stats.ioat_fallback_copies >= 1,
         "a permanently dead channel must be rescued onto the CPU, stats {:?}",
-        r.stats
+        r.run.stats
     );
     assert!(
-        r.stats.ioat_quarantines >= 1,
+        r.run.stats.ioat_quarantines >= 1,
         "the dead channel must be quarantined, stats {:?}",
-        r.stats
+        r.run.stats
     );
-    assert_eq!(r.end_skbuffs_held, 0);
-    assert_eq!(r.end_pinned_regions, 0);
+    assert_eq!(r.run.skbuffs_held, 0);
+    assert_eq!(r.run.pinned_regions, 0);
 }
 
 #[test]
@@ -177,15 +177,15 @@ fn duplicate_everything_is_idempotent() {
         let r = pingpong(faulty_cfg(plan.clone(), 5), size, iters);
         assert!(r.verified, "{size} B: duplicate delivery corrupted data");
         assert!(
-            r.stats.duplicates_dropped > 0,
+            r.run.stats.duplicates_dropped > 0,
             "{size} B: duplicates must be detected and dropped"
         );
         assert!(
-            r.stats.frames_duplicated > 0,
+            r.run.stats.frames_duplicated > 0,
             "{size} B: injection must actually duplicate frames"
         );
-        assert_eq!(r.end_skbuffs_held, 0, "{size} B: skbuff drift");
-        assert_eq!(r.end_pinned_regions, 0, "{size} B: pinned-region drift");
+        assert_eq!(r.run.skbuffs_held, 0, "{size} B: skbuff drift");
+        assert_eq!(r.run.pinned_regions, 0, "{size} B: pinned-region drift");
     }
 }
 
@@ -223,15 +223,15 @@ fn inactive_plan_is_zero_cost() {
         "inert plan changed per-iteration timing"
     );
     assert_eq!(
-        base.end_time, armed.end_time,
+        base.run.end, armed.run.end,
         "inert plan changed the run length"
     );
     assert_eq!(
-        base.stats.ioat_fallback_copies + base.stats.backoff_escalations,
+        base.run.stats.ioat_fallback_copies + base.run.stats.backoff_escalations,
         0,
         "clean run must record no recovery events"
     );
-    assert_eq!(armed.stats.ioat_fallback_copies, 0);
+    assert_eq!(armed.run.stats.ioat_fallback_copies, 0);
 }
 
 #[test]
@@ -250,12 +250,12 @@ fn flaky_slowdown_is_bounded() {
     );
     let flaky = pingpong(faulty_cfg(FaultPlan::flaky_10g(), 13), 256 << 10, 8);
     assert!(clean.verified && flaky.verified);
-    let ratio = flaky.end_time.as_secs_f64() / clean.end_time.as_secs_f64();
+    let ratio = flaky.run.end.as_secs_f64() / clean.run.end.as_secs_f64();
     assert!(
         ratio < 10.0,
         "flaky-10g slowed the run {ratio:.1}× (clean {}, flaky {})",
-        clean.end_time,
-        flaky.end_time
+        clean.run.end,
+        flaky.run.end
     );
 }
 

@@ -16,7 +16,7 @@ const SIZE: u64 = 96 << 10;
 const COUNT: u32 = 2;
 
 /// Credit-enabled incast config: four RSS queues on the receiver and
-/// the registration cache off so `end_pinned_regions == 0` proves
+/// the registration cache off so `run.pinned_regions == 0` proves
 /// every region was actually released.
 fn incast(credits: bool, plan: FaultPlan, seed: u64) -> IncastResult {
     let mut params = ClusterParams::with_cfg(OmxConfig {
@@ -46,11 +46,11 @@ fn incast_with_credits_survives_every_plan() {
                 "{plan_name} seed {seed}: send failed or wire dirty"
             );
             assert_eq!(
-                r.end_skbuffs_held, 0,
+                r.run.skbuffs_held, 0,
                 "{plan_name} seed {seed}: leaked skbuffs"
             );
             assert_eq!(
-                r.end_pinned_regions, 0,
+                r.run.pinned_regions, 0,
                 "{plan_name} seed {seed}: leaked pinned regions"
             );
         }
@@ -78,9 +78,9 @@ fn credits_beat_the_collapse_on_a_pressured_ring() {
         on.ring_dropped_injected,
         off.ring_dropped_injected
     );
-    assert!(on.stats.credit_shrinks > 0, "AIMD shrink never fired");
+    assert!(on.run.stats.credit_shrinks > 0, "AIMD shrink never fired");
     assert_eq!(
-        off.stats.credit_shrinks, 0,
+        off.run.stats.credit_shrinks, 0,
         "credits-off run must not touch the controller"
     );
 }
@@ -110,7 +110,7 @@ fn incast_with_credits_is_bit_deterministic() {
         let fp = |r: &IncastResult| {
             format!(
                 "{}\n{}",
-                serde_json::to_string(&r.stats).expect("stats serialize"),
+                serde_json::to_string(&r.run.stats).expect("stats serialize"),
                 serde_json::to_string(&r.breakdown).expect("breakdown serialize"),
             )
         };

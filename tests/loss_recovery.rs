@@ -2,14 +2,24 @@
 //! retransmission machinery (acks, pull watchdogs, rendezvous
 //! re-announcement) must still deliver every byte intact.
 
+use openmx_repro::ethernet::fault::LinkFaultParams;
 use openmx_repro::hw::CoreId;
 use openmx_repro::omx::cluster::ClusterParams;
 use openmx_repro::omx::config::OmxConfig;
+use openmx_repro::omx::fault::FaultPlan;
 use openmx_repro::omx::harness::{run_pingpong, PingPongConfig, Placement};
+
+/// Drop one frame in `one_in` on every link.
+fn uniform_loss(one_in: u64) -> FaultPlan {
+    FaultPlan {
+        default_link: LinkFaultParams::uniform_loss(one_in),
+        ..FaultPlan::default()
+    }
+}
 
 fn lossy(one_in: u64, seed: u64) -> OmxConfig {
     OmxConfig {
-        loss_one_in: Some(one_in),
+        fault_plan: uniform_loss(one_in),
         seed,
         ..OmxConfig::default()
     }
@@ -52,7 +62,7 @@ fn large_pulls_survive_loss() {
 #[test]
 fn large_pulls_survive_loss_with_ioat() {
     let cfg = OmxConfig {
-        loss_one_in: Some(200),
+        fault_plan: uniform_loss(200),
         seed: 11,
         ..OmxConfig::with_ioat()
     };
@@ -201,8 +211,8 @@ fn retransmit_exhaustion_fails_send_without_leaks() {
     for size in [16u64 << 10, 256 << 10] {
         let failed = Rc::new(Cell::new(false));
         let cfg = OmxConfig {
-            loss_one_in: Some(1), // every frame vanishes: peer unreachable
-            regcache: false,      // so pinned_count() == 0 proves release
+            fault_plan: uniform_loss(1), // every frame vanishes: peer unreachable
+            regcache: false,             // so pinned_count() == 0 proves release
             ..OmxConfig::default()
         };
         let mut cluster = Cluster::new(ClusterParams::with_cfg(cfg));
