@@ -17,11 +17,9 @@
 //! Wall-clock numbers are meaningful only from `--release` builds (the
 //! debug `SimSanitizer` is compiled out there; see EXPERIMENTS.md).
 
-use omx_hw::ioat::CopySegment;
-use omx_hw::{CoreId, HwParams, IoatEngine};
+use omx_hw::CoreId;
 use omx_mpi::runner::{run_kernel, KernelResult, Layout};
 use omx_mpi::Kernel;
-use omx_sim::sanitize::SimSanitizer;
 use omx_sim::walltime::Stopwatch;
 use omx_sim::{Ps, ReferenceSim, Sim};
 use open_mx::cluster::ClusterParams;
@@ -293,99 +291,6 @@ fn chain_benches(n: u64, reps: usize) -> EngineBench {
 }
 
 // ---------------------------------------------------------------------
-// Doorbell-batch microbench
-// ---------------------------------------------------------------------
-
-/// Host cost of driving the I/OAT engine model — N single-descriptor
-/// submissions (one doorbell each) versus the same N as one chained
-/// batch — plus the *simulated* submitting-CPU charge both ways. The
-/// modeled numbers are equal at the default calibration
-/// (`ioat_desc_chain_cpu == ioat_submit_cpu`) and diverge as the chain
-/// cost drops; the `batch_doorbell` experiment sweeps that axis.
-struct DoorbellBench {
-    descriptors: u64,
-    sequential_best_secs: f64,
-    batched_best_secs: f64,
-    modeled_sequential_us: f64,
-    modeled_batched_default_us: f64,
-    modeled_batched_chain35_us: f64,
-}
-
-impl DoorbellBench {
-    fn json(&self) -> String {
-        format!(
-            "{{\"name\":\"ioat_doorbell_batch\",\"descriptors\":{},\
-             \"sequential_best_secs\":{:.6},\"batched_best_secs\":{:.6},\
-             \"host_speedup\":{:.2},\"modeled_sequential_us\":{:.2},\
-             \"modeled_batched_default_us\":{:.2},\
-             \"modeled_batched_chain35_us\":{:.2}}}",
-            self.descriptors,
-            self.sequential_best_secs,
-            self.batched_best_secs,
-            self.sequential_best_secs / self.batched_best_secs,
-            self.modeled_sequential_us,
-            self.modeled_batched_default_us,
-            self.modeled_batched_chain35_us,
-        )
-    }
-}
-
-fn doorbell_bench(reps: usize) -> DoorbellBench {
-    let hw = HwParams::default();
-    let n: u64 = 1024;
-    let frag: u64 = 4096;
-    let mut seq_times = Vec::with_capacity(reps);
-    let mut bat_times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        // One doorbell per descriptor (today's submit sites).
-        let mut eng = IoatEngine::new(&hw);
-        let mut handles = Vec::with_capacity(n as usize);
-        let sw = Stopwatch::start();
-        for i in 0..n {
-            let ch = (i as usize) % eng.num_channels();
-            handles.push(eng.submit(&hw, Ps::ZERO, ch, frag, 1));
-        }
-        seq_times.push(sw.elapsed_secs());
-        for h in &handles {
-            SimSanitizer::complete(h.san);
-            SimSanitizer::release(h.san);
-        }
-        // One chained ring, one doorbell.
-        let mut eng = IoatEngine::new(&hw);
-        let segments: Vec<CopySegment> = (0..n)
-            .map(|i| CopySegment {
-                channel: (i as usize) % eng.num_channels(),
-                bytes: frag,
-                descriptors: 1,
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n as usize);
-        let sw = Stopwatch::start();
-        eng.submit_batch(&hw, Ps::ZERO, &segments, &mut out);
-        bat_times.push(sw.elapsed_secs());
-        for h in &out {
-            SimSanitizer::complete(h.san);
-            SimSanitizer::release(h.san);
-        }
-    }
-    seq_times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    bat_times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let us = |p: Ps| p.as_secs_f64() * 1e6;
-    let cheap = HwParams {
-        ioat_desc_chain_cpu: Ps::ns(35),
-        ..HwParams::default()
-    };
-    DoorbellBench {
-        descriptors: n,
-        sequential_best_secs: seq_times[0],
-        batched_best_secs: bat_times[0],
-        modeled_sequential_us: us(IoatEngine::submit_cpu_cost(&hw, n)),
-        modeled_batched_default_us: us(IoatEngine::submit_cpu_cost_batched(&hw, n, true)),
-        modeled_batched_chain35_us: us(IoatEngine::submit_cpu_cost_batched(&cheap, n, true)),
-    }
-}
-
-// ---------------------------------------------------------------------
 // End-to-end workloads (one per figure family)
 // ---------------------------------------------------------------------
 
@@ -575,25 +480,10 @@ fn smoke() {
         "incast smoke must engage the credit controller"
     );
     let fp_pp = fingerprint(&pp.run, &pp.breakdown);
-    // The two PR-9 engine knobs must be invisible to the schedule:
-    // batching at the default calibration (chain cost == submit cost)
-    // and a one-level wheel (the default has two) both re-run the
-    // pingpong and must land on the very same fingerprint bytes. The
-    // golden then *contains* the identity claim instead of merely
-    // asserting it in a test.
-    let ppb = pingpong_cfg(
-        6,
-        OmxConfig {
-            ioat_batch: true,
-            ..fixed_cfg()
-        },
-    );
-    assert!(ppb.verified, "batched pingpong failed verification");
-    let fp_ppb = fingerprint(&ppb.run, &ppb.breakdown);
-    assert_eq!(
-        fp_pp, fp_ppb,
-        "ioat_batch must be bit-invisible at the default calibration"
-    );
+    // The wheel depth must be invisible to the schedule: a one-level
+    // wheel (the default has two) re-runs the pingpong and must land
+    // on the very same fingerprint bytes. The golden then *contains*
+    // the identity claim instead of merely asserting it in a test.
     let ppw = pingpong_cfg(
         6,
         OmxConfig {
@@ -627,13 +517,12 @@ fn smoke() {
     );
     assert_eq!(a1k.marks, a1k4.marks, "partitioning moved the rank-0 marks");
     println!(
-        "{{\"schema\":\"perf-smoke-v5\",\"seed\":{},\"pingpong\":{},\
-         \"pingpong_batched\":{},\"pingpong_one_level\":{},\"stream\":{},\
+        "{{\"schema\":\"perf-smoke-v6\",\"seed\":{},\"pingpong\":{},\
+         \"pingpong_one_level\":{},\"stream\":{},\
          \"alltoall\":{},\"fanin_mq\":{},\"incast_credit\":{},\
          \"alltoall_1k_partitioned\":{}}}",
         SEED,
         fp_pp,
-        fp_ppb,
         fp_ppw,
         fingerprint(&st.run, &st.breakdown),
         fingerprint(&a2a.run, &a2a.breakdown),
@@ -657,15 +546,13 @@ fn main() {
     let mut benches = engine_benches(1);
     benches.push(chain_benches(10_000, 9));
     let engine: Vec<String> = benches.iter().map(|b| b.json()).collect();
-    let doorbell = doorbell_bench(9).json();
     let e2e: Vec<String> = e2e_benches().iter().map(|b| b.json()).collect();
     println!(
-        "{{\"schema\":\"benchrun-v2\",\"engine\":\"{}\",\"profile\":\"{}\",\
-         \"engine_benches\":[{}],\"doorbell\":{},\"e2e\":[{}]}}",
+        "{{\"schema\":\"benchrun-v3\",\"engine\":\"{}\",\"profile\":\"{}\",\
+         \"engine_benches\":[{}],\"e2e\":[{}]}}",
         ENGINE,
         profile,
         engine.join(","),
-        doorbell,
         e2e.join(","),
     );
 }

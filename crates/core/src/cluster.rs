@@ -69,52 +69,6 @@ impl Default for ClusterParams {
     }
 }
 
-impl Stats {
-    /// Fold another shard's statistics into this one: every event
-    /// counter is summed, the per-endpoint counters merge, and the
-    /// watermark rows add element-wise. Each simulated event happens
-    /// on exactly one shard (non-owning shards count zero), so the
-    /// sum over all shards equals what one unpartitioned engine would
-    /// have counted.
-    pub fn absorb(&mut self, o: &Stats) {
-        self.frames_sent += o.frames_sent;
-        self.frames_lost += o.frames_lost;
-        self.frames_ring_dropped += o.frames_ring_dropped;
-        self.frames_corrupt_dropped += o.frames_corrupt_dropped;
-        self.frames_duplicated += o.frames_duplicated;
-        self.frames_reordered += o.frames_reordered;
-        self.retransmissions += o.retransmissions;
-        self.pull_retransmissions += o.pull_retransmissions;
-        self.acks_sent += o.acks_sent;
-        self.duplicates_dropped += o.duplicates_dropped;
-        self.messages_delivered += o.messages_delivered;
-        self.bytes_delivered += o.bytes_delivered;
-        self.sends_failed += o.sends_failed;
-        self.ioat_fallback_copies += o.ioat_fallback_copies;
-        self.ioat_quarantines += o.ioat_quarantines;
-        self.ioat_reprobes += o.ioat_reprobes;
-        self.backoff_escalations += o.backoff_escalations;
-        self.frames_ring_dropped_injected += o.frames_ring_dropped_injected;
-        self.credit_nacks += o.credit_nacks;
-        self.credit_shrinks += o.credit_shrinks;
-        self.credit_regrows += o.credit_regrows;
-        self.credit_stalls += o.credit_stalls;
-        for (row, orow) in self
-            .ring_high_watermarks
-            .iter_mut()
-            .zip(&o.ring_high_watermarks)
-        {
-            for (w, ow) in row.iter_mut().zip(orow) {
-                *w += ow;
-            }
-        }
-        if self.ring_high_watermarks.is_empty() && !o.ring_high_watermarks.is_empty() {
-            self.ring_high_watermarks = o.ring_high_watermarks.clone();
-        }
-        self.counters.merge(&o.counters);
-    }
-}
-
 /// One host.
 #[derive(Debug)]
 pub struct Node {
@@ -155,135 +109,140 @@ impl Node {
     }
 }
 
-/// Aggregate counters over one run.
-///
-/// `Serialize` is hand-written (below) rather than derived: the
-/// congestion-control fields appear in the JSON only when the feature
-/// actually fired, so a credits-off run serializes byte-identically to
-/// the committed result files that predate them.
-#[derive(Debug, Default, Clone)]
-pub struct Stats {
+/// Expands the run-counter table below into [`Stats`], its
+/// [`Stats::absorb`] and its `Serialize`, so every counter is declared
+/// once. A row marked `always` is serialized unconditionally; a row
+/// marked `nonzero` only when it counted something, so runs that never
+/// used the feature serialize byte-identically to result files that
+/// predate the row. The two non-counter fields follow the table:
+/// `ring_high_watermarks` (emitted only when non-empty) and `counters`.
+macro_rules! stats {
+    (@emit always $v:expr) => {
+        true
+    };
+    (@emit nonzero $v:expr) => {
+        $v > 0
+    };
+    ($($(#[$doc:meta])* $field:ident: $emit:ident,)*) => {
+        /// Aggregate counters over one run (fields, [`Stats::absorb`]
+        /// and `Serialize` generated by the `stats!` table).
+        #[derive(Debug, Default, Clone)]
+        pub struct Stats {
+            $($(#[$doc])* pub $field: u64,)*
+            /// Per-node, per-queue RX-ring high watermarks (the credit
+            /// controller's input signal), filled in by
+            /// [`Cluster::stats_snapshot`] when the run used multiple RX
+            /// queues or credits — empty otherwise.
+            pub ring_high_watermarks: Vec<Vec<u64>>,
+            /// Aggregated per-endpoint protocol counters (the `omx_counters`
+            /// equivalent), summed over every endpoint of the cluster by
+            /// [`Cluster::stats_snapshot`]; zero-valued on the live `stats`
+            /// field, which only tracks the cluster-global events above.
+            pub counters: crate::counters::Counters,
+        }
+
+        impl Stats {
+            /// Fold another shard's statistics into this one: every event
+            /// counter is summed, the per-endpoint counters merge, and the
+            /// watermark rows add element-wise. Each simulated event happens
+            /// on exactly one shard (non-owning shards count zero), so the
+            /// sum over all shards equals what one unpartitioned engine would
+            /// have counted.
+            pub fn absorb(&mut self, o: &Stats) {
+                $(self.$field += o.$field;)*
+                for (row, orow) in self
+                    .ring_high_watermarks
+                    .iter_mut()
+                    .zip(&o.ring_high_watermarks)
+                {
+                    for (w, ow) in row.iter_mut().zip(orow) {
+                        *w += ow;
+                    }
+                }
+                if self.ring_high_watermarks.is_empty() && !o.ring_high_watermarks.is_empty() {
+                    self.ring_high_watermarks = o.ring_high_watermarks.clone();
+                }
+                self.counters.merge(&o.counters);
+            }
+        }
+
+        impl Serialize for Stats {
+            fn to_value(&self) -> serde::Value {
+                let mut o: Vec<(String, serde::Value)> = Vec::new();
+                $(if stats!(@emit $emit self.$field) {
+                    o.push((stringify!($field).to_string(), self.$field.to_value()));
+                })*
+                if !self.ring_high_watermarks.is_empty() {
+                    o.push((
+                        "ring_high_watermarks".to_string(),
+                        self.ring_high_watermarks.to_value(),
+                    ));
+                }
+                o.push(("counters".to_string(), self.counters.to_value()));
+                serde::Value::Object(o)
+            }
+        }
+    };
+}
+
+stats! {
     /// Frames handed to links.
-    pub frames_sent: u64,
+    frames_sent: always,
     /// Frames dropped by loss injection.
-    pub frames_lost: u64,
+    frames_lost: always,
     /// Frames dropped by RX-ring overflow.
-    pub frames_ring_dropped: u64,
+    frames_ring_dropped: always,
     /// Frames discarded by the NIC's hardware FCS check (corruption
     /// injection) — counted apart from ring drops so wire damage and
     /// host overload are distinguishable.
-    pub frames_corrupt_dropped: u64,
+    frames_corrupt_dropped: always,
     /// Frames delivered twice by duplication injection.
-    pub frames_duplicated: u64,
+    frames_duplicated: always,
     /// Frames held back (reordered) by reordering injection.
-    pub frames_reordered: u64,
+    frames_reordered: always,
     /// Eager message retransmissions.
-    pub retransmissions: u64,
+    retransmissions: always,
     /// Pull-request retransmissions.
-    pub pull_retransmissions: u64,
+    pull_retransmissions: always,
     /// Acks sent.
-    pub acks_sent: u64,
+    acks_sent: always,
     /// Duplicate frames suppressed.
-    pub duplicates_dropped: u64,
+    duplicates_dropped: always,
     /// Messages fully delivered to applications.
-    pub messages_delivered: u64,
+    messages_delivered: always,
     /// Payload bytes delivered to applications.
-    pub bytes_delivered: u64,
+    bytes_delivered: always,
     /// Sends aborted after exhausting their retransmission attempts.
-    pub sends_failed: u64,
+    sends_failed: always,
     /// Offloaded copies rescued onto the CPU after a stuck channel was
     /// detected, plus offloads steered to memcpy because the chosen
     /// channel was quarantined.
-    pub ioat_fallback_copies: u64,
+    ioat_fallback_copies: always,
     /// I/OAT channels newly blacklisted after a completion-poll
     /// deadline fired.
-    pub ioat_quarantines: u64,
+    ioat_quarantines: always,
     /// Quarantined channels given another chance after their cool-down
     /// expired.
-    pub ioat_reprobes: u64,
+    ioat_reprobes: always,
     /// Retransmission-timeout escalations (exponential backoff steps).
-    pub backoff_escalations: u64,
+    backoff_escalations: always,
     /// Of [`Stats::frames_ring_dropped`], those that happened on a
     /// node whose fault plan shrank the RX ring (the `ring-pressure`
     /// hazard). Drops on nodes with an unmodified ring are genuine
     /// receiver overload — the signal the incast suite is after —
     /// while this count is the injected hazard; sharing one counter
     /// made the two indistinguishable in results.
-    pub frames_ring_dropped_injected: u64,
+    frames_ring_dropped_injected: nonzero,
     /// Credit-revoke NACKs sent by overloaded receivers
     /// (`cfg.pull_credits` only; see `driver/pull.rs`).
-    pub credit_nacks: u64,
+    credit_nacks: nonzero,
     /// Multiplicative budget decreases taken by the credit controller.
-    pub credit_shrinks: u64,
+    credit_shrinks: nonzero,
     /// Additive budget regrowth steps taken by the credit controller.
-    pub credit_regrows: u64,
+    credit_regrows: nonzero,
     /// Times a pull had to wait in the grant queue because the shared
     /// credit budget was exhausted.
-    pub credit_stalls: u64,
-    /// Per-node, per-queue RX-ring high watermarks (the credit
-    /// controller's input signal), filled in by
-    /// [`Cluster::stats_snapshot`] when the run used multiple RX
-    /// queues or credits — empty otherwise.
-    pub ring_high_watermarks: Vec<Vec<u64>>,
-    /// Aggregated per-endpoint protocol counters (the `omx_counters`
-    /// equivalent), summed over every endpoint of the cluster by
-    /// [`Cluster::stats_snapshot`]; zero-valued on the live `stats`
-    /// field, which only tracks the cluster-global events above.
-    pub counters: crate::counters::Counters,
-}
-
-impl Serialize for Stats {
-    fn to_value(&self) -> serde::Value {
-        let mut o: Vec<(String, serde::Value)> = Vec::new();
-        // The first 17 fields and the trailing `counters` reproduce
-        // the old derive's output exactly (declaration order,
-        // unconditional); everything between is emitted only when
-        // nonzero/non-empty so pre-existing goldens stay byte-stable.
-        let mut put = |name: &str, v: serde::Value| o.push((name.to_string(), v));
-        put("frames_sent", self.frames_sent.to_value());
-        put("frames_lost", self.frames_lost.to_value());
-        put("frames_ring_dropped", self.frames_ring_dropped.to_value());
-        put(
-            "frames_corrupt_dropped",
-            self.frames_corrupt_dropped.to_value(),
-        );
-        put("frames_duplicated", self.frames_duplicated.to_value());
-        put("frames_reordered", self.frames_reordered.to_value());
-        put("retransmissions", self.retransmissions.to_value());
-        put("pull_retransmissions", self.pull_retransmissions.to_value());
-        put("acks_sent", self.acks_sent.to_value());
-        put("duplicates_dropped", self.duplicates_dropped.to_value());
-        put("messages_delivered", self.messages_delivered.to_value());
-        put("bytes_delivered", self.bytes_delivered.to_value());
-        put("sends_failed", self.sends_failed.to_value());
-        put("ioat_fallback_copies", self.ioat_fallback_copies.to_value());
-        put("ioat_quarantines", self.ioat_quarantines.to_value());
-        put("ioat_reprobes", self.ioat_reprobes.to_value());
-        put("backoff_escalations", self.backoff_escalations.to_value());
-        if self.frames_ring_dropped_injected > 0 {
-            put(
-                "frames_ring_dropped_injected",
-                self.frames_ring_dropped_injected.to_value(),
-            );
-        }
-        if self.credit_nacks > 0 {
-            put("credit_nacks", self.credit_nacks.to_value());
-        }
-        if self.credit_shrinks > 0 {
-            put("credit_shrinks", self.credit_shrinks.to_value());
-        }
-        if self.credit_regrows > 0 {
-            put("credit_regrows", self.credit_regrows.to_value());
-        }
-        if self.credit_stalls > 0 {
-            put("credit_stalls", self.credit_stalls.to_value());
-        }
-        if !self.ring_high_watermarks.is_empty() {
-            put("ring_high_watermarks", self.ring_high_watermarks.to_value());
-        }
-        put("counters", self.counters.to_value());
-        serde::Value::Object(o)
-    }
+    credit_stalls: nonzero,
 }
 
 /// The simulation world.
@@ -1324,14 +1283,6 @@ impl Cluster {
     }
 }
 
-/// Helper bundling cluster + engine construction. The engine's
-/// timing-wheel depth follows `cfg.wheel_levels` (order-identical
-/// either way — see `crates/sim/src/wheel.rs`).
-pub fn build(p: ClusterParams) -> (Cluster, Sim<Cluster>) {
-    let levels = p.cfg.wheel_levels;
-    (Cluster::new(p), Sim::with_wheel_levels(levels))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1374,7 +1325,7 @@ mod tests {
             nodes: 64,
             ..ClusterParams::default()
         };
-        let (mut c, mut sim) = build(params.clone());
+        let (mut c, mut sim) = (Cluster::new(params.clone()), Sim::new());
         let rx = c.add_endpoint(NodeId(5), CoreId(2), Box::new(Nop));
         c.add_endpoint(NodeId(0), CoreId(2), Box::new(Nop));
         assert_eq!(c.links.index_bytes(), 0, "no index before the first frame");
@@ -1441,7 +1392,7 @@ mod tests {
     fn moderated_frame_before_silence_is_still_delivered() {
         use crate::proto::Packet;
         use bytes::Bytes;
-        let (mut c, mut sim) = build(ClusterParams::default());
+        let (mut c, mut sim) = (Cluster::new(ClusterParams::default()), Sim::new());
         let rx = c.add_endpoint(NodeId(0), CoreId(2), Box::new(Nop));
         c.add_endpoint(NodeId(1), CoreId(2), Box::new(Nop));
         let pkt = |seq: u32| Packet::Tiny {
@@ -1476,7 +1427,7 @@ mod tests {
     #[test]
     fn large_fragments_reach_the_bottom_half_uncopied() {
         use bytes::Bytes;
-        let (mut c, mut sim) = build(ClusterParams::default());
+        let (mut c, mut sim) = (Cluster::new(ClusterParams::default()), Sim::new());
         let rx = c.add_endpoint(NodeId(0), CoreId(2), Box::new(Nop));
         let tx = c.add_endpoint(NodeId(1), CoreId(2), Box::new(Nop));
         let message = Bytes::from((0..256u32 << 10).map(|i| i as u8).collect::<Vec<u8>>());
@@ -1524,7 +1475,7 @@ mod tests {
                 self.started
             }
         }
-        let (mut c, mut sim) = build(ClusterParams::default());
+        let (mut c, mut sim) = (Cluster::new(ClusterParams::default()), Sim::new());
         c.add_endpoint(NodeId(0), CoreId(2), Box::new(Starter { started: false }));
         c.start(&mut sim);
         sim.run(&mut c);

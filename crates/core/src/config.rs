@@ -117,15 +117,6 @@ pub struct OmxConfig {
     pub ioat_shm_threshold: u64,
     /// How synchronous offloads wait.
     pub sync_wait: SyncWaitPolicy,
-    /// Batch I/OAT descriptor submission: all descriptors of one
-    /// driver copy (and, under GRO, of one coalesced fragment train)
-    /// are chained behind a single doorbell, charging
-    /// `HwParams::ioat_submit_cpu` once plus
-    /// `HwParams::ioat_desc_chain_cpu` per chained descriptor —
-    /// instead of the paper's full 350 ns submission cost per
-    /// descriptor (§IV-A). Default off: per-descriptor submission,
-    /// bit-identical to all committed results.
-    pub ioat_batch: bool,
     /// Split one large copy across all DMA channels instead of the
     /// paper's one-channel-per-message policy (§V related-work
     /// ablation; default off).
@@ -254,7 +245,6 @@ impl Default for OmxConfig {
             ioat_medium_sync: false,
             ioat_shm_threshold: 1 << 20,
             sync_wait: SyncWaitPolicy::BusyPoll,
-            ioat_batch: false,
             ioat_multichannel_split: false,
             warm_copy_head_bytes: 0,
             regcache: true,

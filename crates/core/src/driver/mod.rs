@@ -12,7 +12,7 @@ pub mod recv;
 pub mod shm;
 
 use crate::{EpAddr, EpIdx, ReqId};
-use omx_hw::ioat::{CopyHandle, CopySegment};
+use omx_hw::ioat::CopyHandle;
 use omx_sim::sanitize::{Kind, SimSanitizer, Token};
 use omx_sim::Ps;
 use std::collections::{BTreeMap, VecDeque};
@@ -20,13 +20,13 @@ use std::collections::{BTreeMap, VecDeque};
 /// Pooled per-node scratch for the driver's hot paths.
 ///
 /// Every buffer a BH or syscall path needs transiently — fragment
-/// dedup bitmaps, pull block accounting, pending-copy lists, chained
-/// batch segments — is recycled here instead of round-tripping through
-/// the allocator, extending the engine's zero-steady-state-allocation
-/// guarantee to the send/recv/pull driver paths (pinned by lint D5 and
-/// the driver-path case in the allocation-counting suite). Pools are
-/// bounded: a burst can still allocate, but the steady state never
-/// does.
+/// dedup bitmaps, pull block accounting, pending-copy lists, the copy
+/// handles of an intranode pull — is recycled here instead of
+/// round-tripping through the allocator, extending the engine's
+/// zero-steady-state-allocation guarantee to the send/recv/pull driver
+/// paths (pinned by lint D5 and the driver-path case in the
+/// allocation-counting suite). Pools are bounded: a burst can still
+/// allocate, but the steady state never does.
 #[derive(Debug, Default)]
 pub struct DriverScratch {
     /// Recycled fragment bitmaps (medium dedup, pull `frag_seen`).
@@ -37,9 +37,8 @@ pub struct DriverScratch {
     pending: Vec<Vec<PendingCopy>>,
     /// Reusable stuck-copy extraction buffer (cleared between uses).
     pub stuck: Vec<PendingCopy>,
-    /// Reusable chained-batch segment list (cleared between uses).
-    pub segments: Vec<CopySegment>,
-    /// Reusable chained-batch handle output (cleared between uses).
+    /// Reusable handle list of one intranode copy, one handle per
+    /// channel it was split across (cleared between uses).
     pub handles: Vec<CopyHandle>,
 }
 

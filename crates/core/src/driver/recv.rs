@@ -89,17 +89,12 @@ impl Cluster {
     }
 
     /// CPU submission cost for `ndesc` descriptors at one driver
-    /// submit site. With `OmxConfig::ioat_batch` the descriptors are
-    /// chained behind one doorbell — and a GRO frame-train tail
-    /// (`coalesced`) appends to the chain the train head already rang,
-    /// paying no doorbell at all. Off (the default), every descriptor
-    /// pays the paper's full 350 ns submission (§IV-A).
+    /// submit site: they are chained behind one doorbell, and a GRO
+    /// frame-train tail (`coalesced`) appends to the chain the train
+    /// head already rang, paying no doorbell at all. At the default
+    /// calibration every descriptor costs the paper's 350 ns (§IV-A).
     pub(crate) fn ioat_submit_cost(&self, ndesc: u64, coalesced: bool) -> Ps {
-        if self.p.cfg.ioat_batch {
-            IoatEngine::submit_cpu_cost_batched(&self.p.hw, ndesc, !coalesced)
-        } else {
-            IoatEngine::submit_cpu_cost(&self.p.hw, ndesc)
-        }
+        IoatEngine::submit_cpu_cost(&self.p.hw, ndesc, !coalesced)
     }
 
     // ------------------------------------------------------------------

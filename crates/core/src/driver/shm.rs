@@ -19,7 +19,7 @@ use crate::{EpAddr, ReqId};
 use omx_hw::cache::RegionKey;
 use omx_hw::cpu::category;
 use omx_hw::mem::{CopyContext, MemModel};
-use omx_hw::{CopySegment, Distance, IoatEngine};
+use omx_hw::{Distance, IoatEngine};
 use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
@@ -313,8 +313,8 @@ impl Cluster {
             // descriptor lands while the CPU keeps feeding the rest
             // (350 ns each < the ~1.6 us a 4 kB descriptor executes).
             let ndesc = IoatEngine::descriptors_for(msg_len, self.p.hw.page_size);
-            // An intranode pull is one message: under `ioat_batch` the
-            // whole descriptor chain rings a single doorbell.
+            // An intranode pull is one message: the whole descriptor
+            // chain rings a single doorbell.
             let submit = self.ioat_submit_cost(ndesc, false);
             let (_, submit_fin) = self.run_core(node, core, fin, submit, category::DRIVER);
             self.metrics.busy(node.0, ins::IOAT_SUBMIT_CPU, submit);
@@ -326,16 +326,14 @@ impl Cluster {
             } else {
                 self.pick_healthy_channel(node, first_desc_at)
             };
-            // Build the segment list in the per-node scratch (taken out
-            // of the driver for the duration so `self` stays usable),
-            // then hand the whole chain to the engine in one call.
-            let mut segments = std::mem::take(&mut self.node_mut(node).driver.scratch.segments);
+            // Collect the handles in the per-node scratch (taken out of
+            // the driver for the duration so `self` stays usable).
             let mut handles = std::mem::take(&mut self.node_mut(node).driver.scratch.handles);
-            segments.clear();
             handles.clear();
+            let ioat = &mut self.node_mut(node).ioat;
             if multichannel {
                 // Split across all channels; completion is the max.
-                let channels = self.node(node).ioat.num_channels() as u64;
+                let channels = ioat.num_channels() as u64;
                 let per = msg_len / channels;
                 for ch in 0..channels as usize {
                     let bytes = if ch as u64 == channels - 1 {
@@ -343,22 +341,12 @@ impl Cluster {
                     } else {
                         per
                     };
-                    segments.push(CopySegment {
-                        channel: ch,
-                        bytes,
-                        descriptors: IoatEngine::descriptors_for(bytes, hw.page_size),
-                    });
+                    let descriptors = IoatEngine::descriptors_for(bytes, hw.page_size);
+                    handles.push(ioat.submit(&hw, first_desc_at, ch, bytes, descriptors));
                 }
             } else {
-                segments.push(CopySegment {
-                    channel: single_ch,
-                    bytes: msg_len,
-                    descriptors: ndesc,
-                });
+                handles.push(ioat.submit(&hw, first_desc_at, single_ch, msg_len, ndesc));
             }
-            self.node_mut(node)
-                .ioat
-                .submit_batch(&hw, first_desc_at, &segments, &mut handles);
             let mut handle_finish = if multichannel {
                 first_desc_at
             } else {
@@ -393,9 +381,9 @@ impl Cluster {
                     SimSanitizer::release(h.san);
                 }
                 let cooldown = self.p.cfg.ioat_quarantine_cooldown;
-                for (seg, h) in segments.iter().zip(handles.iter()) {
+                for h in &handles {
                     if h.finish >= omx_hw::ioat::STALLED_FOREVER {
-                        self.quarantine_channel(node, seg.channel, submit_fin + cooldown);
+                        self.quarantine_channel(node, h.channel, submit_fin + cooldown);
                     }
                 }
                 self.record_ioat_fallback(node, submit_fin, msg_len);
@@ -464,9 +452,7 @@ impl Cluster {
                 }
             };
             fin = done;
-            let scratch = &mut self.node_mut(node).driver.scratch;
-            scratch.segments = segments;
-            scratch.handles = handles;
+            self.node_mut(node).driver.scratch.handles = handles;
         } else {
             let cost = self.shm_memcpy_cost(node, core, src_core, src_tag, dst_tag, msg_len);
             let (_, f) = self.run_core(node, core, fin, cost, category::DRIVER);

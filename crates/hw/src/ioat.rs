@@ -9,10 +9,12 @@
 //! ```
 //!
 //! of channel time. Submitting a descriptor costs the *CPU*
-//! `ioat_submit_cpu` (350 ns, §IV-A). Completions are reported in order
-//! per channel through a word in host memory, so "is copy X done?" is a
-//! single cheap read (`ioat_poll_cost`) — and crucially there are *no
-//! interrupts*: a waiter must poll (§III-C, §VI).
+//! `ioat_submit_cpu` (350 ns, §IV-A); each further descriptor chained
+//! behind the same doorbell costs `ioat_desc_chain_cpu` (also 350 ns
+//! by default). Completions are reported in order per channel through
+//! a word in host memory, so "is copy X done?" is a single cheap read
+//! (`ioat_poll_cost`) — and crucially there are *no interrupts*: a
+//! waiter must poll (§III-C, §VI).
 //!
 //! Copies offloaded here bypass the CPU caches entirely — callers must
 //! not touch the [`crate::cache::CacheModel`] for offloaded bytes.
@@ -47,18 +49,6 @@ pub struct CopyHandle {
 /// beyond this horizon as "the hardware will never answer" and fall
 /// back to CPU memcpy.
 pub const STALLED_FOREVER: Ps = Ps::secs(3600);
-
-/// One segment of a batched submission ([`IoatEngine::submit_batch`]):
-/// `bytes` moved as `descriptors` chained descriptors on `channel`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CopySegment {
-    /// Channel the segment is queued on.
-    pub channel: usize,
-    /// Bytes this segment copies.
-    pub bytes: u64,
-    /// Descriptors the segment occupies.
-    pub descriptors: u64,
-}
 
 /// Result of probing a channel's health before submitting to it
 /// (Linux dmaengine keeps the same tri-state: usable, blacklisted, or
@@ -160,24 +150,17 @@ impl IoatEngine {
             .expect("at least one channel")
     }
 
-    /// CPU cost of submitting `descriptors` copy descriptors, one
-    /// full submission (descriptor setup + doorbell) each — the
-    /// paper's §IV-A model.
-    pub fn submit_cpu_cost(params: &HwParams, descriptors: u64) -> Ps {
-        params.ioat_submit_cpu * descriptors
-    }
-
-    /// CPU cost of submitting `descriptors` copy descriptors as one
-    /// chained batch. With `doorbell` the first descriptor pays the
-    /// full [`HwParams::ioat_submit_cpu`] (setup + MMIO doorbell) and
-    /// each further one only the chaining cost
-    /// [`HwParams::ioat_desc_chain_cpu`]; without it the caller is
-    /// extending a batch whose doorbell was already rung (the tail of
-    /// a GRO fragment train), so every descriptor is a chain append.
-    /// Zero descriptors cost nothing. With the default parameters
-    /// (`ioat_desc_chain_cpu == ioat_submit_cpu`) this equals
-    /// [`Self::submit_cpu_cost`] exactly.
-    pub fn submit_cpu_cost_batched(params: &HwParams, descriptors: u64, doorbell: bool) -> Ps {
+    /// CPU cost of submitting `descriptors` copy descriptors chained
+    /// behind one doorbell. With `doorbell` the first descriptor pays
+    /// the full [`HwParams::ioat_submit_cpu`] (setup + MMIO doorbell)
+    /// and each further one the chaining cost
+    /// [`HwParams::ioat_desc_chain_cpu`]; without it the caller extends
+    /// a chain whose doorbell was already rung (the tail of a GRO
+    /// fragment train), so every descriptor is a chain append. Zero
+    /// descriptors cost nothing. At the default calibration
+    /// (`ioat_desc_chain_cpu == ioat_submit_cpu`) this is the paper's
+    /// §IV-A model either way: `ioat_submit_cpu` per descriptor.
+    pub fn submit_cpu_cost(params: &HwParams, descriptors: u64, doorbell: bool) -> Ps {
         if descriptors == 0 {
             return Ps::ZERO;
         }
@@ -334,31 +317,6 @@ impl IoatEngine {
         }
     }
 
-    /// Queue every segment of one chained batch at `now`, appending
-    /// one handle per segment to `out` in segment order.
-    ///
-    /// Batching changes only the *submitting CPU's* cost (see
-    /// [`Self::submit_cpu_cost_batched`]) — the hardware executes a
-    /// chained ring exactly like individually submitted descriptors,
-    /// so this is defined as, and must stay, observably identical to a
-    /// loop over [`Self::submit`]: same per-channel FIFO completion
-    /// times, same cookie sequence (the completion word still retires
-    /// in order, so the driver's cheap is-done check and the PR-2
-    /// quarantine/fallback paths are untouched), same counters and
-    /// sanitizer states. The batch-semantics test pins that identity.
-    #[track_caller]
-    pub fn submit_batch(
-        &mut self,
-        params: &HwParams,
-        now: Ps,
-        segments: &[CopySegment],
-        out: &mut Vec<CopyHandle>,
-    ) {
-        for seg in segments {
-            out.push(self.submit(params, now, seg.channel, seg.bytes, seg.descriptors));
-        }
-    }
-
     /// Whether `handle`'s copy has completed by `now`. Because each
     /// channel completes in order, this also means every earlier cookie
     /// on the same channel is done — exactly the cheap-check property
@@ -479,11 +437,6 @@ mod tests {
         // A zero-length copy needs no descriptor.
         assert_eq!(IoatEngine::descriptors_for(0, 4096), 0);
         assert_eq!(IoatEngine::descriptors_for(1 << 20, 4096), 256);
-        let params = p();
-        assert_eq!(
-            IoatEngine::submit_cpu_cost(&params, 3),
-            params.ioat_submit_cpu * 3
-        );
     }
 
     #[test]
@@ -574,6 +527,27 @@ mod tests {
         let h = e.submit(&params, Ps::us(6), 2, 1 << 20, 256);
         assert!(h.finish >= STALLED_FOREVER);
         assert!(!e.is_complete(Ps::secs(60), &h));
+        // Later copies on the dead channel stay at the horizon (which
+        // routes the driver onto quarantine + memcpy fallback) and
+        // still retire in cookie order: the completion word is in
+        // order.
+        let later = e.submit(&params, Ps::us(7), 2, 8192, 2);
+        assert!(later.finish >= h.finish);
+        assert!(later.cookie > h.cookie);
+        // A healthy channel shares the memory port with the dead
+        // channel's bytes but never sees the stall: in order and
+        // prompt, never pushed to the horizon.
+        let first = e.submit(&params, Ps::us(7), 0, 4096, 1);
+        let second = e.submit(&params, Ps::us(7), 0, 4096, 1);
+        assert!(second.cookie > first.cookie);
+        assert!(second.finish > first.finish);
+        assert!(second.finish < Ps::ms(1));
+        // The driver's cheap is-done check: the healthy copies are
+        // done once the port drains, the dead channel's never are.
+        assert!(!e.is_complete(Ps::us(8), &first));
+        assert!(e.is_complete(Ps::ms(1), &first));
+        assert!(e.is_complete(Ps::ms(1), &second));
+        assert!(!e.is_complete(Ps::secs(60), &later));
     }
 
     #[test]
@@ -611,19 +585,16 @@ mod tests {
     #[test]
     fn batched_cost_defaults_to_per_descriptor_cost() {
         // With the default calibration (chain cost == submit cost) a
-        // batch must charge exactly what individual submissions do,
-        // with or without a doorbell — that is the bit-identity
-        // guarantee behind `OmxConfig::ioat_batch` defaulting off.
+        // chain charges the paper's §IV-A cost, `ioat_submit_cpu` per
+        // descriptor, with or without a doorbell.
         let params = p();
         for n in 0..16 {
-            assert_eq!(
-                IoatEngine::submit_cpu_cost_batched(&params, n, true),
-                IoatEngine::submit_cpu_cost(&params, n)
-            );
-            assert_eq!(
-                IoatEngine::submit_cpu_cost_batched(&params, n, false),
-                IoatEngine::submit_cpu_cost(&params, n)
-            );
+            for doorbell in [true, false] {
+                assert_eq!(
+                    IoatEngine::submit_cpu_cost(&params, n, doorbell),
+                    params.ioat_submit_cpu * n
+                );
+            }
         }
     }
 
@@ -633,169 +604,17 @@ mod tests {
             ioat_desc_chain_cpu: Ps::ns(100),
             ..p()
         };
-        assert_eq!(
-            IoatEngine::submit_cpu_cost_batched(&params, 0, true),
-            Ps::ZERO
-        );
+        assert_eq!(IoatEngine::submit_cpu_cost(&params, 0, true), Ps::ZERO);
         // Doorbell: one full submit, the rest chained.
+        assert_eq!(IoatEngine::submit_cpu_cost(&params, 1, true), Ps::ns(350));
         assert_eq!(
-            IoatEngine::submit_cpu_cost_batched(&params, 1, true),
-            Ps::ns(350)
-        );
-        assert_eq!(
-            IoatEngine::submit_cpu_cost_batched(&params, 4, true),
+            IoatEngine::submit_cpu_cost(&params, 4, true),
             Ps::ns(350) + Ps::ns(100) * 3
         );
         // No doorbell (GRO-train tail): pure chain appends.
         assert_eq!(
-            IoatEngine::submit_cpu_cost_batched(&params, 4, false),
+            IoatEngine::submit_cpu_cost(&params, 4, false),
             Ps::ns(100) * 4
         );
-    }
-
-    #[test]
-    fn submit_batch_is_identical_to_sequential_submits() {
-        // The hardware executes a chained ring exactly like
-        // individually submitted descriptors: same completion times,
-        // same cookie order, same counters.
-        let params = p();
-        let segs = [
-            CopySegment {
-                channel: 0,
-                bytes: 4096,
-                descriptors: 1,
-            },
-            CopySegment {
-                channel: 0,
-                bytes: 8192,
-                descriptors: 2,
-            },
-            CopySegment {
-                channel: 1,
-                bytes: 0,
-                descriptors: 0,
-            },
-            CopySegment {
-                channel: 2,
-                bytes: 1 << 16,
-                descriptors: 16,
-            },
-        ];
-        let mut batched = IoatEngine::new(&params);
-        let mut single = IoatEngine::new(&params);
-        let mut out = Vec::new();
-        batched.submit_batch(&params, Ps::us(3), &segs, &mut out);
-        let expect: Vec<CopyHandle> = segs
-            .iter()
-            .map(|s| single.submit(&params, Ps::us(3), s.channel, s.bytes, s.descriptors))
-            .collect();
-        for h in out.iter().chain(expect.iter()) {
-            SimSanitizer::complete(h.san);
-            SimSanitizer::release(h.san);
-        }
-        assert_eq!(out, expect);
-        assert_eq!(batched.bytes_copied(), single.bytes_copied());
-        assert_eq!(
-            batched.descriptors_submitted(),
-            single.descriptors_submitted()
-        );
-        for ch in 0..params.ioat_channels {
-            assert_eq!(
-                batched.channel_busy_until(ch),
-                single.channel_busy_until(ch)
-            );
-        }
-        // Per-channel cookies stay monotone across the batch.
-        assert_eq!(out[0].cookie, 0);
-        assert_eq!(out[1].cookie, 1);
-        assert_eq!(out[2].cookie, 0);
-    }
-
-    #[test]
-    fn batch_preserves_polling_order_across_stalled_channel() {
-        // A chained batch spanning a faulted channel must behave
-        // exactly like sequential submissions: the completion word
-        // still retires in cookie order on every channel, the stalled
-        // segments report the never-completes horizon (which is what
-        // routes the driver onto the PR-2 quarantine + memcpy
-        // fallback), and healthy channels are untouched.
-        let params = p();
-        let mut batched = IoatEngine::new(&params);
-        let mut single = IoatEngine::new(&params);
-        for e in [&mut batched, &mut single] {
-            e.inject_channel_stall(1, Ps::us(2), None);
-        }
-        let segs = [
-            CopySegment {
-                channel: 0,
-                bytes: 4096,
-                descriptors: 1,
-            },
-            CopySegment {
-                channel: 1,
-                bytes: 4096,
-                descriptors: 1,
-            },
-            CopySegment {
-                channel: 1,
-                bytes: 8192,
-                descriptors: 2,
-            },
-            CopySegment {
-                channel: 0,
-                bytes: 4096,
-                descriptors: 1,
-            },
-        ];
-        let mut out = Vec::new();
-        batched.submit_batch(&params, Ps::us(5), &segs, &mut out);
-        let expect: Vec<CopyHandle> = segs
-            .iter()
-            .map(|s| single.submit(&params, Ps::us(5), s.channel, s.bytes, s.descriptors))
-            .collect();
-        for h in out.iter().chain(expect.iter()) {
-            SimSanitizer::complete(h.san);
-            SimSanitizer::release(h.san);
-        }
-        assert_eq!(out, expect, "fault handling diverged under batching");
-        // The stalled channel's chained descriptors never complete —
-        // and still retire in cookie order (in-order completion word).
-        assert!(out[1].finish >= STALLED_FOREVER);
-        assert!(out[2].finish >= out[1].finish);
-        assert!(out[2].cookie > out[1].cookie);
-        // The healthy channel is oblivious to the *stall* (it still
-        // shares the memory port with the stalled channel's bytes):
-        // in-order and prompt, never pushed to the stall horizon.
-        assert!(out[3].finish > out[0].finish);
-        assert!(out[3].finish < Ps::ms(1));
-        // Driver-side view: the cheap is-done check reads the same
-        // answers it would have read with per-descriptor submission.
-        for (b, s) in out.iter().zip(expect.iter()) {
-            assert_eq!(
-                batched.is_complete(Ps::us(8), b),
-                single.is_complete(Ps::us(8), s)
-            );
-        }
-    }
-
-    #[test]
-    fn batch_of_one_is_the_single_submit() {
-        let params = p();
-        let mut batched = IoatEngine::new(&params);
-        let mut single = IoatEngine::new(&params);
-        let seg = [CopySegment {
-            channel: 3,
-            bytes: 12_345,
-            descriptors: 4,
-        }];
-        let mut out = Vec::new();
-        batched.submit_batch(&params, Ps::us(1), &seg, &mut out);
-        let h = single.submit(&params, Ps::us(1), 3, 12_345, 4);
-        SimSanitizer::complete(out[0].san);
-        SimSanitizer::release(out[0].san);
-        SimSanitizer::complete(h.san);
-        SimSanitizer::release(h.san);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0], h);
     }
 }

@@ -31,7 +31,7 @@ pub mod topology;
 
 pub use cache::CacheModel;
 pub use cpu::{Core, CpuSet};
-pub use ioat::{CopyHandle, CopySegment, IoatEngine};
+pub use ioat::{CopyHandle, IoatEngine};
 pub use mem::MemModel;
 pub use params::HwParams;
 pub use topology::{CoreId, Distance, SubchipId, Topology};

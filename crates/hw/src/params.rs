@@ -48,12 +48,11 @@ pub struct HwParams {
     /// machine to about 350 nanoseconds".
     pub ioat_submit_cpu: Ps,
     /// CPU time to *chain* one further descriptor behind an already
-    /// rung doorbell when batched submission (`OmxConfig::ioat_batch`)
-    /// is on: descriptor setup and next-pointer link, without the
-    /// MMIO doorbell write. Defaults to [`Self::ioat_submit_cpu`], so
-    /// a batch costs exactly what per-descriptor submission does until
-    /// an experiment lowers it — the `batch_doorbell` study sweeps
-    /// this to ask whether amortized submission flips the paper's
+    /// rung doorbell: descriptor setup and next-pointer link, without
+    /// the MMIO doorbell write. Defaults to [`Self::ioat_submit_cpu`],
+    /// so a chain costs the paper's per-descriptor submission until an
+    /// experiment lowers it — the `batch_doorbell` study sweeps this
+    /// to ask whether amortized submission flips the paper's
     /// medium-message offload verdict.
     pub ioat_desc_chain_cpu: Ps,
     /// Hardware startup per descriptor (fetch + setup inside the DMA
@@ -147,8 +146,8 @@ mod tests {
         let p = HwParams::default();
         assert_eq!(p.ioat_submit_cpu, Ps::ns(350));
         // The chain cost must default to the full submission cost so
-        // that batched submission is cost-identical until an
-        // experiment lowers it.
+        // that chained submission is the paper's per-descriptor cost
+        // until an experiment lowers it.
         assert_eq!(p.ioat_desc_chain_cpu, p.ioat_submit_cpu);
         assert_eq!(p.syscall_cost, Ps::ns(100));
         assert_eq!(p.ioat_channels, 4);

@@ -7,7 +7,6 @@
 
 use crate::{banner, breakdown_line, cell, CellOut, Grid, Outs, Plan, Rendered};
 use omx_hw::IoatEngine;
-use omx_sim::Ps;
 use open_mx::autotune;
 use open_mx::config::OmxConfig;
 use open_mx::harness::copybench::{
@@ -62,7 +61,7 @@ pub fn plan(grid: &Grid) -> Plan {
             );
             t += &format!(
                 "submit cost for a 1 MB copy (256 desc):   {}  of CPU time\n",
-                IoatEngine::submit_cpu_cost(&hw, 256)
+                IoatEngine::submit_cpu_cost(&hw, 256, true)
             );
             t += "\n";
             let tune = autotune::calibrate(&hw, &OmxConfig::default());
@@ -76,8 +75,7 @@ pub fn plan(grid: &Grid) -> Plan {
             let one_page = hw.ioat_desc_overhead + hw.ioat_raw_rate.time_for(4096);
             t += &format!(
                 "one 4 kB descriptor executes in {} (≥ the {} submission: submission pipelines)\n",
-                one_page,
-                Ps::ns(350)
+                one_page, hw.ioat_submit_cpu
             );
             CellOut::Text(t)
         }));

@@ -405,8 +405,8 @@ mod driver_paths {
 
     #[test]
     fn warmed_large_ioat_pingpong_allocates_nothing() {
-        // Large path with I/OAT offload: copy segments, handles and
-        // completion bookkeeping all travel through pooled scratch.
+        // Large path with I/OAT offload: copy handles and completion
+        // bookkeeping all travel through pooled scratch.
         let d = measured_allocs(256 << 10, OmxConfig::with_ioat());
         assert_eq!(d, 0, "warmed 256 KiB I/OAT ping-pong allocated {d} times");
     }

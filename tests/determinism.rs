@@ -252,51 +252,6 @@ fn partitioned_wide_incast_is_identical_across_partition_counts() {
     }
 }
 
-fn batch_pingpong(plan: FaultPlan, size: u64, batch: bool) -> (Vec<openmx_repro::sim::Ps>, String) {
-    let mut c = PingPongConfig::new(
-        ClusterParams::with_cfg(OmxConfig {
-            ioat_batch: batch,
-            ..cfg(plan)
-        }),
-        size,
-        Placement::TwoNodes {
-            core_a: CoreId(2),
-            core_b: CoreId(2),
-        },
-    );
-    c.iters = 6;
-    c.warmup = 1;
-    let r = run_pingpong(c);
-    assert!(r.verified);
-    (r.rtts, fingerprint(&r.run.stats, &r.breakdown))
-}
-
-#[test]
-fn ioat_batching_is_bit_identical_under_every_plan() {
-    // Batched doorbells only change how the submitting CPU's cost is
-    // charged; with the default calibration (chain cost == submit
-    // cost) flipping `ioat_batch` must be invisible bit for bit —
-    // including on the quarantine/re-probe/memcpy-fallback recovery
-    // paths, which poll the completion word of chained descriptors and
-    // re-derive deadlines from the batch's handles. Medium (synchronous
-    // offload, per-fragment descriptors) and large (pull + multichannel
-    // split) sizes cover every batched submit site.
-    for (name, plan) in plans() {
-        for size in [16 << 10, 256 << 10] {
-            let (rtts_off, fp_off) = batch_pingpong(plan.clone(), size, false);
-            let (rtts_on, fp_on) = batch_pingpong(plan.clone(), size, true);
-            assert_eq!(
-                rtts_off, rtts_on,
-                "{size}B under `{name}`: batching changed per-iteration timings"
-            );
-            assert_eq!(
-                fp_off, fp_on,
-                "{size}B under `{name}`: batching changed stats or breakdown"
-            );
-        }
-    }
-}
-
 #[test]
 fn snapshot_carries_aggregated_counters() {
     // The counter table end to end: serialized stats must contain the
