@@ -602,6 +602,14 @@ impl Cluster {
         &mut self.nodes[a.node.0 as usize].endpoints[a.ep.0 as usize]
     }
 
+    /// Mutable access to an endpoint, if `a` names one.
+    pub(crate) fn try_ep_mut(&mut self, a: EpAddr) -> Option<&mut Endpoint> {
+        self.nodes
+            .get_mut(a.node.0 as usize)?
+            .endpoints
+            .get_mut(a.ep.0 as usize)
+    }
+
     /// Allocate a request id for endpoint `me`: the endpoint's address
     /// in the high bits, a per-endpoint counter below. Ids are unique
     /// across the cluster yet depend only on the endpoint's own

@@ -11,6 +11,7 @@ pub mod pull;
 pub mod recv;
 pub mod shm;
 
+use crate::endpoint::CounterTable;
 use crate::{EpAddr, EpIdx, ReqId};
 use omx_hw::ioat::CopyHandle;
 use omx_sim::sanitize::{Kind, SimSanitizer, Token};
@@ -366,10 +367,12 @@ pub struct TxLargeState {
 /// Per-host driver state.
 #[derive(Debug, Default)]
 pub struct Driver {
-    /// Receiver-side pulls by receiver handle.
-    pub pulls: BTreeMap<u32, PullState>,
-    /// Sender-side large sends by sender handle.
-    pub tx_large: BTreeMap<u32, TxLargeState>,
+    /// Receiver-side pulls by receiver handle. Handles are issued in
+    /// order, so the table is a window over them (wrap-aware: the
+    /// handle namespace wraps at `u32::MAX`).
+    pub pulls: CounterTable<u32, PullState>,
+    /// Sender-side large sends by sender handle, issued in order.
+    pub tx_large: CounterTable<u32, TxLargeState>,
     /// Next receiver pull handle.
     pub next_pull_handle: u32,
     /// Monotone generation counter stamped onto every new pull, so a

@@ -536,8 +536,12 @@ impl Cluster {
         SimSanitizer::complete(pull.token());
         SimSanitizer::release(pull.token());
         let me = EpAddr { node, ep: pull.ep };
-        // Duplicate-suppress and release the pinned region.
+        // Duplicate-suppress (the completed sequence now answers a
+        // retransmitted announcement) and release the pinned region.
         self.ep_mut(me).record_completed_seq(pull.src, pull.msg_seq);
+        self.ep_mut(me)
+            .rndv_pending
+            .remove(&(pull.src, pull.msg_seq));
         let region = self.ep(me).recvs.get(&pull.req).and_then(|r| r.region);
         if let Some(r) = region {
             self.ep_mut(me).regions.release(r);
@@ -694,6 +698,10 @@ impl Cluster {
                     SimSanitizer::release(pc.handle.san);
                 }
                 SimSanitizer::release(p.token());
+                // A later announcement of the message starts over.
+                if let Some(e) = self.try_ep_mut(EpAddr { node, ep }) {
+                    e.rndv_pending.remove(&(p.src, p.msg_seq));
+                }
                 if self.p.cfg.pull_credits {
                     // Return the abandoned pull's credits so waiters
                     // behind it are not starved by a dead transfer.

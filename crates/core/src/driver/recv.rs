@@ -761,8 +761,13 @@ impl Cluster {
             let (_, fin) = self.run_core(node, core, now, self.p.cfg.bh_frag_process, category::BH);
             return self.send_ack(sim, node, core, src, dst_ep, msg_seq, fin);
         }
+        // A message that fits in one fragment is complete on arrival:
+        // it needs no reassembly bitmap, and `seq_completed` above is
+        // its whole duplicate check. Kernel matching keeps its
+        // per-message path.
+        let whole = frag_count == 1 && frag_idx == 0 && !self.p.cfg.kernel_matching;
         // Duplicate fragment of an in-progress message?
-        {
+        if !whole {
             let frag_slot = frag_idx as usize;
             if !self.ep(me).drv_medium.contains_key(&(src, msg_seq)) {
                 // Per-message dedup bitmap, drawn from the per-node
@@ -872,15 +877,18 @@ impl Cluster {
             c.bytes_memcpy += len;
         }
         let Some(slot) = self.ep_mut(me).slots.fill(&data) else {
-            // Ring exhausted: the fragment is lost. Clear its dedup bit
-            // so the sender's retransmission is accepted.
-            if let Some(bit) = self
-                .ep_mut(me)
-                .drv_medium
-                .get_mut(&(src, msg_seq))
-                .and_then(|seen| seen.get_mut(frag_idx as usize))
-            {
-                *bit = false;
+            // Ring exhausted: the fragment is lost. A whole message
+            // recorded nothing; any other fragment clears its dedup
+            // bit. Either way the sender's retransmission is accepted.
+            if !whole {
+                if let Some(bit) = self
+                    .ep_mut(me)
+                    .drv_medium
+                    .get_mut(&(src, msg_seq))
+                    .and_then(|seen| seen.get_mut(frag_idx as usize))
+                {
+                    *bit = false;
+                }
             }
             return fin;
         };
@@ -902,15 +910,17 @@ impl Cluster {
             fin,
         );
         // Fully received? Then ack and mark completed.
-        let done = {
+        let done = whole || {
             let ep = self.ep(me);
             ep.drv_medium
                 .get(&(src, msg_seq))
                 .is_some_and(|v| v.iter().all(|&b| b))
         };
         if done {
-            if let Some(b) = self.ep_mut(me).drv_medium.remove(&(src, msg_seq)) {
-                self.node_mut(node).driver.scratch.put_bitmap(b);
+            if !whole {
+                if let Some(b) = self.ep_mut(me).drv_medium.remove(&(src, msg_seq)) {
+                    self.node_mut(node).driver.scratch.put_bitmap(b);
+                }
             }
             self.ep_mut(me).record_completed_seq(src, msg_seq);
             fin = self.send_ack(sim, node, core, src, dst_ep, msg_seq, fin);
@@ -953,20 +963,15 @@ impl Cluster {
             self.send_packet(sim, node, src.node, pkt, f);
             return f;
         }
-        // Duplicate announcement while the pull is active, or while the
-        // original still sits in the event ring / unexpected queue
-        // (sender retransmissions racing a busy library): ignore.
-        // Sequence numbers are per endpoint *pair*: the receiving
-        // endpoint must be part of the key or concurrent transfers
-        // from one sender to two endpoints shadow each other.
-        let active = self
-            .node(node)
-            .driver
-            .pulls
-            .values()
-            .any(|p| p.ep == me.ep && p.src == src && p.msg_seq == msg_seq)
-            || self.ep(me).rndv_pending.contains(&(src, msg_seq));
-        if active {
+        // Duplicate announcement while the original still sits in the
+        // event ring / unexpected queue (sender retransmissions racing
+        // a busy library), or while its pull is active: ignore. The
+        // receiving endpoint's `rndv_pending` holds the announcement
+        // from here until its pull finishes or is abandoned, so one
+        // lookup answers both. Sequence numbers are per endpoint
+        // *pair*, so the set is per receiving endpoint, or concurrent
+        // transfers from one sender to two endpoints shadow each other.
+        if self.ep(me).rndv_pending.contains(&(src, msg_seq)) {
             self.stats.duplicates_dropped += 1;
             // The announcement is a retransmission for a transfer we
             // are still working on (pull in flight, or the original
@@ -1087,5 +1092,266 @@ impl Cluster {
             self.push_event_at(sim, me, Event::SendDone { req }, fin);
         }
         fin
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::app::{App, AppCtx};
+    use crate::cluster::ClusterParams;
+    use crate::config::OmxConfig;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    type Seen = Rc<RefCell<Vec<(u64, Vec<u8>)>>>;
+
+    /// Records each delivered receive as (match information, bytes)
+    /// and, when given a message, sends it to `peer` at start.
+    struct Host {
+        seen: Seen,
+        send: Option<(EpAddr, u64, Vec<u8>)>,
+    }
+
+    impl App for Host {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            if let Some((peer, tag, data)) = self.send.take() {
+                ctx.isend(peer, tag, data, None);
+            }
+        }
+        fn on_completion(&mut self, _ctx: &mut AppCtx<'_>, c: Completion) {
+            if let Completion::Recv {
+                match_info, data, ..
+            } = c
+            {
+                self.seen.borrow_mut().push((match_info, data));
+            }
+        }
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    /// A receiver on node 0 and its peer on node 1 (sending `send` at
+    /// start, if any); returns the receiver's deliveries too.
+    fn world(
+        cfg: OmxConfig,
+        send: Option<(u64, Vec<u8>)>,
+    ) -> (Cluster, Sim<Cluster>, EpAddr, EpAddr, Seen) {
+        let mut c = Cluster::new(ClusterParams::with_cfg(cfg));
+        let seen = Seen::default();
+        let rx = c.add_endpoint(
+            NodeId(0),
+            CoreId(2),
+            Box::new(Host {
+                seen: seen.clone(),
+                send: None,
+            }),
+        );
+        let peer = c.add_endpoint(
+            NodeId(1),
+            CoreId(2),
+            Box::new(Host {
+                seen: Seen::default(),
+                send: send.map(|(tag, data)| (rx, tag, data)),
+            }),
+        );
+        (c, Sim::new(), rx, peer, seen)
+    }
+
+    fn bytes_of(seq: u32, len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i as u32 * 7 + seq) as u8).collect()
+    }
+
+    /// Message `seq` of `len` bytes, one fragment, as the peer sends it.
+    fn one_fragment(seq: u32, tag: u64, len: usize) -> Packet {
+        Packet::MediumFrag {
+            src_ep: 0,
+            dst_ep: 0,
+            match_info: tag,
+            msg_seq: seq,
+            msg_len: len as u32,
+            frag_idx: 0,
+            frag_count: 1,
+            offset: 0,
+            data: bytes_of(seq, len).into(),
+        }
+    }
+
+    fn rndv(seq: u32, tag: u64) -> Packet {
+        Packet::RndvReq {
+            src_ep: 0,
+            dst_ep: 0,
+            match_info: tag,
+            msg_seq: seq,
+            msg_len: 64 << 10,
+            sender_handle: 1,
+        }
+    }
+
+    /// A one-fragment medium message completes on arrival without a
+    /// reassembly bitmap or assembly, and a copy arriving after it
+    /// completed is acked and dropped.
+    #[test]
+    fn one_fragment_medium_is_acked_on_arrival_and_its_duplicate_dropped() {
+        let (mut c, mut sim, rx, peer, seen) = world(OmxConfig::default(), None);
+        c.post_irecv(&mut sim, rx, 5, u64::MAX, 4096, None);
+        c.send_packet(
+            &mut sim,
+            NodeId(1),
+            NodeId(0),
+            one_fragment(0, 5, 2000),
+            Ps::ZERO,
+        );
+        sim.run(&mut c);
+        assert_eq!(*seen.borrow(), vec![(5, bytes_of(0, 2000))]);
+        assert_eq!(c.stats.acks_sent, 1);
+        assert!(c.ep(rx).seq_completed(peer, 0));
+        assert!(c.ep(rx).drv_medium.is_empty(), "no reassembly bitmap");
+        assert!(c.ep(rx).assemblies.is_empty(), "no assembly");
+
+        let at = sim.now();
+        c.send_packet(&mut sim, NodeId(1), NodeId(0), one_fragment(0, 5, 2000), at);
+        sim.run(&mut c);
+        assert_eq!(c.stats.duplicates_dropped, 1);
+        assert_eq!(c.stats.acks_sent, 2, "the duplicate is acked");
+        assert_eq!(c.ep(rx).counters.rx_medium_frags, 1, "and not delivered");
+        assert_eq!(seen.borrow().len(), 1);
+    }
+
+    /// A one-fragment medium message dropped because the receive ring
+    /// is full (its only slot still holds an event the library has not
+    /// consumed) records nothing: the sender's retransmission is
+    /// accepted and delivers the message intact.
+    #[test]
+    fn ring_full_drop_of_a_one_fragment_medium_is_retransmitted_intact() {
+        let cfg = OmxConfig {
+            recvq_slots: 1,
+            ..OmxConfig::default()
+        };
+        let (mut c, mut sim, rx, peer, seen) = world(cfg, Some((5, bytes_of(3, 3000))));
+        c.post_irecv(&mut sim, rx, 5, u64::MAX, 4096, None);
+        let held = c
+            .ep_mut(rx)
+            .slots
+            .fill(&Bytes::from_static(b"unconsumed"))
+            .expect("an empty ring has a slot");
+        sim.schedule_at(Ps::us(100), move |c: &mut Cluster, _| {
+            c.ep_mut(rx).slots.release(held);
+        });
+        c.start(&mut sim);
+        sim.run_until(&mut c, Ps::us(100));
+        assert_eq!(c.ep(rx).slots.drops(), 1, "the first copy hit a full ring");
+        assert!(!c.ep(rx).seq_completed(peer, 0), "nothing recorded");
+        assert!(c.ep(rx).drv_medium.is_empty(), "no bitmap left behind");
+        assert_eq!(c.stats.acks_sent, 0);
+        sim.run(&mut c);
+        assert_eq!(c.stats.retransmissions, 1);
+        assert_eq!(*seen.borrow(), vec![(5, bytes_of(3, 3000))]);
+        assert!(c.ep(peer).sends.is_empty(), "the ack completed the send");
+    }
+
+    /// An unmatched one-fragment medium is buffered as an assembly and
+    /// adopted in the same order as before: a later receive takes an
+    /// unexpected small message first, even one that arrived after the
+    /// medium, then the buffered medium.
+    #[test]
+    fn unmatched_one_fragment_medium_is_adopted_after_unexpected_small_messages() {
+        let (mut c, mut sim, rx, _, seen) = world(OmxConfig::default(), None);
+        c.send_packet(
+            &mut sim,
+            NodeId(1),
+            NodeId(0),
+            one_fragment(0, 5, 2000),
+            Ps::ZERO,
+        );
+        let small = Packet::Small {
+            src_ep: 0,
+            dst_ep: 0,
+            match_info: 5,
+            msg_seq: 1,
+            data: bytes_of(1, 100).into(),
+        };
+        c.send_packet(&mut sim, NodeId(1), NodeId(0), small, Ps::us(20));
+        sim.run(&mut c);
+        assert_eq!(c.ep(rx).assemblies.len(), 1, "the medium is buffered");
+        c.post_irecv(&mut sim, rx, 5, u64::MAX, 4096, None);
+        c.post_irecv(&mut sim, rx, 5, u64::MAX, 4096, None);
+        sim.run(&mut c);
+        assert_eq!(
+            *seen.borrow(),
+            vec![(5, bytes_of(1, 100)), (5, bytes_of(0, 2000))]
+        );
+        assert!(c.ep(rx).assemblies.is_empty());
+    }
+
+    /// With kernel matching the driver still reassembles a
+    /// one-fragment medium through its bitmap and matches it in the
+    /// driver: one library event per message, matched or buffered.
+    #[test]
+    fn kernel_matching_keeps_its_one_fragment_path() {
+        let cfg = OmxConfig {
+            kernel_matching: true,
+            ..OmxConfig::with_ioat()
+        };
+        let (mut c, mut sim, rx, _, seen) = world(cfg, None);
+        c.post_irecv(&mut sim, rx, 5, u64::MAX, 4096, None);
+        c.send_packet(
+            &mut sim,
+            NodeId(1),
+            NodeId(0),
+            one_fragment(0, 5, 2000),
+            Ps::ZERO,
+        );
+        c.send_packet(
+            &mut sim,
+            NodeId(1),
+            NodeId(0),
+            one_fragment(1, 6, 1500),
+            Ps::us(20),
+        );
+        sim.run(&mut c);
+        assert_eq!(c.ep(rx).counters.events, 1, "one RecvMediumDone");
+        assert_eq!(c.ep(rx).assemblies.len(), 1, "the unmatched one waits");
+        assert!(c.ep(rx).drv_medium.is_empty());
+        c.post_irecv(&mut sim, rx, 6, u64::MAX, 4096, None);
+        sim.run(&mut c);
+        assert_eq!(
+            *seen.borrow(),
+            vec![(5, bytes_of(0, 2000)), (6, bytes_of(1, 1500))]
+        );
+        assert_eq!(c.stats.acks_sent, 2);
+    }
+
+    /// A rendezvous announced again while its pull is in flight is
+    /// acked as proof of life and dropped. Once the watchdog abandons
+    /// the pull, the next announcement is a new rendezvous.
+    #[test]
+    fn duplicate_rendezvous_is_dropped_while_its_pull_runs_and_new_after_abandon() {
+        let (mut c, mut sim, rx, peer, _) = world(OmxConfig::default(), None);
+        c.post_irecv(&mut sim, rx, 9, u64::MAX, 64 << 10, None);
+        c.send_packet(&mut sim, NodeId(1), NodeId(0), rndv(0, 9), Ps::ZERO);
+        // The silent peer never answers the pull requests.
+        sim.run_until(&mut c, Ps::us(100));
+        assert_eq!(c.node(NodeId(0)).driver.pulls.len(), 1, "pull in flight");
+        assert!(c.ep(rx).rndv_pending.contains(&(peer, 0)));
+        let (acks, dups) = (c.stats.acks_sent, c.stats.duplicates_dropped);
+        c.send_packet(&mut sim, NodeId(1), NodeId(0), rndv(0, 9), Ps::us(100));
+        sim.run_until(&mut c, Ps::us(200));
+        assert_eq!(c.stats.acks_sent, acks + 1, "acked");
+        assert_eq!(c.stats.duplicates_dropped, dups + 1, "and dropped");
+        assert_eq!(c.ep(rx).counters.rx_rndv, 1);
+        assert_eq!(c.node(NodeId(0)).driver.pulls.len(), 1);
+
+        sim.run(&mut c);
+        assert!(c.node(NodeId(0)).driver.pulls.is_empty(), "abandoned");
+        assert!(c.ep(rx).rndv_pending.is_empty());
+        c.post_irecv(&mut sim, rx, 9, u64::MAX, 64 << 10, None);
+        let at = sim.now();
+        c.send_packet(&mut sim, NodeId(1), NodeId(0), rndv(0, 9), at);
+        sim.run_until(&mut c, at + Ps::us(100));
+        assert_eq!(c.ep(rx).counters.rx_rndv, 2, "a new rendezvous");
+        assert_eq!(c.node(NodeId(0)).driver.pulls.len(), 1, "with a new pull");
+        sim.run(&mut c);
     }
 }

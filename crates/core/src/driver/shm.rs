@@ -308,11 +308,30 @@ impl Cluster {
                 category::DRIVER,
             );
             fin = f;
-            // Submit one descriptor per page. Submission pipelines with
-            // execution: the channel starts after the *first*
+            // Submit one descriptor per page of each channel's share
+            // (one share, or an equal split across every channel whose
+            // last share takes the remainder). Submission pipelines
+            // with execution: the channel starts after the *first*
             // descriptor lands while the CPU keeps feeding the rest
             // (350 ns each < the ~1.6 us a 4 kB descriptor executes).
-            let ndesc = IoatEngine::descriptors_for(msg_len, self.p.hw.page_size);
+            let multichannel = self.p.cfg.ioat_multichannel_split;
+            let channels = if multichannel {
+                self.node(node).ioat.num_channels() as u64
+            } else {
+                1
+            };
+            let per = msg_len / channels;
+            let share = |ch: u64| {
+                if ch == channels - 1 {
+                    msg_len - per * (channels - 1)
+                } else {
+                    per
+                }
+            };
+            let page = self.p.hw.page_size;
+            let ndesc: u64 = (0..channels)
+                .map(|ch| IoatEngine::descriptors_for(share(ch), page))
+                .sum();
             // An intranode pull is one message: the whole descriptor
             // chain rings a single doorbell.
             let submit = self.ioat_submit_cost(ndesc, false);
@@ -320,7 +339,6 @@ impl Cluster {
             self.metrics.busy(node.0, ins::IOAT_SUBMIT_CPU, submit);
             let first_desc_at = fin + self.p.hw.ioat_submit_cpu;
             let hw = self.p.hw.clone();
-            let multichannel = self.p.cfg.ioat_multichannel_split;
             let single_ch = if multichannel {
                 0
             } else {
@@ -333,16 +351,10 @@ impl Cluster {
             let ioat = &mut self.node_mut(node).ioat;
             if multichannel {
                 // Split across all channels; completion is the max.
-                let channels = ioat.num_channels() as u64;
-                let per = msg_len / channels;
-                for ch in 0..channels as usize {
-                    let bytes = if ch as u64 == channels - 1 {
-                        msg_len - per * (channels - 1)
-                    } else {
-                        per
-                    };
-                    let descriptors = IoatEngine::descriptors_for(bytes, hw.page_size);
-                    handles.push(ioat.submit(&hw, first_desc_at, ch, bytes, descriptors));
+                for ch in 0..channels {
+                    let bytes = share(ch);
+                    let descriptors = IoatEngine::descriptors_for(bytes, page);
+                    handles.push(ioat.submit(&hw, first_desc_at, ch as usize, bytes, descriptors));
                 }
             } else {
                 handles.push(ioat.submit(&hw, first_desc_at, single_ch, msg_len, ndesc));

@@ -206,10 +206,11 @@ pub struct Endpoint {
     /// Driver-side medium reassembly progress (for ack generation):
     /// (src, seq) → fragments seen bitmap.
     pub drv_medium: BTreeMap<(EpAddr, u32), Vec<bool>>,
-    /// Rendezvous announcements delivered but not yet matched to a
-    /// pull: duplicates (sender retransmissions racing the library)
-    /// must be dropped while the original sits in the event ring or
-    /// the unexpected queue.
+    /// Network rendezvous announcements from their arrival until their
+    /// pull finishes or is abandoned: duplicates (sender
+    /// retransmissions racing the library or the pull) must be dropped
+    /// while the original sits in the event ring or the unexpected
+    /// queue, and while its pull is in flight.
     pub rndv_pending: BTreeSet<(EpAddr, u32)>,
     /// Per-endpoint performance counters (the `omx_counters`
     /// equivalent).
@@ -274,41 +275,70 @@ impl Endpoint {
     }
 }
 
-/// One endpoint's outstanding requests of one kind (its sends or its
-/// receives), found by id without a search.
+/// A key whose low 32 bits are a counter handed out in order: a
+/// [`ReqId`] (the endpoint's request counter), or a driver handle (a
+/// pull or large-send handle, which is the counter itself).
+pub trait CounterKey: Copy + Eq + fmt::Debug {
+    /// The counter this key was issued under.
+    fn counter(self) -> u32;
+}
+
+impl CounterKey for ReqId {
+    fn counter(self) -> u32 {
+        self.0 as u32
+    }
+}
+
+impl CounterKey for u32 {
+    fn counter(self) -> u32 {
+        self
+    }
+}
+
+/// Entries keyed by a counter handed out in order, found without a
+/// search: one endpoint's outstanding requests of one kind (its sends
+/// or its receives, [`ReqTable`]), or one driver's pulls and large
+/// sends by handle.
 ///
-/// `Cluster::alloc_req` hands out each endpoint's ids from one counter,
-/// kept in the low 32 bits of the [`ReqId`], so the table addresses a
-/// request by that counter. A window of slot numbers covers the
-/// counters from the oldest request held to the newest inserted: slot
-/// `k > 0` names entry `k - 1` of a slab whose freed entries are
-/// recycled through a free list, and 0 marks a counter with no request
-/// here (the other kind's id, or a request already removed). A hole
-/// thus costs 4 bytes, not an entry, and only while an older request
-/// is still outstanding: the window's front is trimmed up to the
-/// oldest request left. The slab keeps its peak size, so a steady
-/// state allocates nothing.
+/// A window of slot numbers covers the counters from the oldest entry
+/// held to the newest inserted: slot `k > 0` names entry `k - 1` of a
+/// slab whose freed entries are recycled through a free list, and 0
+/// marks a counter with no entry here (the other kind's request id, or
+/// an entry already removed). A hole thus costs 4 bytes, not an entry,
+/// and only while an older entry is still held: the window's front is
+/// trimmed up to the oldest entry left. The slab keeps its peak size,
+/// so a steady state allocates nothing.
 ///
-/// The methods are those of the `BTreeMap<ReqId, T>` the table
-/// replaced, and [`ReqTable::iter`] yields ascending ids as the map
-/// did; that order is simulation-visible (credit NACKs draw backoff
-/// jitter per request in it). All ids of one table belong to one
-/// endpoint, so they differ only in their counter.
-pub struct ReqTable<T> {
+/// Counters compare by wrapping distance, as the pull-handle namespace
+/// wraps at `u32::MAX` by design: a counter at most 2^31 behind the
+/// window's front precedes it, so handles issued across the wrap stay
+/// in one window. [`CounterTable::iter`] yields entries in counter
+/// order from the window's front, which for request ids (they never
+/// wrap) is the ascending order of the `BTreeMap<ReqId, T>` the table
+/// replaced; that order is simulation-visible (credit NACKs draw
+/// backoff jitter per request in it). All keys of one table share one
+/// counter sequence, so request ids of one table belong to one
+/// endpoint.
+pub struct CounterTable<K, T> {
     /// Counter of the window's first slot.
     base: u32,
-    /// `window[i]` is 1 + the slab index of the request with counter
-    /// `base + i`, or 0 when this table holds none.
+    /// `window[i]` is 1 + the slab index of the entry with counter
+    /// `base + i` (wrapping), or 0 when this table holds none.
     window: VecDeque<u32>,
-    /// Requests; `None` for entries on the free list.
-    slab: Vec<Option<(ReqId, T)>>,
+    /// Entries; `None` for entries on the free list.
+    slab: Vec<Option<(K, T)>>,
     /// Slab indices of the free entries.
     free: Vec<u32>,
 }
 
-impl<T> Default for ReqTable<T> {
+/// One endpoint's outstanding requests of one kind, by the request
+/// counter in the low 32 bits of their [`ReqId`] (`Cluster::alloc_req`
+/// hands out each endpoint's ids from one counter).
+pub type ReqTable<T> = CounterTable<ReqId, T>;
+
+impl<K, T> Default for CounterTable<K, T> {
     fn default() -> Self {
-        ReqTable {
+        CounterTable {
             base: 0,
             window: VecDeque::new(),
             slab: Vec::new(),
@@ -317,95 +347,93 @@ impl<T> Default for ReqTable<T> {
     }
 }
 
-impl<T> ReqTable<T> {
+impl<K: CounterKey, T> CounterTable<K, T> {
     /// An empty table; allocates nothing until the first insert.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The counter part of `id`.
-    fn counter(id: ReqId) -> u32 {
-        id.0 as u32
-    }
-
-    /// Window position of `id`'s counter (out of range when the
+    /// Window position of `key`'s counter (out of range when the
     /// counter lies outside the window).
-    fn offset(&self, id: ReqId) -> usize {
-        Self::counter(id).wrapping_sub(self.base) as usize
+    fn offset(&self, key: K) -> usize {
+        key.counter().wrapping_sub(self.base) as usize
     }
 
-    /// Slab index of `id`'s entry, if the table holds `id`.
-    fn find(&self, id: ReqId) -> Option<usize> {
-        let slot = *self.window.get(self.offset(id))?;
+    /// Slab index of `key`'s entry, if the table holds `key`.
+    fn find(&self, key: K) -> Option<usize> {
+        let slot = *self.window.get(self.offset(key))?;
         let i = slot.checked_sub(1)? as usize;
         match self.slab.get(i) {
-            Some(Some((held, _))) if *held == id => Some(i),
+            Some(Some((held, _))) if *held == key => Some(i),
             _ => None,
         }
     }
 
-    /// The request `id`, if outstanding.
-    pub fn get(&self, id: &ReqId) -> Option<&T> {
-        let i = self.find(*id)?;
+    /// The entry for `key`, if held.
+    pub fn get(&self, key: &K) -> Option<&T> {
+        let i = self.find(*key)?;
         self.slab.get(i)?.as_ref().map(|(_, v)| v)
     }
 
-    /// The request `id`, mutably, if outstanding.
-    pub fn get_mut(&mut self, id: &ReqId) -> Option<&mut T> {
-        let i = self.find(*id)?;
+    /// The entry for `key`, mutably, if held.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut T> {
+        let i = self.find(*key)?;
         self.slab.get_mut(i)?.as_mut().map(|(_, v)| v)
     }
 
-    /// Whether `id` is outstanding.
-    pub fn contains_key(&self, id: &ReqId) -> bool {
-        self.find(*id).is_some()
+    /// Whether `key` is held.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.find(*key).is_some()
     }
 
-    /// Number of outstanding requests.
+    /// Number of entries held.
     pub fn len(&self) -> usize {
         self.slab.len() - self.free.len()
     }
 
-    /// Whether no request is outstanding.
+    /// Whether no entry is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Add request `id`; returns the value it replaces, if `id` was
-    /// already held.
+    /// Add an entry for `key`; returns the value it replaces, if `key`
+    /// was already held.
     ///
     /// # Panics
     ///
-    /// If another endpoint's id with the same counter is held.
-    pub fn insert(&mut self, id: ReqId, value: T) -> Option<T> {
-        if let Some(i) = self.find(id) {
-            let old = self.slab.get_mut(i)?.replace((id, value));
+    /// If another key with the same counter is held (another
+    /// endpoint's request id).
+    pub fn insert(&mut self, key: K, value: T) -> Option<T> {
+        if let Some(i) = self.find(key) {
+            let old = self.slab.get_mut(i)?.replace((key, value));
             return old.map(|(_, v)| v);
         }
-        let counter = Self::counter(id);
+        let counter = key.counter();
+        // How far `counter` precedes the front, if at most 2^31 - 1.
+        let behind = self.base.wrapping_sub(counter);
         if self.window.is_empty() {
             self.base = counter;
-        } else if counter < self.base {
-            for _ in counter..self.base {
+        } else if behind != 0 && behind <= i32::MAX as u32 {
+            for _ in 0..behind {
                 self.window.push_front(0);
             }
             self.base = counter;
         }
-        let off = self.offset(id);
+        let off = self.offset(key);
         if off >= self.window.len() {
             self.window.resize(off + 1, 0);
         }
         assert!(
             self.window.get(off) == Some(&0),
-            "{id:?} shares its counter with another endpoint's request"
+            "{key:?} shares its counter with another key held here"
         );
         let i = match self.free.pop() {
             Some(i) => {
-                self.slab[i as usize] = Some((id, value));
+                self.slab[i as usize] = Some((key, value));
                 i
             }
             None => {
-                self.slab.push(Some((id, value)));
+                self.slab.push(Some((key, value)));
                 (self.slab.len() - 1) as u32
             }
         };
@@ -413,12 +441,12 @@ impl<T> ReqTable<T> {
         None
     }
 
-    /// Remove request `id`, returning it if it was outstanding.
-    pub fn remove(&mut self, id: &ReqId) -> Option<T> {
-        let i = self.find(*id)?;
+    /// Remove the entry for `key`, returning it if it was held.
+    pub fn remove(&mut self, key: &K) -> Option<T> {
+        let i = self.find(*key)?;
         let (_, value) = self.slab.get_mut(i)?.take()?;
         self.free.push(i as u32);
-        let off = self.offset(*id);
+        let off = self.offset(*key);
         if let Some(slot) = self.window.get_mut(off) {
             *slot = 0;
         }
@@ -426,10 +454,10 @@ impl<T> ReqTable<T> {
         Some(value)
     }
 
-    /// Drop the empty slots before the oldest request held, and hand
-    /// most of the window's memory back once a long-lived request that
-    /// held it open has gone. Empty slots after the newest request stay:
-    /// trimming them would make the next insert fill the gap again.
+    /// Drop the empty slots before the oldest entry held, and hand most
+    /// of the window's memory back once a long-lived entry that held it
+    /// open has gone. Empty slots after the newest entry stay: trimming
+    /// them would make the next insert fill the gap again.
     fn trim(&mut self) {
         while self.window.front() == Some(&0) {
             self.window.pop_front();
@@ -440,11 +468,11 @@ impl<T> ReqTable<T> {
         }
     }
 
-    /// Outstanding requests in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (&ReqId, &T)> + '_ {
+    /// Entries held, in counter order from the window's front.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &T)> + '_ {
         self.window.iter().filter_map(move |&slot| {
-            let (id, v) = self.slab.get(slot.checked_sub(1)? as usize)?.as_ref()?;
-            Some((id, v))
+            let (key, v) = self.slab.get(slot.checked_sub(1)? as usize)?.as_ref()?;
+            Some((key, v))
         })
     }
 
@@ -453,11 +481,11 @@ impl<T> ReqTable<T> {
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.window.capacity() + self.free.capacity()) * size_of::<u32>()
-            + self.slab.capacity() * size_of::<Option<(ReqId, T)>>()
+            + self.slab.capacity() * size_of::<Option<(K, T)>>()
     }
 }
 
-impl<T: fmt::Debug> fmt::Debug for ReqTable<T> {
+impl<K: CounterKey, T: fmt::Debug> fmt::Debug for CounterTable<K, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }
@@ -908,6 +936,116 @@ mod tests {
             "sliding window held {} B",
             t.heap_bytes()
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A handle window answers every operation exactly as a
+        /// `BTreeMap<u32, _>` would. Handles are issued in order from
+        /// near `u32::MAX`, so the namespace wraps, and removed in any
+        /// order; a burst issues and retires thousands of later
+        /// handles while older ones are held. Lookups pick live,
+        /// removed, never-issued and far-away handles.
+        #[test]
+        fn counter_table_matches_an_ordered_map_across_the_wrap(
+            start_back in 0u32..64,
+            ops in proptest::collection::vec((0u8..6, proptest::prelude::any::<u32>()), 1..200),
+        ) {
+            use proptest::prelude::*;
+            let start = u32::MAX - start_back;
+            let mut table: CounterTable<u32, u64> = CounterTable::new();
+            let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+            let mut next = start;
+            let mut issued = 0u32;
+            for (step, (op, arg)) in ops.into_iter().enumerate() {
+                let value = u64::from(arg) << 8 | step as u64;
+                // An issued handle, live or removed, if any.
+                let old = (issued > 0).then(|| start.wrapping_add(arg / 8 % issued));
+                // What lookups and removes probe: an issued handle, one
+                // not issued yet, or one half the namespace away from
+                // an issued one.
+                let pick = match (old, arg % 8) {
+                    (None, _) | (_, 0) => next.wrapping_add(arg % 5),
+                    (Some(old), 1) => old ^ (1 << 31),
+                    (Some(old), _) => old,
+                };
+                match op {
+                    // Issue the next handle.
+                    0 | 1 => {
+                        prop_assert_eq!(table.insert(next, value), model.insert(next, value));
+                        next = next.wrapping_add(1);
+                        issued += 1;
+                    }
+                    2 => prop_assert_eq!(table.remove(&pick), model.remove(&pick)),
+                    3 => {
+                        prop_assert_eq!(table.get(&pick), model.get(&pick));
+                        prop_assert_eq!(table.contains_key(&pick), model.contains_key(&pick));
+                        let t = table.get_mut(&pick).map(|v| {
+                            *v += 1;
+                            *v
+                        });
+                        let m = model.get_mut(&pick).map(|v| {
+                            *v += 1;
+                            *v
+                        });
+                        prop_assert_eq!(t, m);
+                    }
+                    // A burst: later handles come and go while the
+                    // older ones stay held, now and then thousands.
+                    4 => {
+                        let n = if arg % 8 == 0 { arg % 2500 } else { arg % 64 };
+                        for _ in 0..n {
+                            prop_assert_eq!(table.insert(next, value), model.insert(next, value));
+                            prop_assert_eq!(table.remove(&next), model.remove(&next));
+                            next = next.wrapping_add(1);
+                            issued += 1;
+                        }
+                    }
+                    // Re-insert an issued handle, held or not.
+                    _ => {
+                        if let Some(old) = old {
+                            prop_assert_eq!(table.insert(old, value), model.insert(old, value));
+                        }
+                    }
+                }
+                prop_assert_eq!(table.len(), model.len());
+                prop_assert_eq!(table.is_empty(), model.is_empty());
+                // The window yields handles in issue order, across the
+                // wrap; the model sorts numerically.
+                let t: Vec<(u32, u64)> = table.iter().map(|(k, v)| (*k, *v)).collect();
+                let mut m: Vec<(u32, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+                m.sort_by_key(|&(k, _)| k.wrapping_sub(start));
+                prop_assert_eq!(t, m);
+            }
+        }
+    }
+
+    /// One pull handle held across the wrap while a hundred thousand
+    /// later ones come and go costs 4 bytes per later handle, and the
+    /// window gives the memory back once the held handle is removed.
+    #[test]
+    fn counter_table_holes_across_the_wrap_cost_four_bytes_each() {
+        const LATER: u32 = 100_000;
+        let held = u32::MAX - 10;
+        let mut t: CounterTable<u32, u64> = CounterTable::new();
+        t.insert(held, 1);
+        let mut h = held;
+        for _ in 0..LATER {
+            h = h.wrapping_add(1);
+            t.insert(h, u64::from(h));
+            assert_eq!(t.get(&held), Some(&1));
+            assert_eq!(t.remove(&h), Some(u64::from(h)));
+        }
+        assert!(h < held, "the handles wrapped");
+        assert_eq!(t.len(), 1);
+        let bound = 2 * 4 * LATER as usize + 1024;
+        assert!(t.heap_bytes() <= bound, "{} B > {bound} B", t.heap_bytes());
+        assert_eq!(t.get(&h), None, "a retired handle is gone");
+        assert_eq!(t.get(&(held ^ (1 << 31))), None, "far-away handle");
+        assert_eq!(t.remove(&held), Some(1));
+        assert!(t.is_empty());
+        assert!(t.heap_bytes() < 1024, "window kept {} B", t.heap_bytes());
     }
 
     #[test]

@@ -261,9 +261,25 @@ impl Cluster {
         fin: Ps,
     ) {
         let key = (src, msg_seq);
-        // First fragment of a new message: match it.
-        if !self.ep(me).assemblies.contains_key(&key) {
+        // First fragment of a new message: match it. A message that
+        // fits in one fragment is complete on arrival, so it has no
+        // assembly yet, and a receive that matches it takes it
+        // straight from the ring slot. Unmatched, it is buffered as an
+        // assembly like any other medium message.
+        if frag_count == 1 || !self.ep(me).assemblies.contains_key(&key) {
             let matched = self.ep_mut(me).matcher.match_incoming(match_info);
+            if let (1, Some(posted)) = (frag_count, &matched) {
+                let req = posted.req;
+                let ep = self.ep_mut(me);
+                if let Some(rs) = ep.recvs.get_mut(&req) {
+                    rs.total = msg_len;
+                    rs.matched_info = Some(match_info);
+                    rs.buf.write(offset, ep.slots.read(slot, len));
+                }
+                ep.slots.release(slot);
+                self.finish_recv(sim, me, req, fin);
+                return;
+            }
             let (req, buf) = match matched {
                 Some(posted) => {
                     if let Some(rs) = self.ep_mut(me).recvs.get_mut(&posted.req) {
@@ -358,15 +374,18 @@ impl Cluster {
             rs.total = msg_len;
             rs.matched_info = Some(match_info);
         }
-        // The announcement is now owned by a pull; duplicate tracking
-        // hands over to the driver's active-pull check.
-        self.ep_mut(me).rndv_pending.remove(&(src, msg_seq));
+        // A network pull keeps its announcement in `rndv_pending` until
+        // it finishes or the watchdog abandons it, so `rx_rndv` drops a
+        // retransmitted announcement while the pull runs. MXoE and
+        // intranode pulls are not driver pulls: their entry goes now.
         match self.p.cfg.stack {
             StackKind::Mxoe => {
+                self.ep_mut(me).rndv_pending.remove(&(src, msg_seq));
                 self.mx_start_pull(sim, me, req, src, sender_handle, msg_len, fin);
             }
             StackKind::OpenMx => {
                 if src.node == me.node {
+                    self.ep_mut(me).rndv_pending.remove(&(src, msg_seq));
                     self.start_local_pull(sim, me, req, src, sender_handle, msg_len, msg_seq, fin);
                 } else {
                     self.start_pull(sim, me, req, src, sender_handle, msg_len, msg_seq, fin);

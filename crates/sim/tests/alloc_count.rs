@@ -396,6 +396,14 @@ mod driver_paths {
     }
 
     #[test]
+    fn warmed_one_fragment_medium_pingpong_allocates_nothing() {
+        // A medium message that fits in one fragment: complete on
+        // arrival, written straight from the ring slot.
+        let d = measured_allocs(2 << 10, OmxConfig::default());
+        assert_eq!(d, 0, "warmed 2 KiB ping-pong allocated {d} times");
+    }
+
+    #[test]
     fn warmed_large_pingpong_allocates_nothing() {
         // Large path: rendezvous pulls, block bitmaps and pending-copy
         // queues recycled through the driver scratch pool.

@@ -4,6 +4,7 @@
 use openmx_repro::hw::CoreId;
 use openmx_repro::omx::cluster::ClusterParams;
 use openmx_repro::omx::config::{OmxConfig, StackKind, SyncWaitPolicy};
+use openmx_repro::omx::fault::FaultPlan;
 use openmx_repro::omx::harness::{run_pingpong, PingPongConfig, Placement};
 
 fn pingpong(size: u64, cfg: OmxConfig, placement: Placement) -> f64 {
@@ -99,6 +100,49 @@ fn extension_paths_stay_correct() {
             core_b: CoreId(4),
         },
     );
+}
+
+/// A medium message that fits in one fragment is complete on arrival:
+/// the driver acks it without a reassembly bitmap and a matching
+/// receive takes it straight from the ring slot, except under kernel
+/// matching, which keeps its per-message path. Neither changes a
+/// simulated byte: each run's (events, end time, acks, duplicates
+/// dropped) was recorded while every medium message was reassembled
+/// through bitmaps, with and without duplicated frames.
+#[test]
+fn one_fragment_medium_runs_are_unchanged() {
+    let kmatch = OmxConfig {
+        kernel_matching: true,
+        ..OmxConfig::with_ioat()
+    };
+    let dup = |cfg: OmxConfig| OmxConfig {
+        fault_plan: FaultPlan::dup_storm(),
+        ..cfg
+    };
+    let cases = [
+        (OmxConfig::default(), 2000, (1292, 1_391_565_930, 86, 0)),
+        (kmatch.clone(), 2000, (1292, 1_309_020_900, 86, 0)),
+        (
+            dup(OmxConfig::default()),
+            3000,
+            (1302, 1_567_745_600, 88, 2),
+        ),
+        (dup(kmatch), 3000, (1300, 1_402_235_810, 88, 2)),
+    ];
+    for (cfg, size, want) in cases {
+        let mut c = PingPongConfig::new(ClusterParams::with_cfg(cfg), size, net());
+        c.iters = 40;
+        let r = run_pingpong(c);
+        assert!(r.verified, "payload corrupted at {size} B");
+        let s = &r.run.stats;
+        let got = (
+            r.run.events,
+            r.run.end.as_ps(),
+            s.acks_sent,
+            s.duplicates_dropped,
+        );
+        assert_eq!(got, want, "{size} B");
+    }
 }
 
 #[test]

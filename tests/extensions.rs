@@ -9,6 +9,7 @@ use openmx_repro::omx::cluster::{Cluster, ClusterParams};
 use openmx_repro::omx::config::{OmxConfig, StackKind, SyncWaitPolicy};
 use openmx_repro::omx::harness::{run_pingpong, PingPongConfig, Placement};
 use openmx_repro::omx::{EpAddr, EpIdx, NodeId};
+use openmx_repro::sim::instruments as ins;
 use openmx_repro::sim::{Ps, Sim};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -392,4 +393,63 @@ fn warm_copy_head_is_memcpyd_offload_covers_rest() {
     let c = cluster.ep(peer).counters;
     assert_eq!(c.copies_memcpy, 16, "64 kB head = 16 memcpy'd fragments");
     assert_eq!(c.copies_offloaded, 240, "remaining 960 kB offloaded");
+}
+
+/// An intranode copy split across every I/OAT channel is charged for
+/// the descriptors it submits: each channel's share rounds up to whole
+/// pages, so a 2 MiB + 100 B copy on 4 channels submits 516
+/// descriptors, not the 513 of one unsplit copy.
+#[test]
+fn split_intranode_copy_is_charged_per_submitted_descriptor() {
+    struct Receiver {
+        size: u64,
+        got: Rc<Cell<bool>>,
+    }
+    impl App for Receiver {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            ctx.irecv(1, u64::MAX, self.size, None);
+        }
+        fn on_completion(&mut self, _ctx: &mut AppCtx<'_>, c: Completion) {
+            if let Completion::Recv { data, .. } = c {
+                assert!(data.iter().all(|&b| b == 9), "payload intact");
+                self.got.set(true);
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.got.get()
+        }
+    }
+    let size = (2 << 20) + 100;
+    let got = Rc::new(Cell::new(false));
+    let params = ClusterParams::with_cfg(OmxConfig {
+        ioat_multichannel_split: true,
+        ..OmxConfig::with_ioat()
+    });
+    let submit_cpu = params.hw.ioat_submit_cpu;
+    let mut cluster = Cluster::new(params);
+    let mut sim: Sim<Cluster> = Sim::new();
+    let peer = EpAddr {
+        node: NodeId(0),
+        ep: EpIdx(1),
+    };
+    cluster.add_endpoint(NodeId(0), CoreId(0), Box::new(OneShotSender { peer, size }));
+    cluster.add_endpoint(
+        NodeId(0),
+        CoreId(4),
+        Box::new(Receiver {
+            size,
+            got: got.clone(),
+        }),
+    );
+    cluster.start(&mut sim);
+    sim.run(&mut cluster);
+    assert!(got.get(), "the intranode receive completed");
+    let ioat = &cluster.node(NodeId(0)).ioat;
+    assert_eq!(ioat.num_channels(), 4);
+    let submitted = ioat.descriptors_submitted();
+    assert_eq!(submitted, 516, "4 shares of 512 KiB + 25 B");
+    assert_eq!(
+        cluster.metrics.busy_total(0, ins::IOAT_SUBMIT_CPU),
+        submit_cpu * submitted
+    );
 }
