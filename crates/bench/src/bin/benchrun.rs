@@ -1,27 +1,18 @@
-//! Performance trajectory runner (`BENCH_*.json`).
+//! Perf smoke: deterministic simulation fingerprints.
 //!
-//! Two modes:
-//!
-//! * default — measure host wall-clock and allocation counts for the
-//!   scheduler microbenches and a fixed end-to-end workload per figure
-//!   family (ping-pong, stream, all-to-all), and print one JSON report.
-//!   These numbers feed `BENCH_pr4.json`; they are *host* measurements
-//!   and vary run to run, so they are never byte-compared.
-//! * `--smoke` — run the same end-to-end workloads in a cheap fixed
-//!   configuration and print only their deterministic simulation
-//!   fingerprints (Stats + component breakdown JSON). CI byte-compares
-//!   this output against `results/golden/perf_smoke.json`: any
-//!   scheduler reordering, stray wall-clock read or unordered
-//!   iteration shows up as a diff.
-//!
-//! Wall-clock numbers are meaningful only from `--release` builds (the
-//! debug `SimSanitizer` is compiled out there; see EXPERIMENTS.md).
+//! `benchrun --smoke` runs fixed end-to-end workloads (ping-pong,
+//! stream, all-to-all, multi-queue fan-in, credit-governed incast and
+//! the 1024-rank partitioned Alltoall) in a cheap configuration and
+//! prints only their deterministic simulation fingerprints (events
+//! executed, Stats and component breakdown JSON). CI byte-compares
+//! this output against `results/golden/perf_smoke.json`: any scheduler
+//! reordering, stray wall-clock read or unordered iteration shows up
+//! as a diff. Host-time measurement is `omx-benchmark`'s job. Any other
+//! invocation prints a usage line and exits with status 2.
 
 use omx_hw::CoreId;
 use omx_mpi::runner::{run_kernel, KernelResult, Layout};
 use omx_mpi::Kernel;
-use omx_sim::walltime::Stopwatch;
-use omx_sim::{Ps, ReferenceSim, Sim};
 use open_mx::cluster::ClusterParams;
 use open_mx::config::OmxConfig;
 use open_mx::fault::FaultPlan;
@@ -29,44 +20,6 @@ use open_mx::harness::{
     run_fanin, run_incast, run_pingpong, run_stream, ComponentBreakdown, FaninConfig, IncastConfig,
     PingPongConfig, Placement, RunReport, StreamConfig,
 };
-use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-/// Counting allocator: every heap allocation (and reallocation) bumps
-/// one relaxed counter. Zero-overhead enough to leave on for the whole
-/// run; the engine microbenches read deltas around a measured section.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, l: AllocLayout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc(l)
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: AllocLayout) {
-        System.dealloc(p, l)
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: AllocLayout, n: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.realloc(p, l, n)
-    }
-    unsafe fn alloc_zeroed(&self, l: AllocLayout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(l)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Relaxed)
-}
-
-/// The engine under measurement (recorded in the report so before/after
-/// JSON blobs are self-describing).
-const ENGINE: &str = "timing-wheel";
 
 const SEED: u64 = 17;
 
@@ -75,281 +28,6 @@ fn fixed_cfg() -> OmxConfig {
         seed: SEED,
         regcache: false,
         ..OmxConfig::with_ioat()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine microbenches
-// ---------------------------------------------------------------------
-
-struct EngineBench {
-    name: &'static str,
-    events: u64,
-    best_secs: f64,
-    median_secs: f64,
-    allocs_per_event: f64,
-    /// Same shape driven through [`ReferenceSim`] (the original
-    /// `BinaryHeap` engine), interleaved repeat-for-repeat with the
-    /// wheel so both see the same machine conditions.
-    reference_best_secs: f64,
-    reference_median_secs: f64,
-}
-
-impl EngineBench {
-    fn json(&self) -> String {
-        let eps = self.events as f64 / self.best_secs;
-        let ns_per_event = self.best_secs * 1e9 / self.events as f64;
-        let ref_ns = self.reference_best_secs * 1e9 / self.events as f64;
-        format!(
-            "{{\"name\":\"{}\",\"events\":{},\"best_secs\":{:.6},\"median_secs\":{:.6},\
-             \"events_per_sec\":{:.0},\"ns_per_event\":{:.1},\"allocs_per_event\":{:.3},\
-             \"reference_best_secs\":{:.6},\"reference_median_secs\":{:.6},\
-             \"reference_ns_per_event\":{:.1},\"speedup_vs_reference\":{:.2}}}",
-            self.name,
-            self.events,
-            self.best_secs,
-            self.median_secs,
-            eps,
-            ns_per_event,
-            self.allocs_per_event,
-            self.reference_best_secs,
-            self.reference_median_secs,
-            ref_ns,
-            self.reference_best_secs / self.best_secs,
-        )
-    }
-}
-
-/// Time one schedule+run shape on both engines, interleaving repeats
-/// (wheel, heap, wheel, heap, …) so transient machine load hits both
-/// fairly. Reports best and median wall time for each plus the wheel's
-/// allocation delta on its final pass.
-fn engine_bench(
-    name: &'static str,
-    repeats: usize,
-    wheel_iter: impl Fn() -> u64,
-    heap_iter: impl Fn() -> u64,
-) -> EngineBench {
-    let mut wheel_times = Vec::with_capacity(repeats);
-    let mut heap_times = Vec::with_capacity(repeats);
-    let mut events = 0;
-    let mut allocs = 0.0;
-    for rep in 0..repeats {
-        let a0 = allocations();
-        let sw = Stopwatch::start();
-        events = wheel_iter();
-        wheel_times.push(sw.elapsed_secs());
-        if rep + 1 == repeats {
-            allocs = (allocations() - a0) as f64 / events as f64;
-        }
-        let sw = Stopwatch::start();
-        let ref_events = heap_iter();
-        heap_times.push(sw.elapsed_secs());
-        assert_eq!(events, ref_events, "engines disagree on event count");
-    }
-    wheel_times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    heap_times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    EngineBench {
-        name,
-        events,
-        best_secs: wheel_times[0],
-        median_secs: wheel_times[wheel_times.len() / 2],
-        allocs_per_event: allocs,
-        reference_best_secs: heap_times[0],
-        reference_median_secs: heap_times[heap_times.len() / 2],
-    }
-}
-
-/// Expand one bench body for both engine types (they share the
-/// scheduling API verbatim, so the shape is written once). An
-/// optional leading argument sets the wheel depth for the `Sim` side
-/// (default: the engine's default two levels); the reference heap has
-/// no levels.
-macro_rules! on_both {
-    (|$sim:ident| $body:block) => {
-        on_both!(2, |$sim| $body)
-    };
-    ($levels:expr, |$sim:ident| $body:block) => {
-        (
-            || {
-                let mut $sim: Sim<u64> = Sim::with_wheel_levels($levels);
-                $body
-            },
-            || {
-                let mut $sim: ReferenceSim<u64> = ReferenceSim::new();
-                $body
-            },
-        )
-    };
-}
-
-fn engine_benches(scale: u64) -> Vec<EngineBench> {
-    let n = 10_000 * scale;
-    let reps = 9;
-    let mut out = Vec::new();
-    // Distinct nanosecond timestamps, trivial closures.
-    let (w, h) = on_both!(|sim| {
-        let mut world = 0u64;
-        for i in 0..n {
-            sim.schedule_at(Ps::ns(i), |w: &mut u64, _| *w += 1);
-        }
-        sim.run(&mut world);
-        world
-    });
-    out.push(engine_bench("engine_distinct_ns", reps, w, h));
-    // Everything at one instant: pure FIFO-bucket throughput.
-    let (w, h) = on_both!(|sim| {
-        let mut world = 0u64;
-        for _ in 0..n {
-            sim.schedule_at(Ps::us(3), |w: &mut u64, _| *w += 1);
-        }
-        sim.run(&mut world);
-        world
-    });
-    out.push(engine_bench("engine_same_instant", reps, w, h));
-    // Far-future timers: 3 µs strides spread the events over ~30 ms of
-    // simulated time, so all but the first handful land beyond the
-    // ~67 µs level-0 horizon — the retransmit-timer regime PR-4
-    // recorded at ~0.6× vs the heap when every such event paid a boxed
-    // overflow node. With two wheel levels the whole span fits the
-    // ~34 ms coarse ring: slab-resident, allocation-free.
-    let (w, h) = on_both!(2, |sim| {
-        let mut world = 0u64;
-        for i in 0..n {
-            sim.schedule_at(Ps::us(3 * (1 + i)), |w: &mut u64, _| *w += 1);
-        }
-        sim.run(&mut world);
-        world
-    });
-    out.push(engine_bench("engine_far_future", reps, w, h));
-    // Same shape on the single-level wheel: the boxed overflow-heap
-    // cost the second level exists to remove, kept as the A/B record.
-    let (w, h) = on_both!(1, |sim| {
-        let mut world = 0u64;
-        for i in 0..n {
-            sim.schedule_at(Ps::us(3 * (1 + i)), |w: &mut u64, _| *w += 1);
-        }
-        sim.run(&mut world);
-        world
-    });
-    out.push(engine_bench("engine_far_future_one_level", reps, w, h));
-    // Cancel-heavy timer workload: retransmit-style timers where most
-    // are revoked before they fire.
-    let (w, h) = on_both!(|sim| {
-        let mut world = 0u64;
-        let mut ids = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            ids.push(sim.schedule_at_cancellable(Ps::ns(10 + i), |w: &mut u64, _| *w += 1));
-        }
-        for (i, id) in ids.into_iter().enumerate() {
-            if i % 4 != 0 {
-                sim.cancel(id);
-            }
-        }
-        sim.run(&mut world);
-        world + n // survivors + scheduled: identical across engines
-    });
-    out.push(engine_bench("engine_cancel_heavy", reps, w, h));
-    out
-}
-
-/// Self-rescheduling chain: steady-state `schedule_in` from inside
-/// handlers, the dominant shape of the protocol simulations. Written
-/// outside `on_both!` because the handler names its own engine type.
-fn chain_benches(n: u64, reps: usize) -> EngineBench {
-    let wheel = move || {
-        let mut sim: Sim<u64> = Sim::new();
-        let mut world = 0u64;
-        fn tick(limit: u64) -> impl Fn(&mut u64, &mut Sim<u64>) {
-            move |w, sim| {
-                *w += 1;
-                if *w < limit {
-                    sim.schedule_in(Ps::ns(120), tick(limit));
-                }
-            }
-        }
-        sim.schedule_at(Ps::ZERO, tick(n));
-        sim.run(&mut world);
-        world
-    };
-    let heap = move || {
-        let mut sim: ReferenceSim<u64> = ReferenceSim::new();
-        let mut world = 0u64;
-        fn tick(limit: u64) -> impl Fn(&mut u64, &mut ReferenceSim<u64>) {
-            move |w, sim| {
-                *w += 1;
-                if *w < limit {
-                    sim.schedule_in(Ps::ns(120), tick(limit));
-                }
-            }
-        }
-        sim.schedule_at(Ps::ZERO, tick(n));
-        sim.run(&mut world);
-        world
-    };
-    engine_bench("engine_reschedule_chain", reps, wheel, heap)
-}
-
-// ---------------------------------------------------------------------
-// End-to-end workloads (one per figure family)
-// ---------------------------------------------------------------------
-
-struct E2eBench {
-    name: &'static str,
-    wall_best_secs: f64,
-    wall_median_secs: f64,
-    allocs_total: u64,
-    sim_end: Ps,
-    throughput_mibs: f64,
-    /// Engine events the run executed (deterministic).
-    events_executed: u64,
-}
-
-impl E2eBench {
-    fn json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"wall_best_secs\":{:.4},\"wall_median_secs\":{:.4},\
-             \"allocs_total\":{},\"sim_end_ns\":{},\"throughput_mibs\":{:.1},\
-             \"events_executed\":{},\"events_per_sec\":{:.0}}}",
-            self.name,
-            self.wall_best_secs,
-            self.wall_median_secs,
-            self.allocs_total,
-            self.sim_end.0 / 1000,
-            self.throughput_mibs,
-            self.events_executed,
-            self.events_executed as f64 / self.wall_best_secs,
-        )
-    }
-}
-
-fn e2e_bench(name: &'static str, repeats: usize, run: impl Fn() -> (Ps, f64, u64)) -> E2eBench {
-    let mut times = Vec::with_capacity(repeats);
-    let mut sim_end = Ps::ZERO;
-    let mut throughput = 0.0;
-    let mut allocs_total = 0;
-    let mut events_executed = 0;
-    for rep in 0..repeats {
-        let a0 = allocations();
-        let sw = Stopwatch::start();
-        let (end, thr, events) = run();
-        times.push(sw.elapsed_secs());
-        if rep + 1 == repeats {
-            sim_end = end;
-            throughput = thr;
-            allocs_total = allocations() - a0;
-            events_executed = events;
-        }
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    E2eBench {
-        name,
-        wall_best_secs: times[0],
-        wall_median_secs: times[times.len() / 2],
-        allocs_total,
-        sim_end,
-        throughput_mibs: throughput,
-        events_executed,
     }
 }
 
@@ -365,10 +43,6 @@ fn pingpong_cfg(iters: u32, cfg: OmxConfig) -> open_mx::harness::PingPongResult 
     c.iters = iters;
     c.warmup = 1;
     run_pingpong(c)
-}
-
-fn pingpong_fixed(iters: u32) -> open_mx::harness::PingPongResult {
-    pingpong_cfg(iters, fixed_cfg())
 }
 
 fn stream_fixed(count: u32) -> open_mx::harness::StreamResult {
@@ -420,40 +94,6 @@ fn alltoall_1k(partitions: usize) -> KernelResult {
     run_kernel(Kernel::Alltoall, Layout::Nodes(1024), 256, 2, params)
 }
 
-fn e2e_benches() -> Vec<E2eBench> {
-    vec![
-        e2e_bench("pingpong_256k", 5, || {
-            let r = pingpong_fixed(12);
-            assert!(r.verified, "pingpong failed verification");
-            (r.run.end, r.throughput_mibs, r.run.events)
-        }),
-        e2e_bench("stream_1m", 3, || {
-            let r = stream_fixed(8);
-            assert!(r.verified, "stream failed verification");
-            (r.elapsed, r.throughput_mibs, r.run.events)
-        }),
-        e2e_bench("alltoall_1m", 3, || {
-            let r = alltoall_fixed(2);
-            assert!(r.verified, "alltoall failed verification");
-            (r.run.end, 0.0, r.run.events)
-        }),
-        e2e_bench("fanin_mq_16k", 3, || {
-            let r = fanin_fixed(16);
-            assert!(r.verified, "fan-in failed verification");
-            (r.elapsed, r.throughput_mibs, r.run.events)
-        }),
-        e2e_bench("incast_credit_96k", 3, || {
-            let r = incast_fixed();
-            assert!(r.verified, "incast failed verification");
-            (r.elapsed, 0.0, r.run.events)
-        }),
-    ]
-}
-
-// ---------------------------------------------------------------------
-// Smoke mode: deterministic fingerprints only
-// ---------------------------------------------------------------------
-
 fn fingerprint(run: &RunReport, breakdown: &ComponentBreakdown) -> String {
     format!(
         "{{\"events_executed\":{},\"stats\":{},\"breakdown\":{}}}",
@@ -464,7 +104,7 @@ fn fingerprint(run: &RunReport, breakdown: &ComponentBreakdown) -> String {
 }
 
 fn smoke() {
-    let pp = pingpong_fixed(6);
+    let pp = pingpong_cfg(6, fixed_cfg());
     assert!(pp.verified, "pingpong failed verification");
     let st = stream_fixed(4);
     assert!(st.verified, "stream failed verification");
@@ -533,26 +173,10 @@ fn smoke() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        smoke();
-        return;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args != ["--smoke"] {
+        eprintln!("usage: benchrun --smoke");
+        std::process::exit(2);
     }
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let mut benches = engine_benches(1);
-    benches.push(chain_benches(10_000, 9));
-    let engine: Vec<String> = benches.iter().map(|b| b.json()).collect();
-    let e2e: Vec<String> = e2e_benches().iter().map(|b| b.json()).collect();
-    println!(
-        "{{\"schema\":\"benchrun-v3\",\"engine\":\"{}\",\"profile\":\"{}\",\
-         \"engine_benches\":[{}],\"e2e\":[{}]}}",
-        ENGINE,
-        profile,
-        engine.join(","),
-        e2e.join(","),
-    );
+    smoke();
 }

@@ -148,7 +148,7 @@ pub struct RunReport {
     /// Busy totals the component breakdowns are computed from.
     pub busy: BusyTotals,
     /// Engine events executed over the whole run — deterministic, and
-    /// the denominator of benchrun's events/sec figure.
+    /// pinned by the `benchrun --smoke` fingerprints.
     pub events: u64,
     /// Simulation end time.
     pub end: Ps,

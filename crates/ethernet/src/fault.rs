@@ -152,11 +152,6 @@ impl LinkFaultState {
         &self.params
     }
 
-    /// Whether the channel is currently in the bad (bursty) state.
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
-
     /// Evaluate the hazards for one frame. Draw order is fixed
     /// (transition, loss, corrupt, duplicate, reorder) so fault
     /// patterns are reproducible across runs with the same seed.

@@ -93,11 +93,6 @@ impl Link {
         tx_done + self.params.propagation + self.params.rx_latency
     }
 
-    /// When the transmitter drains.
-    pub fn idle_at(&self) -> Ps {
-        self.server.busy_until()
-    }
-
     /// Wire serialization time of one frame at this link's rate. The
     /// fault injector uses multiples of this as the hold-back unit for
     /// reordered frames, so "reorder depth k" means "overtaken by up

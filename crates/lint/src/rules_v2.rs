@@ -75,8 +75,6 @@ impl Default for RulesConfig {
             d5_entries: vec![
                 own("omx_sim::engine::Sim::schedule_at"),
                 own("omx_sim::engine::Sim::schedule_in"),
-                own("omx_sim::engine::Sim::schedule_at_cancellable"),
-                own("omx_sim::engine::Sim::schedule_in_cancellable"),
                 own("omx_sim::engine::Sim::step"),
                 own("omx_sim::engine::Sim::run_until"),
                 own("open_mx::cluster::Cluster::run_bh"),

@@ -70,11 +70,6 @@ impl Kernel {
         }
     }
 
-    /// Minimum rank count this kernel is defined for.
-    pub fn min_np(&self) -> usize {
-        2
-    }
-
     /// Build the per-rank scripts for `np` ranks, message size `size`,
     /// `iters` iterations. Rank 0 marks the end of every iteration.
     pub fn scripts(&self, np: usize, size: u64, iters: u32) -> Vec<Script> {

@@ -41,36 +41,26 @@
 //! inline in the queue node, medium captures in pooled free-list
 //! slots, so steady-state scheduling performs no heap allocation.
 //!
-//! # Cancellation
-//!
-//! [`Sim::schedule_at_cancellable`] returns a [`TimerId`] that
-//! [`Sim::cancel`] revokes in O(log n). Cancellation tombstones the
-//! event rather than unlinking it: the closure is destroyed when its
-//! instant is reached, the handler never runs, but the clock still
-//! passes through the instant (both this engine and
-//! [`crate::reference::ReferenceSim`] define it that way). The
-//! tombstone sets are empty unless cancellation is actually used, in
-//! which case lookups cost one `is_empty` check on the hot path.
+//! Every scheduled event fires exactly once; there is no cancellation.
+//! A timer that may become moot (a resend timer, a pull watchdog)
+//! fires anyway and checks its own state.
 
 use crate::event::{EventFn, EventPool, PoolSlot};
 use crate::time::Ps;
 use crate::wheel::{slot_of, Entry, FarEntry, FarHeap, Wheel};
-use std::collections::{BTreeSet, VecDeque};
-
-/// Handle to a cancellable scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TimerId(pub(crate) u64);
+use std::collections::VecDeque;
 
 /// A single-threaded deterministic discrete-event simulator.
 pub struct Sim<W> {
     now: Ps,
+    /// Events scheduled so far, which is also the next event's FIFO
+    /// tiebreak.
     seq: u64,
     executed: u64,
-    /// Live (not yet executed, not cancelled) event count.
-    pending: usize,
-    /// High-water mark of `pending` over the simulation's lifetime —
-    /// a deterministic proxy for the engine's peak memory footprint
-    /// (event pool + wheel occupancy track the pending population).
+    /// High-water mark of [`Sim::events_pending`] over the
+    /// simulation's lifetime — a deterministic proxy for the engine's
+    /// peak memory footprint (event pool + wheel occupancy track the
+    /// pending population).
     pending_peak: usize,
     /// Events of the slot the cursor is on, sorted by `(time, seq)`,
     /// held as indices into the wheel's node slab so the sort and any
@@ -83,10 +73,6 @@ pub struct Sim<W> {
     wheel: Wheel<W>,
     far: FarHeap<W>,
     pool: EventPool,
-    /// Sequence numbers of cancellable events not yet fired/cancelled.
-    live: BTreeSet<u64>,
-    /// Sequence numbers cancelled but not yet reaped from the queues.
-    cancelled: BTreeSet<u64>,
 }
 
 impl<W> Default for Sim<W> {
@@ -114,14 +100,11 @@ impl<W> Sim<W> {
             now: Ps::ZERO,
             seq: 0,
             executed: 0,
-            pending: 0,
             pending_peak: 0,
             current: VecDeque::new(),
             wheel: Wheel::with_levels(levels),
             far: FarHeap::new(),
             pool: EventPool::new(),
-            live: BTreeSet::new(),
-            cancelled: BTreeSet::new(),
         }
     }
 
@@ -138,10 +121,11 @@ impl<W> Sim<W> {
         self.executed
     }
 
-    /// Number of events still pending (cancelled events excluded).
+    /// Number of events still pending: every scheduled event fires
+    /// exactly once, so this is scheduled minus executed.
     #[inline]
     pub fn events_pending(&self) -> usize {
-        self.pending
+        (self.seq - self.executed) as usize
     }
 
     /// High-water mark of [`Sim::events_pending`] since construction:
@@ -159,9 +143,7 @@ impl<W> Sim<W> {
     /// internal [`Sim::next_instant`] this includes entries a bounded
     /// [`Sim::run_until`] left behind in the cursor slot, so it is safe
     /// to use as the horizon base of a conservative time-window
-    /// protocol (`crates/sim/src/partition.rs`). A cancelled-but-not-
-    /// yet-reaped tombstone may be reported here; that is conservative
-    /// (the window only shrinks, never admits an out-of-order event).
+    /// protocol (`crates/sim/src/partition.rs`).
     pub fn next_event_at(&self) -> Option<Ps> {
         let cur = self.current.front().map(|&i| self.wheel.node_at(i));
         match (cur, self.next_instant()) {
@@ -186,49 +168,8 @@ impl<W> Sim<W> {
         self.schedule_at(at, f);
     }
 
-    /// Like [`Sim::schedule_at`], returning a handle that can revoke
-    /// the event via [`Sim::cancel`].
-    pub fn schedule_at_cancellable(
-        &mut self,
-        at: Ps,
-        f: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
-    ) -> TimerId {
-        let f = EventFn::new(f, &mut self.pool);
-        let seq = self.insert(at, f);
-        self.live.insert(seq);
-        TimerId(seq)
-    }
-
-    /// Like [`Sim::schedule_in`], returning a cancellation handle.
-    pub fn schedule_in_cancellable(
-        &mut self,
-        delay: Ps,
-        f: impl FnOnce(&mut W, &mut Sim<W>) + 'static,
-    ) -> TimerId {
-        let at = self
-            .now
-            .checked_add(delay)
-            .expect("simulation clock overflow");
-        self.schedule_at_cancellable(at, f)
-    }
-
-    /// Revoke a cancellable event. Returns whether it was revoked here:
-    /// `false` if it already fired or was already cancelled. The
-    /// closure of a revoked event never runs (its captures are dropped
-    /// when its instant is reached), but the clock still passes through
-    /// the instant.
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        if self.live.remove(&id.0) {
-            self.cancelled.insert(id.0);
-            self.pending -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
     #[inline]
-    fn insert(&mut self, at: Ps, f: EventFn<W>) -> u64 {
+    fn insert(&mut self, at: Ps, f: EventFn<W>) {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at} now={}",
@@ -236,8 +177,7 @@ impl<W> Sim<W> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.pending += 1;
-        self.pending_peak = self.pending_peak.max(self.pending);
+        self.pending_peak = self.pending_peak.max(self.events_pending());
         if slot_of(at) == self.wheel.cursor() {
             // The cursor slot lives in `current`, kept sorted. The new
             // entry carries the highest seq, so it sorts after every
@@ -265,7 +205,6 @@ impl<W> Sim<W> {
                 f: Box::new(f),
             }));
         }
-        seq
     }
 
     /// Give a consumed pooled-closure slot back to the free list
@@ -323,34 +262,13 @@ impl<W> Sim<W> {
             .sort_unstable_by_key(|&i| wheel.node_key(i));
     }
 
-    /// Pop the next runnable event of the current slot, reaping
-    /// tombstones of cancelled events along the way.
+    /// Fire the event in slab node `idx`, just popped off `current`.
     #[inline]
-    fn pop_runnable(&mut self) -> Option<(Ps, u64, EventFn<W>)> {
-        while let Some(idx) = self.current.pop_front() {
-            let (at, seq, f) = self.wheel.consume(idx);
-            if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                // Cancelled: destroy the closure, keep the clock
-                // consistent with the instant having been reached.
-                debug_assert!(at >= self.now, "event queue went backwards");
-                self.now = at;
-                drop(f);
-                continue;
-            }
-            return Some((at, seq, f));
-        }
-        None
-    }
-
-    #[inline]
-    fn fire(&mut self, world: &mut W, at: Ps, seq: u64, f: EventFn<W>) {
+    fn fire(&mut self, world: &mut W, idx: u32) {
+        let (at, f) = self.wheel.consume(idx);
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
         self.executed += 1;
-        self.pending -= 1;
-        if !self.live.is_empty() {
-            self.live.remove(&seq);
-        }
         f.invoke(world, self);
     }
 
@@ -365,35 +283,20 @@ impl<W> Sim<W> {
     /// ran).
     pub fn run_until(&mut self, world: &mut W, deadline: Ps) -> Ps {
         loop {
-            // Drain the current slot up to the deadline. The deadline
-            // re-applies after every pop: a reaped tombstone must not
-            // let a later event slip past it.
-            loop {
-                match self.current.front() {
-                    Some(&i) if self.wheel.node_at(i) <= deadline => {}
-                    _ => break,
+            // Drain the current slot up to the deadline.
+            while let Some(&idx) = self.current.front() {
+                if self.wheel.node_at(idx) > deadline {
+                    // Leftover entries beyond the deadline stay queued.
+                    return self.now;
                 }
-                let idx = self.current.pop_front().expect("peeked entry vanished");
-                let (at, seq, f) = self.wheel.consume(idx);
-                if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                    debug_assert!(at >= self.now, "event queue went backwards");
-                    self.now = at;
-                    drop(f);
-                    continue;
-                }
-                self.fire(world, at, seq, f);
+                self.current.pop_front();
+                self.fire(world, idx);
             }
-            if !self.current.is_empty() {
-                // Leftover entries beyond the deadline stay queued.
-                break;
+            match self.next_instant() {
+                Some(t) if t <= deadline => self.take_slot(t),
+                _ => return self.now,
             }
-            let Some(t) = self.next_instant() else { break };
-            if t > deadline {
-                break;
-            }
-            self.take_slot(t);
         }
-        self.now
     }
 
     /// Run at most `n` more events (test helper for stepping through a
@@ -401,8 +304,8 @@ impl<W> Sim<W> {
     pub fn step(&mut self, world: &mut W, n: u64) -> u64 {
         let mut done = 0;
         while done < n {
-            if let Some((at, seq, f)) = self.pop_runnable() {
-                self.fire(world, at, seq, f);
+            if let Some(idx) = self.current.pop_front() {
+                self.fire(world, idx);
                 done += 1;
                 continue;
             }
@@ -522,34 +425,6 @@ mod tests {
             assert_eq!(world, vec![1, 2, 3, 4]);
             assert_eq!(end, far);
         }
-    }
-
-    #[test]
-    fn cancel_revokes_exactly_once() {
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut world = Vec::new();
-        sim.schedule_at(Ps::ns(10), |w: &mut Vec<u32>, _| w.push(1));
-        let id = sim.schedule_at_cancellable(Ps::ns(20), |w: &mut Vec<u32>, _| w.push(2));
-        sim.schedule_at(Ps::ns(30), |w: &mut Vec<u32>, _| w.push(3));
-        assert_eq!(sim.events_pending(), 3);
-        assert!(sim.cancel(id));
-        assert_eq!(sim.events_pending(), 2);
-        assert!(!sim.cancel(id), "double cancel must be a no-op");
-        sim.run(&mut world);
-        assert_eq!(world, vec![1, 3]);
-        assert_eq!(sim.events_executed(), 2);
-        assert_eq!(sim.events_pending(), 0);
-    }
-
-    #[test]
-    fn cancel_after_fire_is_a_no_op() {
-        let mut sim: Sim<u32> = Sim::new();
-        let mut world = 0u32;
-        let id = sim.schedule_at_cancellable(Ps::ns(5), |w: &mut u32, _| *w += 1);
-        sim.run(&mut world);
-        assert_eq!(world, 1);
-        assert!(!sim.cancel(id));
-        assert_eq!(world, 1);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! The representation is a hand-rolled vtable of exactly two function
 //! pointers: `call` consumes the payload and runs it, `drop_fn` destroys
-//! a payload that never ran (cancelled event, simulator dropped with
-//! pending events). The storage kind is baked into which monomorphized
+//! a payload that never ran (the simulator was dropped with events
+//! still pending). The storage kind is baked into which monomorphized
 //! thunk the pointers reference, so there is no discriminant byte and
 //! `EventFn` is five words total.
 
@@ -194,8 +194,7 @@ unsafe fn drop_pooled<F>(data: *mut MaybeUninit<usize>) {
     let slot = ptr::read(data.cast::<*mut PoolSlot>());
     ptr::drop_in_place(slot.cast::<F>());
     // No pool access inside `Drop`: give the slot back to the
-    // allocator instead of the free list. Cancellation and teardown
-    // are cold paths.
+    // allocator instead of the free list. Teardown is a cold path.
     drop(Box::from_raw(slot));
 }
 

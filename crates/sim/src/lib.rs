@@ -40,7 +40,7 @@ pub mod time;
 pub mod walltime;
 pub(crate) mod wheel;
 
-pub use engine::{Sim, TimerId};
+pub use engine::Sim;
 pub use metrics::{Metrics, MetricsSnapshot, TraceEvent};
 pub use partition::{run_shards, Shard, ShardBuilder};
 pub use reference::ReferenceSim;

@@ -7,20 +7,17 @@
 //! serves two purposes:
 //!
 //! * the **equivalence proptest** (`crates/sim/tests/equivalence.rs`)
-//!   drives random schedule/cancel/run workloads through both engines
-//!   and asserts identical execution traces, which is what lets the
-//!   timing-wheel engine claim bit-identical determinism;
-//! * the **benchmarks** (`crates/bench`) measure the wheel against it
-//!   so the `BENCH_*.json` trajectory always has a live baseline.
+//!   drives random schedule/run workloads through both engines and
+//!   asserts identical execution traces and pending counts, which is
+//!   what lets the timing-wheel engine claim bit-identical determinism;
+//! * its explicit `pending` counter is the independent oracle for the
+//!   wheel's derived [`crate::Sim::events_pending`].
 //!
-//! It mirrors the public API of [`crate::Sim`], including the
-//! cancellation extension with the same tombstone semantics (the clock
-//! still passes through a cancelled instant).
+//! It mirrors the public API of [`crate::Sim`].
 
-use crate::engine::TimerId;
 use crate::time::Ps;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 type EventFn<W> = Box<dyn FnOnce(&mut W, &mut ReferenceSim<W>)>;
 
@@ -55,8 +52,6 @@ pub struct ReferenceSim<W> {
     executed: u64,
     pending: usize,
     queue: BinaryHeap<Reverse<Scheduled<W>>>,
-    live: BTreeSet<u64>,
-    cancelled: BTreeSet<u64>,
 }
 
 impl<W> Default for ReferenceSim<W> {
@@ -74,8 +69,6 @@ impl<W> ReferenceSim<W> {
             executed: 0,
             pending: 0,
             queue: BinaryHeap::new(),
-            live: BTreeSet::new(),
-            cancelled: BTreeSet::new(),
         }
     }
 
@@ -91,7 +84,7 @@ impl<W> ReferenceSim<W> {
         self.executed
     }
 
-    /// Number of events still pending (cancelled events excluded).
+    /// Number of events still pending.
     #[inline]
     pub fn events_pending(&self) -> usize {
         self.pending
@@ -116,42 +109,7 @@ impl<W> ReferenceSim<W> {
         self.schedule_at(at, f);
     }
 
-    /// Schedule with a cancellation handle.
-    pub fn schedule_at_cancellable(
-        &mut self,
-        at: Ps,
-        f: impl FnOnce(&mut W, &mut ReferenceSim<W>) + 'static,
-    ) -> TimerId {
-        let seq = self.insert(at, Box::new(f));
-        self.live.insert(seq);
-        TimerId(seq)
-    }
-
-    /// Schedule a delay with a cancellation handle.
-    pub fn schedule_in_cancellable(
-        &mut self,
-        delay: Ps,
-        f: impl FnOnce(&mut W, &mut ReferenceSim<W>) + 'static,
-    ) -> TimerId {
-        let at = self
-            .now
-            .checked_add(delay)
-            .expect("simulation clock overflow");
-        self.schedule_at_cancellable(at, f)
-    }
-
-    /// Revoke a cancellable event; same semantics as [`crate::Sim::cancel`].
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        if self.live.remove(&id.0) {
-            self.cancelled.insert(id.0);
-            self.pending -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn insert(&mut self, at: Ps, run: EventFn<W>) -> u64 {
+    fn insert(&mut self, at: Ps, run: EventFn<W>) {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at} now={}",
@@ -161,19 +119,6 @@ impl<W> ReferenceSim<W> {
         self.seq += 1;
         self.pending += 1;
         self.queue.push(Reverse(Scheduled { at, seq, run }));
-        seq
-    }
-
-    fn pop_runnable(&mut self) -> Option<Scheduled<W>> {
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            if !self.cancelled.is_empty() && self.cancelled.remove(&ev.seq) {
-                debug_assert!(ev.at >= self.now, "event queue went backwards");
-                self.now = ev.at;
-                continue;
-            }
-            return Some(ev);
-        }
-        None
     }
 
     fn fire(&mut self, world: &mut W, ev: Scheduled<W>) {
@@ -181,9 +126,6 @@ impl<W> ReferenceSim<W> {
         self.now = ev.at;
         self.executed += 1;
         self.pending -= 1;
-        if !self.live.is_empty() {
-            self.live.remove(&ev.seq);
-        }
         (ev.run)(world, self);
     }
 
@@ -195,19 +137,11 @@ impl<W> ReferenceSim<W> {
     /// Run until the queue is empty or the next event would fire after
     /// `deadline` (inclusive).
     pub fn run_until(&mut self, world: &mut W, deadline: Ps) -> Ps {
-        loop {
-            match self.queue.peek() {
-                Some(Reverse(head)) if head.at <= deadline => {}
-                _ => break,
+        while let Some(Reverse(head)) = self.queue.peek() {
+            if head.at > deadline {
+                break;
             }
-            // Re-apply the deadline check after every pop: a reaped
-            // tombstone must not let a later event slip past it.
             let Reverse(ev) = self.queue.pop().expect("peeked entry vanished");
-            if !self.cancelled.is_empty() && self.cancelled.remove(&ev.seq) {
-                debug_assert!(ev.at >= self.now, "event queue went backwards");
-                self.now = ev.at;
-                continue;
-            }
             self.fire(world, ev);
         }
         self.now
@@ -217,13 +151,11 @@ impl<W> ReferenceSim<W> {
     pub fn step(&mut self, world: &mut W, n: u64) -> u64 {
         let mut done = 0;
         while done < n {
-            match self.pop_runnable() {
-                Some(ev) => {
-                    self.fire(world, ev);
-                    done += 1;
-                }
-                None => break,
-            }
+            let Some(Reverse(ev)) = self.queue.pop() else {
+                break;
+            };
+            self.fire(world, ev);
+            done += 1;
         }
         done
     }
@@ -244,21 +176,6 @@ mod tests {
         assert_eq!(world, vec![1, 2, 3]);
         assert_eq!(end, Ps::ns(30));
         assert_eq!(sim.events_executed(), 3);
-        assert_eq!(sim.events_pending(), 0);
-    }
-
-    #[test]
-    fn reference_cancel_matches_wheel_semantics() {
-        let mut sim: ReferenceSim<Vec<u32>> = ReferenceSim::new();
-        let mut world = Vec::new();
-        let id = sim.schedule_at_cancellable(Ps::ns(20), |w: &mut Vec<u32>, _| w.push(2));
-        sim.schedule_at(Ps::ns(10), |w: &mut Vec<u32>, _| w.push(1));
-        assert!(sim.cancel(id));
-        assert!(!sim.cancel(id));
-        sim.run(&mut world);
-        assert_eq!(world, vec![1]);
-        // The clock passes through the cancelled instant.
-        assert_eq!(sim.now(), Ps::ns(20));
         assert_eq!(sim.events_pending(), 0);
     }
 }

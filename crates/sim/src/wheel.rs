@@ -486,13 +486,12 @@ impl<W> Wheel<W> {
     /// Consume a node handed out by [`Wheel::take_cursor_slot`] or
     /// [`Wheel::adopt`]: move its closure out and free-list the node.
     #[inline]
-    pub(crate) fn consume(&mut self, idx: u32) -> (Ps, u64, EventFn<W>) {
+    pub(crate) fn consume(&mut self, idx: u32) -> (Ps, EventFn<W>) {
         let n = &mut self.nodes[idx as usize];
         let f = n.f.take().expect("consuming a free node");
-        let key = (n.at, n.seq);
         n.next = self.free;
         self.free = idx;
-        (key.0, key.1, f)
+        (n.at, f)
     }
 }
 
@@ -585,7 +584,8 @@ mod tests {
         w.advance_to(5, &mut BinaryHeap::new());
         w.take_cursor_slot(&mut out);
         let idx = out.pop_front().expect("entry");
-        assert_eq!(w.consume(idx).1, 2);
+        assert_eq!(w.node_key(idx), (later, 2));
+        w.consume(idx);
         assert_eq!(w.len(), 0);
         assert_eq!(w.min_at(), None);
     }
@@ -610,7 +610,8 @@ mod tests {
         let mut out = VecDeque::new();
         w.take_cursor_slot(&mut out);
         let idx = out.pop_front().expect("entry");
-        assert_eq!(w.consume(idx).1, 5);
+        assert_eq!(w.node_key(idx), (earlier, 5));
+        w.consume(idx);
         assert!(out.is_empty());
         w.advance_to(slot_of(beyond), &mut far);
         w.take_cursor_slot(&mut out);
@@ -645,7 +646,8 @@ mod tests {
         let mut out = VecDeque::new();
         w.take_cursor_slot(&mut out);
         let idx = out.pop_front().expect("cascaded entry");
-        assert_eq!(w.consume(idx).1, 0);
+        assert_eq!(w.node_key(idx), (past_l0, 0));
+        w.consume(idx);
         assert_eq!(w.min_at(), Some(deep_l1));
     }
 
@@ -676,9 +678,12 @@ mod tests {
         while let Some(t) = w.min_at() {
             w.advance_to(slot_of(t), &mut far);
             w.take_cursor_slot(&mut out);
-            let mut keys: Vec<_> = out.drain(..).map(|i| w.consume(i)).collect();
-            keys.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-            fired.extend(keys.iter().map(|&(at, seq, _)| (at, seq)));
+            let mut keys: Vec<_> = out.iter().map(|&i| w.node_key(i)).collect();
+            for i in out.drain(..) {
+                w.consume(i);
+            }
+            keys.sort_unstable();
+            fired.extend(keys);
         }
         let mut want: Vec<(Ps, u64)> = times.iter().copied().zip(0u64..).collect();
         want.sort_unstable();

@@ -111,38 +111,21 @@ fn steady_state_same_instant_burst_allocates_nothing() {
 }
 
 #[test]
-fn steady_state_cancellable_timers_allocate_nothing() {
-    // Cancellable bookkeeping lives in two BTreeSets. Their root nodes
-    // are allocated when the sets first become non-empty and freed when
-    // they empty, so the sentinels below pin one long-lived timer and
-    // one long-lived tombstone: after that, light cancellable traffic
-    // (a handful outstanding, well under a node's capacity) must not
-    // touch the heap — which is what lets the retransmission timers use
-    // the cancellable API on the hot path.
+fn steady_state_timers_drained_by_step_and_run_until_allocate_nothing() {
+    // Retransmit-style timers, a handful outstanding at a time, fired
+    // through the bounded drain entries (`step`, then `run_until`)
+    // rather than `run`: once warmed, neither touches the heap.
     let mut sim: Sim<u64> = Sim::new();
-    let far = Ps::ms(100);
-    let _keep_live = sim.schedule_at_cancellable(far, |_: &mut u64, _| {});
-    let doomed = sim.schedule_at_cancellable(far, |_: &mut u64, _| {});
-    assert!(sim.cancel(doomed));
-
     let pass = |sim: &mut Sim<u64>| {
         let mut world = 0u64;
         for batch in 0..500u64 {
-            let mut ids = [None, None, None, None];
-            for (k, slot) in ids.iter_mut().enumerate() {
-                *slot = Some(sim.schedule_in_cancellable(
-                    Ps::ns(50 + (batch + k as u64) % 13),
-                    |w: &mut u64, _| *w += 1,
-                ));
+            for k in 0..4u64 {
+                sim.schedule_in(Ps::ns(50 + (batch + k) % 13), |w: &mut u64, _| *w += 1);
             }
-            // Cancel half; the other half fires via the bounded
-            // drain entries (step, then run_until).
-            assert!(sim.cancel(ids[0].take().expect("just set")));
-            assert!(sim.cancel(ids[2].take().expect("just set")));
             sim.step(&mut world, 1);
             sim.run_until(&mut world, Ps(sim.now().0 + Ps::ns(100).0));
         }
-        assert_eq!(world, 1_000);
+        assert_eq!(world, 2_000);
     };
     pass(&mut sim);
     pass(&mut sim);
@@ -151,7 +134,7 @@ fn steady_state_cancellable_timers_allocate_nothing() {
     assert_eq!(
         allocations() - a0,
         0,
-        "steady-state cancellable scheduling allocated"
+        "steady-state timers drained by step and run_until allocated"
     );
 }
 
@@ -322,9 +305,9 @@ mod driver_paths {
     /// allocation count across the measured (post-warm-up) span.
     fn measured_allocs(size: u64, cfg: OmxConfig) -> u64 {
         // The warm-up must outlast every high-water mark, including the
-        // slowest one: cancelled retransmit timers tombstone their
-        // level-1 wheel slots until the cursor first sweeps them
-        // (~one retransmission timeout, i.e. tens of round trips).
+        // slowest one: every retransmit timer holds its level-1 wheel
+        // node until it fires, one retransmission timeout after it was
+        // armed (tens of round trips).
         let warmup = 64;
         let total = 96;
         // Debug builds mint one SimSanitizer token per tracked resource

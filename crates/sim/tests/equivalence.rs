@@ -1,24 +1,23 @@
 //! Scheduler equivalence: the timing-wheel engine must execute any
 //! workload in exactly the order of the reference `BinaryHeap`
 //! scheduler it replaced. A property test drives both engines through
-//! random op sequences (schedules across every delay class, timer
-//! cancellations, bounded runs, stepping) and compares full execution
-//! traces; deterministic stress tests pin the documented edge cases —
+//! random op sequences (schedules across every delay class, bounded
+//! runs, stepping) and compares full execution traces and pending
+//! counts; deterministic stress tests pin the documented edge cases —
 //! FIFO at a million same-instant events and the overflow-wheel
 //! cascade.
 
 use omx_sim::{Ps, ReferenceSim, Sim, SplitMix64};
 use proptest::prelude::*;
 
+/// The world of every scripted run: (label, firing time) per event.
+type Trace = Vec<(u32, u64)>;
+
 /// One scripted action against an engine.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Schedule a plain event (delay class, magnitude).
+    /// Schedule an event (delay class, magnitude).
     Schedule(u8, u64),
-    /// Schedule a cancellable event.
-    ScheduleCancellable(u8, u64),
-    /// Cancel the i-th (mod len) timer handed out so far.
-    Cancel(usize),
     /// Run until `now + delta(class, magnitude)`.
     RunUntil(u8, u64),
     /// Run at most `n` events.
@@ -40,68 +39,46 @@ fn delay(class: u8, mag: u64) -> Ps {
     }
 }
 
-/// Run `ops` against an engine type, returning the trace of executed
-/// events as (label, firing time) plus the final clock. Written as a
-/// macro because `Sim` and `ReferenceSim` share an API surface but no
-/// trait.
+/// Run `ops` against an engine, returning the trace of executed events
+/// as (label, firing time) with the final clock and executed count,
+/// plus the engine's pending count after every op. Written as a macro
+/// because `Sim` and `ReferenceSim` share an API surface but no trait.
 macro_rules! run_ops {
-    ($SimTy:ident, $ops:expr) => {
-        run_ops!($SimTy::new(), $ops)
-    };
-    ($ctor:expr, $ops:expr) => {{
-        let mut sim = $ctor;
-        let mut world: Vec<(u32, u64)> = Vec::new();
-        let mut timers = Vec::new();
+    ($sim:ident, $ops:expr) => {{
+        let mut world: Trace = Vec::new();
+        let mut pending = Vec::with_capacity($ops.len());
         let mut label = 0u32;
         for op in $ops.iter() {
             match *op {
                 Op::Schedule(class, mag) => {
                     let l = label;
                     label += 1;
-                    sim.schedule_in(delay(class, mag), move |w: &mut Vec<(u32, u64)>, s| {
+                    $sim.schedule_in(delay(class, mag), move |w: &mut Trace, s| {
                         let now = s.now().0;
                         w.push((l, now));
                     });
                 }
-                Op::ScheduleCancellable(class, mag) => {
-                    let l = label;
-                    label += 1;
-                    let id = sim.schedule_in_cancellable(
-                        delay(class, mag),
-                        move |w: &mut Vec<(u32, u64)>, s| {
-                            let now = s.now().0;
-                            w.push((l, now));
-                        },
-                    );
-                    timers.push(id);
-                }
-                Op::Cancel(i) => {
-                    if !timers.is_empty() {
-                        let id = timers[i % timers.len()];
-                        sim.cancel(id);
-                    }
-                }
                 Op::RunUntil(class, mag) => {
-                    let deadline = Ps(sim.now().0 + delay(class, mag).0);
-                    sim.run_until(&mut world, deadline);
+                    let deadline = Ps($sim.now().0 + delay(class, mag).0);
+                    $sim.run_until(&mut world, deadline);
                 }
                 Op::Step(n) => {
-                    sim.step(&mut world, n % 16);
+                    $sim.step(&mut world, n % 16);
                 }
             }
+            pending.push($sim.events_pending());
         }
-        sim.run(&mut world);
-        (sim.now().0, sim.events_executed(), world)
+        $sim.run(&mut world);
+        pending.push($sim.events_pending());
+        (($sim.now().0, $sim.events_executed(), world), pending)
     }};
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // Plain schedules repeated to bias the mix toward them.
+    // Schedules repeated to bias the mix toward them.
     prop_oneof![
         (any::<u8>(), any::<u64>()).prop_map(|(c, m)| Op::Schedule(c, m)),
         (any::<u8>(), any::<u64>()).prop_map(|(c, m)| Op::Schedule(c, m)),
-        (any::<u8>(), any::<u64>()).prop_map(|(c, m)| Op::ScheduleCancellable(c, m)),
-        any::<usize>().prop_map(Op::Cancel),
         (any::<u8>(), any::<u64>()).prop_map(|(c, m)| Op::RunUntil(c, m)),
         any::<u64>().prop_map(Op::Step),
     ]
@@ -109,14 +86,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// Bit-identical execution order for arbitrary op sequences, at
-    /// both wheel depths.
+    /// both wheel depths, with the wheel's derived pending count equal
+    /// to the reference's explicit counter after every op.
     #[test]
     fn wheel_matches_reference_scheduler(ops in proptest::collection::vec(op_strategy(), 0..200)) {
-        let heap = run_ops!(ReferenceSim, ops);
-        let wheel = run_ops!(Sim::with_wheel_levels(1), ops);
-        prop_assert_eq!(&wheel, &heap);
-        let wheel2 = run_ops!(Sim::with_wheel_levels(2), ops);
-        prop_assert_eq!(&wheel2, &heap);
+        let mut heap_sim: ReferenceSim<Trace> = ReferenceSim::new();
+        let heap = run_ops!(heap_sim, ops);
+        // Handlers schedule nothing, so the pending count peaks right
+        // after a `Schedule` op, where it was recorded.
+        let heap_peak = heap.1.iter().copied().max().unwrap_or(0);
+        for levels in [1, 2] {
+            let mut sim: Sim<Trace> = Sim::with_wheel_levels(levels);
+            let wheel = run_ops!(sim, ops);
+            prop_assert_eq!(&wheel, &heap);
+            prop_assert_eq!(sim.events_peak_pending(), heap_peak);
+        }
     }
 }
 

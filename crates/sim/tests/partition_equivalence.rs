@@ -6,8 +6,7 @@
 //! every observable must agree: per-node delivery traces (time, source,
 //! sequence, payload), per-node accumulators (order-scrambled on
 //! purpose, so a reordered delivery shows up), the total executed event
-//! count, and the final clock (which passes through cancelled-timer
-//! tombstones in both engines).
+//! count, and the final clock.
 //!
 //! The model is a cascade: each delivered frame spawns 1–2 children
 //! derived *purely from the frame's content* (so generation is
@@ -15,14 +14,16 @@
 //! logical nodes with a delay of at least the lookahead `LA` — and
 //! sometimes exactly `LA`, landing on the window boundary — plus
 //! optional same-node echo events with sub-lookahead delays that stay
-//! inside a shard. Every node also arms a cancellable watchdog that any
-//! inbound frame revokes: the deterministic tests below aim a relayed
-//! cross-partition frame to arrive one picosecond before (and one
-//! after) the watchdog instant, pinning cancellation of an in-flight
-//! cross-partition race on both sides of the boundary.
+//! inside a shard. Every node also arms a watchdog that any inbound
+//! frame disarms. The watchdog event always fires and acts only if it
+//! is still armed, which is how the simulator's own resend timers
+//! work. The deterministic tests below aim a relayed cross-partition
+//! frame to arrive one picosecond before (and one after) the watchdog
+//! instant, pinning an in-flight cross-partition disarm race on both
+//! sides of the boundary.
 
 use omx_sim::Ps;
-use omx_sim::{run_shards, ReferenceSim, Shard, ShardBuilder, Sim, TimerId};
+use omx_sim::{run_shards, ReferenceSim, Shard, ShardBuilder, Sim};
 use proptest::prelude::*;
 
 /// Lookahead: the modeled "wire latency" of this toy topology.
@@ -30,11 +31,11 @@ const LA: Ps = Ps::ns(100);
 
 /// Watchdog instant. Odd on purpose: every frame arrival in the random
 /// cascade lands on an even picosecond, so a frame can never tie with
-/// a watchdog and turn the cancel race into an intra-instant ordering
+/// a watchdog and turn the disarm race into an intra-instant ordering
 /// question (which the targeted tests pin separately, 1 ps apart).
 const WD_AT: Ps = Ps::ps(5_000_001);
 
-/// Trace marker for a watchdog that actually fired.
+/// Trace marker for a watchdog that fired while still armed.
 const WATCHDOG_SEQ: u64 = u64::MAX;
 
 /// Payload magic that turns the cascade into a deterministic relay
@@ -63,7 +64,8 @@ type Rec = (u64, usize, u64, u64);
 struct NodeCell {
     trace: Vec<Rec>,
     acc: u64,
-    watchdog: Option<TimerId>,
+    /// Set at start-up; cleared by any inbound frame.
+    watchdog_armed: bool,
 }
 
 /// Fibonacci/splitmix-style finalizer: the one source of randomness,
@@ -144,16 +146,29 @@ fn apply(cell: &mut NodeCell, msg: &Msg) {
         .wrapping_add(mix(msg.payload ^ msg.seq ^ msg.at.as_ps()));
 }
 
-/// The frame a firing watchdog emits to its neighbor.
-fn watchdog_msg(node: usize, nodes: usize, at: Ps) -> Msg {
-    Msg {
-        at: at + LA,
+/// Disarm the watchdog of a frame's destination if the frame came from
+/// another node.
+fn disarm(cell: &mut NodeCell, msg: &Msg) {
+    if msg.src != msg.dst {
+        cell.watchdog_armed = false;
+    }
+}
+
+/// Fire node `node`'s watchdog: if still armed, record it and return
+/// the frame it emits to its neighbor.
+fn watchdog(cell: &mut NodeCell, node: usize, nodes: usize) -> Option<Msg> {
+    if !std::mem::take(&mut cell.watchdog_armed) {
+        return None;
+    }
+    cell.trace.push((WD_AT.as_ps(), node, WATCHDOG_SEQ, 0));
+    Some(Msg {
+        at: WD_AT + LA,
         src: node,
         seq: mix(0xD06 ^ ((node as u64) << 8)),
         dst: (node + 1) % nodes,
         hops: 1,
         payload: mix(node as u64),
-    }
+    })
 }
 
 /// A fully-specified workload: the topology size and the initial
@@ -215,11 +230,7 @@ struct RefWorld {
 
 fn ref_deliver(w: &mut RefWorld, sim: &mut ReferenceSim<RefWorld>, msg: Msg) {
     apply(&mut w.cells[msg.dst], &msg);
-    if msg.src != msg.dst {
-        if let Some(id) = w.cells[msg.dst].watchdog.take() {
-            sim.cancel(id);
-        }
-    }
+    disarm(&mut w.cells[msg.dst], &msg);
     for c in children(&msg, w.cells.len()) {
         sim.schedule_at(c.at, move |w: &mut RefWorld, s| ref_deliver(w, s, c));
     }
@@ -235,13 +246,12 @@ fn run_reference(scn: &Scenario) -> Outcome {
     };
     let nodes = scn.nodes;
     for n in 0..nodes {
-        let id = sim.schedule_at_cancellable(WD_AT, move |w: &mut RefWorld, s| {
-            w.cells[n].watchdog = None;
-            w.cells[n].trace.push((WD_AT.as_ps(), n, WATCHDOG_SEQ, 0));
-            let m = watchdog_msg(n, nodes, WD_AT);
-            s.schedule_at(m.at, move |w: &mut RefWorld, s| ref_deliver(w, s, m));
+        w.cells[n].watchdog_armed = true;
+        sim.schedule_at(WD_AT, move |w: &mut RefWorld, s| {
+            if let Some(m) = watchdog(&mut w.cells[n], n, nodes) {
+                s.schedule_at(m.at, move |w: &mut RefWorld, s| ref_deliver(w, s, m));
+            }
         });
-        w.cells[n].watchdog = Some(id);
     }
     for m in scn.roots.clone() {
         sim.schedule_at(m.at, move |w: &mut RefWorld, s| ref_deliver(w, s, m));
@@ -288,11 +298,7 @@ impl PartWorld {
 fn part_deliver(w: &mut PartWorld, sim: &mut Sim<PartWorld>, msg: Msg) {
     debug_assert_eq!(owner(msg.dst, w.parts), w.my, "frame delivered off-shard");
     apply(&mut w.cells[msg.dst], &msg);
-    if msg.src != msg.dst {
-        if let Some(id) = w.cells[msg.dst].watchdog.take() {
-            sim.cancel(id);
-        }
-    }
+    disarm(&mut w.cells[msg.dst], &msg);
     for c in children(&msg, w.nodes) {
         w.route(sim, c);
     }
@@ -329,16 +335,12 @@ fn run_partitioned(scn: &Scenario, parts: usize, workers: usize) -> Outcome {
                 };
                 let nodes = scn.nodes;
                 for n in (0..nodes).filter(|&n| owner(n, parts) == p) {
-                    let id = sim.schedule_at_cancellable(
-                        WD_AT,
-                        move |w: &mut PartWorld, s: &mut Sim<PartWorld>| {
-                            w.cells[n].watchdog = None;
-                            w.cells[n].trace.push((WD_AT.as_ps(), n, WATCHDOG_SEQ, 0));
-                            let m = watchdog_msg(n, nodes, WD_AT);
+                    w.cells[n].watchdog_armed = true;
+                    sim.schedule_at(WD_AT, move |w: &mut PartWorld, s| {
+                        if let Some(m) = watchdog(&mut w.cells[n], n, nodes) {
                             w.route(s, m);
-                        },
-                    );
-                    w.cells[n].watchdog = Some(id);
+                        }
+                    });
                 }
                 for m in scn.roots.iter().filter(|m| owner(m.dst, parts) == p) {
                     let m = m.clone();
@@ -456,13 +458,13 @@ fn boundary_exact_relay_matches_reference() {
     }
 }
 
-/// Cancel race, cancel-wins side: a relayed frame crosses the
+/// Disarm race, disarm-wins side: a relayed frame crosses the
 /// partition boundary in flight and arrives one picosecond *before*
-/// the destination node's watchdog, which must therefore be revoked on
-/// every partitioning — and the whole outcome must equal the
+/// the destination node's watchdog, which must therefore fire disarmed
+/// on every partitioning — and the whole outcome must equal the
 /// reference's.
 #[test]
-fn in_flight_cross_partition_frame_cancels_the_watchdog() {
+fn in_flight_cross_partition_frame_disarms_the_watchdog() {
     // Root fires on node 0 (shard 0 of 2); its relay child crosses to
     // node 1 (shard 1) arriving at WD_AT - 1 ps.
     let scn = Scenario {
@@ -481,14 +483,15 @@ fn in_flight_cross_partition_frame_cancels_the_watchdog() {
     let node1_watchdog_fired = outcome.per_node[1].0.iter().any(|r| r.2 == WATCHDOG_SEQ);
     assert!(
         !node1_watchdog_fired,
-        "frame arrived 1 ps before the watchdog; the cancel must win"
+        "frame arrived 1 ps before the watchdog; the disarm must win"
     );
 }
 
-/// Cancel race, fire-wins side: the same relay shifted two picoseconds
+/// Disarm race, fire-wins side: the same relay shifted two picoseconds
 /// later arrives one picosecond *after* the watchdog instant — the
-/// watchdog fires first on every partitioning, and the late frame's
-/// cancel is a no-op. Still bit-identical to the reference.
+/// watchdog fires armed first on every partitioning, and the late
+/// frame's disarm changes nothing. Still bit-identical to the
+/// reference.
 #[test]
 fn watchdog_fires_when_the_cross_partition_frame_is_late() {
     let scn = Scenario {

@@ -1,10 +1,9 @@
 //! Timing-wheel edge cases the equivalence property test only hits by
-//! luck: cancelling an entry while it still sits on the overflow heap
-//! (before the cascade adopts it into the wheel), schedules landing
-//! exactly on the wheel-window boundary, and slab-index reuse after
-//! tombstoned cancels. Every scenario runs against both engines and
-//! compares full execution traces, so the `ReferenceSim` binary heap
-//! stays the oracle.
+//! luck: schedules landing exactly on the wheel-window and level-1
+//! boundaries, whole level-1 slots cascading at once, slab-index reuse
+//! across many generations, and timers hopping between levels. Every
+//! scenario runs against both engines and compares full execution
+//! traces, so the `ReferenceSim` binary heap stays the oracle.
 
 use omx_sim::{Ps, ReferenceSim, Sim};
 
@@ -46,77 +45,6 @@ macro_rules! mark {
             w.push(($l, now));
         })
     };
-    ($sim:ident, cancellable in $d:expr, label $l:expr) => {
-        $sim.schedule_in_cancellable($d, move |w: &mut Vec<(u32, u64)>, s| {
-            let now = s.now().0;
-            w.push(($l, now));
-        })
-    };
-    ($sim:ident, cancellable at $t:expr, label $l:expr) => {
-        $sim.schedule_at_cancellable(Ps($t), move |w: &mut Vec<(u32, u64)>, s| {
-            let now = s.now().0;
-            w.push(($l, now));
-        })
-    };
-}
-
-#[test]
-fn cancel_on_overflow_heap_before_cascade() {
-    // The victim sits far beyond the wheel window, so it lives on the
-    // overflow heap when the cancel lands; it must never fire even
-    // though the cascade later sweeps its timestamp range, and the
-    // surviving events must execute in exactly the reference order.
-    macro_rules! scenario {
-        ($sim:ident, $world:ident) => {
-            // In-window bystanders on both sides of the victim's slot.
-            mark!($sim, in Ps::us(1), label 0);
-            mark!($sim, in Ps::us(150), label 1);
-            // Victims beyond the window (~67 us): cancel one
-            // immediately (still on the heap), cancel one after time
-            // has advanced but before its cascade, keep one alive.
-            let dead_now = mark!($sim, cancellable in Ps::us(100), label 2);
-            let dead_later = mark!($sim, cancellable in Ps::us(120), label 3);
-            let alive = mark!($sim, cancellable in Ps::us(140), label 4);
-            let _ = alive;
-            $sim.cancel(dead_now);
-            // Advance to ~50 us: cursor moved, victims still > window
-            // away? (50 us + 67 us window covers them — the cascade has
-            // adopted nothing past `now`, so the second cancel hits
-            // either heap or wheel depending on engine internals; both
-            // must tombstone correctly.)
-            $sim.run_until(&mut $world, Ps::us(50));
-            $sim.cancel(dead_later);
-        };
-    }
-    let wheel = trace!(Sim::with_wheel_levels(1), scenario);
-    let heap = trace!(ReferenceSim, scenario);
-    assert_eq!(wheel, heap);
-    let labels: Vec<u32> = wheel.2.iter().map(|&(l, _)| l).collect();
-    assert_eq!(labels, vec![0, 4, 1], "cancelled overflow entries fired");
-    // With two levels the victims are level-1 residents, not heap
-    // entries; the tombstones must behave identically.
-    let wheel2 = trace!(Sim::with_wheel_levels(2), scenario);
-    assert_eq!(wheel2, heap);
-}
-
-#[test]
-fn cancel_far_future_entry_that_never_cascades() {
-    // A cancelled overflow entry whose timestamp is *beyond* the last
-    // live event: the engine must not keep the clock hostage to a
-    // tombstone, and both engines must agree on the final time.
-    macro_rules! scenario {
-        ($sim:ident, $world:ident) => {
-            mark!($sim, in Ps::us(5), label 0);
-            let doomed = mark!($sim, cancellable in Ps::ms(50), label 99);
-            $sim.cancel(doomed);
-        };
-    }
-    let wheel = trace!(Sim::with_wheel_levels(1), scenario);
-    let heap = trace!(ReferenceSim, scenario);
-    assert_eq!(wheel, heap);
-    assert_eq!(wheel.2.len(), 1, "only the live event fires");
-    let wheel2 = trace!(Sim::with_wheel_levels(2), scenario);
-    assert_eq!(wheel2, heap);
 }
 
 #[test]
@@ -159,34 +87,23 @@ fn schedule_exactly_on_window_boundary() {
 }
 
 #[test]
-fn slab_reuse_after_tombstoned_cancels() {
-    // Repeatedly fill a window with cancellable events, tombstone most
-    // of them, and drain: freed slab nodes must be reused without
-    // resurrecting cancelled closures or breaking FIFO order. Eight
-    // generations guarantee the free list cycles many times.
+fn slab_reuse_across_generations() {
+    // Repeatedly fill a window and drain it: freed slab nodes must be
+    // reused without resurrecting fired closures or breaking FIFO
+    // order. Eight generations guarantee the free list cycles many
+    // times.
     macro_rules! scenario {
         ($sim:ident, $world:ident) => {
             let mut label = 0u32;
             for _gen in 0..8u32 {
-                let mut timers = Vec::new();
                 for k in 0..64u64 {
                     let l = label;
                     label += 1;
                     // Spread across the window, several per slot.
-                    let id = mark!($sim, cancellable in Ps(1 + (k % 16) * SLOT_PS / 3), label l);
-                    timers.push(id);
+                    mark!($sim, in Ps(1 + (k % 16) * SLOT_PS / 3), label l);
                 }
-                // Cancel three of every four — including double-cancels
-                // of the same id, which must be idempotent.
-                for (i, &id) in timers.iter().enumerate() {
-                    if i % 4 != 0 {
-                        $sim.cancel(id);
-                    }
-                    if i % 8 == 1 {
-                        $sim.cancel(id);
-                    }
-                }
-                // Interleave plain events that must claim freed nodes.
+                // Interleave a second batch that must claim nodes the
+                // first batch's slots hand back.
                 for k in 0..16u64 {
                     let l = label;
                     label += 1;
@@ -201,31 +118,8 @@ fn slab_reuse_after_tombstoned_cancels() {
     let wheel = trace!(Sim::with_wheel_levels(1), scenario);
     let heap = trace!(ReferenceSim, scenario);
     assert_eq!(wheel, heap);
-    // 8 generations × (16 survivors + 16 plain) events.
-    assert_eq!(wheel.2.len(), 8 * 32, "wrong survivor count after reuse");
-    let wheel2 = trace!(Sim::with_wheel_levels(2), scenario);
-    assert_eq!(wheel2, heap);
-}
-
-#[test]
-fn cancel_after_fire_is_idempotent_across_engines() {
-    // Cancelling a timer that already fired must be a no-op in both
-    // engines even when its slab slot has been handed to a new event.
-    macro_rules! scenario {
-        ($sim:ident, $world:ident) => {
-            let early = mark!($sim, cancellable in Ps::ns(10), label 0);
-            $sim.run_until(&mut $world, Ps::us(1));
-            // `early` fired; its node is free. Claim it, then cancel
-            // the stale id.
-            mark!($sim, cancellable in Ps::ns(10), label 1);
-            $sim.cancel(early);
-        };
-    }
-    let wheel = trace!(Sim::with_wheel_levels(1), scenario);
-    let heap = trace!(ReferenceSim, scenario);
-    assert_eq!(wheel, heap);
-    let labels: Vec<u32> = wheel.2.iter().map(|&(l, _)| l).collect();
-    assert_eq!(labels, vec![0, 1], "stale cancel clobbered a reused slot");
+    // 8 generations × (64 + 16) events, each fired exactly once.
+    assert_eq!(wheel.2.len(), 8 * 80, "wrong event count after reuse");
     let wheel2 = trace!(Sim::with_wheel_levels(2), scenario);
     assert_eq!(wheel2, heap);
 }
@@ -276,44 +170,6 @@ fn level1_boundary_instants_match_reference() {
 }
 
 #[test]
-fn cancel_while_resident_in_level1() {
-    // Cancel events at every stage of a level-1 residency: right after
-    // the push, after the cursor has advanced but before their slot
-    // cascades, and (as a control) after the cascade has already moved
-    // them down to level 0. None may fire; survivors keep exact order.
-    macro_rules! scenario {
-        ($sim:ident, $world:ident) => {
-            mark!($sim, in Ps::us(1), label 0);
-            // All three victims sit ~30 level-0 windows out: level-1
-            // residents in the two-level engine, heap entries in the
-            // one-level engine.
-            let a = mark!($sim, cancellable at 30 * WINDOW_PS + 5, label 1);
-            let b = mark!($sim, cancellable at 30 * WINDOW_PS + 7, label 2);
-            let keep = mark!($sim, cancellable at 30 * WINDOW_PS + 9, label 3);
-            let _ = keep;
-            $sim.cancel(a); // cancelled while freshly resident
-            // Advance close enough that the victims' level-1 slot is
-            // next but has not cascaded yet (still beyond the level-0
-            // window).
-            $sim.run_until(&mut $world, Ps(29 * WINDOW_PS - 3 * SLOT_PS));
-            $sim.cancel(b); // cancelled mid-residency
-            // Advance past the cascade; cancel something already
-            // moved down to level 0.
-            let c = mark!($sim, cancellable at 30 * WINDOW_PS + 11, label 4);
-            $sim.run_until(&mut $world, Ps(30 * WINDOW_PS));
-            $sim.cancel(c);
-        };
-    }
-    let heap = trace!(ReferenceSim, scenario);
-    let wheel1 = trace!(Sim::with_wheel_levels(1), scenario);
-    let wheel2 = trace!(Sim::with_wheel_levels(2), scenario);
-    assert_eq!(wheel1, heap);
-    assert_eq!(wheel2, heap);
-    let labels: Vec<u32> = wheel2.2.iter().map(|&(l, _)| l).collect();
-    assert_eq!(labels, vec![0, 3], "cancelled level-1 residents fired");
-}
-
-#[test]
 fn whole_level1_slot_cascades_onto_one_level0_slot() {
     // Many events inside one level-1 slot that all share a single
     // level-0 slot (same ~131 ns bucket, distinct instants plus FIFO
@@ -344,10 +200,11 @@ fn whole_level1_slot_cascades_onto_one_level0_slot() {
 
 #[test]
 fn reschedule_across_levels() {
-    // A recurring timer that hops between delay regimes — cursor slot,
-    // level-0 window, level-1 range, beyond level-1 — cancelling and
-    // re-arming itself each time it fires. Both the cancels and the
-    // re-arms cross level boundaries in every direction.
+    // Timers spread over every delay regime — cursor slot, level-0
+    // window, level-1 range, beyond level-1 — each with a shadow a
+    // quarter window later, then two re-arms from an advanced cursor.
+    // The shadows and re-arms cross level boundaries in every
+    // direction.
     macro_rules! scenario {
         ($sim:ident, $world:ident) => {
             // Hop pattern cycles: near, far (level 1), very far (heap
@@ -362,17 +219,12 @@ fn reschedule_across_levels() {
                 7,                    // same slot again
                 2 * WINDOW_PS + 1,    // level 1 again
             ];
-            // Shadow timers armed one hop ahead and cancelled when the
-            // main timer fires, so cancellation also crosses levels.
+            // Each shadow lands a quarter window after its hop, often
+            // on the other side of a level boundary.
             for (i, &d) in delays.iter().enumerate() {
                 let l = i as u32;
                 mark!($sim, in Ps(d), label l);
-                let shadow = mark!($sim, cancellable in Ps(d + WINDOW_PS / 4), label 100 + l);
-                // Cancel shadows of even hops immediately (while
-                // resident wherever `d` put them); odd ones survive.
-                if i % 2 == 0 {
-                    $sim.cancel(shadow);
-                }
+                mark!($sim, in Ps(d + WINDOW_PS / 4), label 100 + l);
             }
             // Let some fire, then re-arm across the opposite level.
             $sim.run_until(&mut $world, Ps(4 * WINDOW_PS));
@@ -385,4 +237,9 @@ fn reschedule_across_levels() {
     let wheel2 = trace!(Sim::with_wheel_levels(2), scenario);
     assert_eq!(wheel1, heap);
     assert_eq!(wheel2, heap);
+    assert_eq!(
+        wheel2.2.len(),
+        18,
+        "every hop, shadow and re-arm fires exactly once"
+    );
 }
