@@ -279,6 +279,12 @@ pub struct Cluster {
     /// cluster (`parts == 1`) owns everything and never uses the
     /// outbox.
     pub(crate) part: crate::partition::PartitionCtx,
+    /// When the apps last worked: the later of the last completion
+    /// delivered to an app and the end of the last compute an app
+    /// charged. Runs are timed to it ([`crate::harness::RunReport::end`]),
+    /// not to the engine's last event, which may be a protocol timer
+    /// firing after the workload finished.
+    pub(crate) app_end: Ps,
 }
 
 /// The unidirectional links one world transmits on, found by
@@ -480,6 +486,7 @@ impl Cluster {
             link_faults_possible,
             link_faults: BTreeMap::new(),
             part: crate::partition::PartitionCtx::new(my, parts),
+            app_end: Ps::ZERO,
         }
     }
 
@@ -909,7 +916,8 @@ impl Cluster {
     /// Charge app compute time on the endpoint's core.
     pub fn charge_app_compute(&mut self, sim: &mut Sim<Cluster>, me: EpAddr, dur: Ps) {
         let core = self.ep(me).core;
-        self.run_core(me.node, core, sim.now(), dur, category::APP);
+        let (_, fin) = self.run_core(me.node, core, sim.now(), dur, category::APP);
+        self.app_end = self.app_end.max(fin);
     }
 
     // ------------------------------------------------------------------
@@ -1218,6 +1226,7 @@ impl Cluster {
 
     /// Run one application callback with the take/restore pattern.
     pub(crate) fn call_app(&mut self, sim: &mut Sim<Cluster>, addr: EpAddr, comp: Completion) {
+        self.app_end = self.app_end.max(sim.now());
         let app_id = self.ep(addr).app;
         let mut app = self.apps[app_id].take().expect("app not re-entered");
         {

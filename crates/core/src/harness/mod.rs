@@ -150,7 +150,11 @@ pub struct RunReport {
     /// Engine events executed over the whole run — deterministic, and
     /// pinned by the `benchrun --smoke` fingerprints.
     pub events: u64,
-    /// Simulation end time.
+    /// When the apps finished: the later of the last completion
+    /// delivered to any app and the end of the last compute an app
+    /// charged, the latest over shards. Protocol events that run after
+    /// the workload is done (a resend timer finding its send acked, a
+    /// late ack) do not move it.
     pub end: Ps,
     /// Skbuffs still held by drivers after the run drained (leak
     /// detector: must be zero).
@@ -173,7 +177,7 @@ impl RunReport {
             stats: cluster.stats_snapshot(),
             busy: BusyTotals::of(cluster),
             events: sim.events_executed(),
-            end: sim.now(),
+            end: cluster.app_end,
             skbuffs_held,
             pinned_regions,
             shards: vec![ShardLoad {
