@@ -780,6 +780,7 @@ impl Cluster {
                 retx_attempts: 0,
                 last_activity: sim.now(),
                 rto: base_rto,
+                resend_at: Ps::MAX,
             },
         );
         match self.p.cfg.stack {

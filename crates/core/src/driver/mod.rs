@@ -11,7 +11,7 @@ pub mod pull;
 pub mod recv;
 pub mod shm;
 
-use crate::endpoint::CounterTable;
+use crate::endpoint::{CounterTable, Deadlines};
 use crate::{EpAddr, EpIdx, ReqId};
 use omx_hw::ioat::CopyHandle;
 use omx_sim::sanitize::{Kind, SimSanitizer, Token};
@@ -157,11 +157,14 @@ pub struct PullState {
     pub channel: usize,
     /// Outstanding asynchronous copies.
     pub pending_copies: Vec<PendingCopy>,
-    /// Last time any fragment arrived (retransmission watchdog).
-    pub last_progress: Ps,
-    /// Generation stamp distinguishing this pull from earlier users of
-    /// the same (reused) handle — stale watchdogs no-op on mismatch.
-    pub generation: u64,
+    /// When the driver's pull watchdog next checks this pull (`Ps::MAX`
+    /// until the pull is started).
+    pub watchdog_at: Ps,
+    /// `bytes_done` when that check was armed: the check finds the
+    /// pull stalled if no byte landed since.
+    pub watchdog_progress: u64,
+    /// Consecutive stalled checks so far.
+    pub watchdog_stalls: u32,
     /// Current adaptive watchdog timeout (exponential backoff while
     /// the pull is stalled, reset to `cfg.retransmit_timeout` on
     /// progress).
@@ -199,8 +202,6 @@ impl PullState {
         block_remaining: Vec<u32>,
         next_block: u32,
         channel: usize,
-        last_progress: Ps,
-        generation: u64,
         rto: Ps,
         scratch: &mut DriverScratch,
     ) -> PullState {
@@ -221,8 +222,9 @@ impl PullState {
             bytes_done: 0,
             channel,
             pending_copies: scratch.take_pending(),
-            last_progress,
-            generation,
+            watchdog_at: Ps::MAX,
+            watchdog_progress: 0,
+            watchdog_stalls: 0,
             rto,
             credits_held: 0,
             credit_queued: false,
@@ -373,12 +375,11 @@ pub struct Driver {
     pub pulls: CounterTable<u32, PullState>,
     /// Sender-side large sends by sender handle, issued in order.
     pub tx_large: CounterTable<u32, TxLargeState>,
+    /// The pulls' watchdog deadlines, behind the driver's one pull
+    /// watchdog timer.
+    pub watchdogs: Deadlines<u32>,
     /// Next receiver pull handle.
     pub next_pull_handle: u32,
-    /// Monotone generation counter stamped onto every new pull, so a
-    /// watchdog armed for a dead pull can detect that its handle was
-    /// recycled (never wraps in practice: u64).
-    pub next_pull_generation: u64,
     /// Next sender large handle.
     pub next_tx_handle: u32,
     /// Skbuffs currently held by pending asynchronous copies (the
@@ -402,18 +403,13 @@ impl Driver {
         Self::default()
     }
 
-    /// Allocate a receiver-side pull handle. Handles are a small
-    /// wrapping namespace (as in the real driver) — reuse is expected
-    /// and generations disambiguate.
+    /// Allocate a receiver-side pull handle. Handles are a wrapping
+    /// namespace (as in the real driver), so reuse is expected: the
+    /// watchdog checks a pull only at the deadline that pull records,
+    /// never at one a previous user of its handle left behind.
     pub fn alloc_pull_handle(&mut self) -> u32 {
         self.next_pull_handle = self.next_pull_handle.wrapping_add(1);
         self.next_pull_handle
-    }
-
-    /// Allocate a pull generation stamp (never reused).
-    pub fn alloc_pull_generation(&mut self) -> u64 {
-        self.next_pull_generation += 1;
-        self.next_pull_generation
     }
 
     /// Allocate a sender-side large handle.
@@ -467,8 +463,6 @@ mod tests {
             vec![8, 8],
             2,
             0,
-            Ps::ZERO,
-            1,
             Ps::us(500),
             &mut DriverScratch::default(),
         );
@@ -552,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn pull_handles_wrap_and_generations_do_not() {
+    fn pull_handles_wrap() {
         let mut d = Driver::new();
         d.next_pull_handle = u32::MAX - 1;
         let a = d.alloc_pull_handle();
@@ -561,7 +555,5 @@ mod tests {
         assert_eq!(a, u32::MAX);
         assert_eq!(b, 0, "handle namespace wraps");
         assert_eq!(c, 1);
-        assert_eq!(d.alloc_pull_generation(), 1);
-        assert_eq!(d.alloc_pull_generation(), 2);
     }
 }

@@ -13,6 +13,7 @@
 
 use crate::cluster::Cluster;
 use crate::driver::{PendingCopy, PullState};
+use crate::endpoint::CounterTable;
 use crate::events::Event;
 use crate::proto::Packet;
 use crate::{EpAddr, NodeId, ReqId};
@@ -22,6 +23,13 @@ use omx_hw::CoreId;
 use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
+
+/// Whether pull `handle` still awaits the watchdog check it was armed
+/// for at `at`: it is in flight and records that deadline. A pull that
+/// took over a recycled handle records its own.
+fn watchdog_due(pulls: &CounterTable<u32, PullState>, handle: u32, at: Ps) -> bool {
+    pulls.get(&handle).is_some_and(|p| p.watchdog_at == at)
+}
 
 impl Cluster {
     /// Publish `ev` to `addr` at time `at` (the moment the producing
@@ -88,7 +96,6 @@ impl Cluster {
         let mut block_remaining = self.node_mut(node).driver.scratch.take_blocks();
         block_remaining.extend((0..blocks_total).map(|b| (frags_total - b * bf).min(bf)));
         let handle = self.node_mut(node).driver.alloc_pull_handle();
-        let generation = self.node_mut(node).driver.alloc_pull_generation();
         // Prefer a channel that is not quarantined; if every channel is
         // blacklisted the fragment path falls back to memcpy anyway.
         let channel = self.pick_healthy_channel(node, fin);
@@ -111,8 +118,6 @@ impl Cluster {
             block_remaining,
             initial_blocks,
             channel,
-            from,
-            generation,
             base_rto,
             &mut drv.scratch,
         );
@@ -134,7 +139,7 @@ impl Cluster {
                 self.send_block_request(sim, node, handle, b, fin);
             }
         }
-        self.schedule_pull_watchdog(sim, node, handle, generation, 0, fin);
+        self.arm_pull_watchdog(sim, node, handle, 0, 0, fin);
     }
 
     /// Build and send the PullReq for block `b` of pull `handle`.
@@ -361,7 +366,6 @@ impl Cluster {
                 // omx-lint: allow(fast-path-panic) freshness of recv_handle was checked on BH entry just above [test: tests/fault_soak.rs::duplicate_everything_is_idempotent]
                 .expect("checked");
             p.bytes_done += len;
-            p.last_progress = fin;
             if let Some(h) = copy_handle {
                 p.pending_copies.push(PendingCopy {
                     handle: h,
@@ -578,43 +582,28 @@ impl Cluster {
     /// Arm the pull watchdog: if no fragment arrives within the
     /// (adaptive) retransmission timeout, run the cleanup routine (the
     /// paper ties it to this timer too) and re-request the incomplete
-    /// blocks. The watchdog is stamped with the pull's generation so a
-    /// timer armed for a dead pull no-ops when its small handle
-    /// namespace is recycled by a later message.
-    fn schedule_pull_watchdog(
+    /// blocks. The pull records the deadline, the progress snapshot to
+    /// compare against and its stall count so far; the driver's one
+    /// watchdog timer fires at the earliest deadline any pull records.
+    fn arm_pull_watchdog(
         &mut self,
         sim: &mut Sim<Cluster>,
         node: NodeId,
         handle: u32,
-        generation: u64,
-        progress_snapshot: u64,
-        from: Ps,
-    ) {
-        self.schedule_pull_watchdog_n(sim, node, handle, generation, progress_snapshot, 0, from);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_pull_watchdog_n(
-        &mut self,
-        sim: &mut Sim<Cluster>,
-        node: NodeId,
-        handle: u32,
-        generation: u64,
-        progress_snapshot: u64,
+        progress: u64,
         stalls: u32,
         from: Ps,
     ) {
+        let credits = self.p.cfg.pull_credits;
+        let drv = &mut self.node_mut(node).driver;
+        let outstanding = u64::from(drv.credits.outstanding);
+        let Some(p) = drv.pulls.get_mut(&handle) else {
+            return;
+        };
         // The pull carries its own adaptive timeout (exponential
-        // backoff while stalled); fall back to the base timeout when
-        // the pull is already gone (the watchdog will no-op anyway).
-        let mut timeout = self
-            .node(node)
-            .driver
-            .pulls
-            .get(&handle)
-            .map(|p| p.rto)
-            .unwrap_or(self.p.cfg.retransmit_timeout);
-        if self.p.cfg.pull_credits {
+        // backoff while stalled).
+        let mut timeout = p.rto;
+        if credits {
             // The receiver sized the in-flight backlog itself: a block
             // granted behind k outstanding blocks legitimately waits k
             // service quanta in the RX ring before its first fragment
@@ -622,39 +611,55 @@ impl Cluster {
             // backlog. Without this, a wide incast re-requests blocks
             // that were merely queued — the base RTO is calibrated for
             // one pull's round trip, not the aggregate drain.
-            let outstanding = self.node(node).driver.credits.outstanding as u64;
             timeout = Ps::ps(timeout.as_ps() * (8 + outstanding) / 8);
         }
-        sim.schedule_at(from + timeout, move |c: &mut Cluster, s| {
-            c.pull_watchdog(s, node, handle, generation, progress_snapshot, stalls);
-        });
+        let at = from + timeout;
+        p.watchdog_at = at;
+        p.watchdog_progress = progress;
+        p.watchdog_stalls = stalls;
+        if drv.watchdogs.arm(at, handle) {
+            sim.schedule_at(at, move |c: &mut Cluster, s| c.pull_watchdog_timer(s, node));
+        }
     }
 
-    fn pull_watchdog(
-        &mut self,
-        sim: &mut Sim<Cluster>,
-        node: NodeId,
-        handle: u32,
-        generation: u64,
-        progress_snapshot: u64,
-        stalls: u32,
-    ) {
-        let Some((bytes_done, ep, gen)) = self
+    /// The driver's pull watchdog timer: check every pull due now, in
+    /// (deadline, arm order), then set the timer for the earliest
+    /// deadline left, or leave it idle when no pull is outstanding.
+    fn pull_watchdog_timer(&mut self, sim: &mut Sim<Cluster>, node: NodeId) {
+        let now = sim.now();
+        if !self.node(node).driver.watchdogs.fires_at(now) {
+            return; // superseded by an earlier arm
+        }
+        loop {
+            let drv = &mut self.node_mut(node).driver;
+            let pulls = &drv.pulls;
+            let Some(handle) = drv
+                .watchdogs
+                .pop_due(now, |h, at| watchdog_due(pulls, h, at))
+            else {
+                break;
+            };
+            self.pull_watchdog(sim, node, handle);
+        }
+        let drv = &mut self.node_mut(node).driver;
+        let pulls = &drv.pulls;
+        if let Some(at) = drv.watchdogs.rearm(now, |h, at| watchdog_due(pulls, h, at)) {
+            sim.schedule_at(at, move |c: &mut Cluster, s| c.pull_watchdog_timer(s, node));
+        }
+    }
+
+    /// One pull's watchdog check, against the progress snapshot and
+    /// stall count it recorded when armed.
+    fn pull_watchdog(&mut self, sim: &mut Sim<Cluster>, node: NodeId, handle: u32) {
+        let Some((bytes_done, ep, progress_snapshot, stalls)) = self
             .node(node)
             .driver
             .pulls
             .get(&handle)
-            .map(|p| (p.bytes_done, p.ep, p.generation))
+            .map(|p| (p.bytes_done, p.ep, p.watchdog_progress, p.watchdog_stalls))
         else {
             return; // completed
         };
-        if gen != generation {
-            // The handle was recycled by a newer pull: this timer
-            // belongs to a pull that already completed. Acting on it
-            // would re-request blocks of the *new* pull off-schedule
-            // (or worse, abandon it).
-            return;
-        }
         let now = sim.now();
         if bytes_done != progress_snapshot {
             // Progress since last check: reset the backoff, re-arm.
@@ -662,7 +667,7 @@ impl Cluster {
             if let Some(p) = self.node_mut(node).driver.pulls.get_mut(&handle) {
                 p.rto = base_rto;
             }
-            self.schedule_pull_watchdog(sim, node, handle, generation, bytes_done, now);
+            self.arm_pull_watchdog(sim, node, handle, bytes_done, 0, now);
             return;
         }
         if self.p.cfg.pull_credits {
@@ -679,9 +684,7 @@ impl Cluster {
                 self.credit_enqueue(node, handle);
                 let core = self.ep(EpAddr { node, ep }).core;
                 let fin = self.credit_pump(sim, node, core, now, category::DRIVER);
-                self.schedule_pull_watchdog_n(
-                    sim, node, handle, generation, bytes_done, stalls, fin,
-                );
+                self.arm_pull_watchdog(sim, node, handle, bytes_done, stalls, fin);
                 return;
             }
         }
@@ -731,13 +734,21 @@ impl Cluster {
         }
         let core = self.ep(EpAddr { node, ep }).core;
         let mut fin = self.pull_cleanup(sim, node, core, handle, now);
-        let stalled: Vec<u32> = {
-            let p = self.node(node).driver.pulls.get(&handle).expect("alive");
-            (0..p.next_block)
-                .filter(|&b| p.block_remaining[b as usize] > 0)
-                .collect()
-        };
-        for b in stalled {
+        let requested = self
+            .node(node)
+            .driver
+            .pulls
+            .get(&handle)
+            .map_or(0, |p| p.next_block);
+        for b in 0..requested {
+            let incomplete = self.node(node).driver.pulls.get(&handle).is_some_and(|p| {
+                p.block_remaining
+                    .get(b as usize)
+                    .is_some_and(|&left| left > 0)
+            });
+            if !incomplete {
+                continue;
+            }
             self.stats.pull_retransmissions += 1;
             let (_, f) = self.run_core(
                 node,
@@ -749,7 +760,7 @@ impl Cluster {
             fin = f;
             self.send_block_request(sim, node, handle, b, fin);
         }
-        self.schedule_pull_watchdog_n(sim, node, handle, generation, bytes_done, stalls + 1, fin);
+        self.arm_pull_watchdog(sim, node, handle, bytes_done, stalls + 1, fin);
     }
 
     // ------------------------------------------------------------------
@@ -990,7 +1001,7 @@ mod tests {
     use crate::cluster::ClusterParams;
     use crate::EpIdx;
 
-    fn pull_state(generation: u64) -> PullState {
+    fn pull_state() -> PullState {
         PullState::new(
             EpIdx(0),
             ReqId(1),
@@ -1005,39 +1016,63 @@ mod tests {
             vec![8, 8],
             2,
             0,
-            Ps::ZERO,
-            generation,
             Ps::us(500),
             &mut crate::driver::DriverScratch::default(),
         )
     }
 
-    /// Regression: the pull-handle namespace is a small wrapping u32,
-    /// so a watchdog armed for one pull can fire after its handle was
-    /// recycled by a newer message. Keyed by handle alone it would see
-    /// the new pull at zero progress — matching its stale snapshot —
-    /// and, with the stall budget exhausted, abandon a perfectly live
-    /// transfer. The generation stamp makes it a no-op instead.
+    struct Idle;
+
+    impl crate::app::App for Idle {
+        fn on_start(&mut self, _: &mut crate::app::AppCtx<'_>) {}
+        fn on_completion(&mut self, _: &mut crate::app::AppCtx<'_>, _: crate::app::Completion) {}
+    }
+
+    /// The pull-handle namespace wraps, so a handle can be recycled
+    /// while the deadline its previous pull recorded is still in the
+    /// driver's watchdog queue. That deadline must not check the new
+    /// pull: the previous user had spent its whole stall budget, and a
+    /// check with that count would abandon a live transfer. The new
+    /// pull is checked only at the deadline it records itself, with
+    /// its own stall count of zero.
     #[test]
-    fn stale_watchdog_noops_when_handle_recycled() {
+    fn recycled_handle_is_checked_only_at_its_own_deadline() {
         let mut c = Cluster::new(ClusterParams::default());
         let mut sim: Sim<Cluster> = Sim::new();
-        let handle = 7;
-        c.nodes[0].driver.pulls.insert(handle, pull_state(2));
-        // The previous user of the handle ran at generation 1; its last
-        // watchdog fires with an exhausted stall budget and a progress
-        // snapshot that happens to match the new pull.
-        c.pull_watchdog(&mut sim, NodeId(0), handle, 1, 0, Cluster::MAX_PULL_STALLS);
-        assert!(
-            c.nodes[0].driver.pulls.contains_key(&handle),
-            "stale watchdog must not abandon the recycled handle's new pull"
+        c.add_endpoint(NodeId(0), omx_hw::CoreId(0), Box::new(Idle));
+        let (node, handle) = (NodeId(0), 7);
+        // The previous user: out of stall budget, due at 500 µs.
+        c.nodes[0].driver.pulls.insert(handle, pull_state());
+        c.arm_pull_watchdog(
+            &mut sim,
+            node,
+            handle,
+            0,
+            Cluster::MAX_PULL_STALLS,
+            Ps::ZERO,
         );
-        // The current generation still enforces the stall bound.
-        c.pull_watchdog(&mut sim, NodeId(0), handle, 2, 0, Cluster::MAX_PULL_STALLS);
-        assert!(
-            !c.nodes[0].driver.pulls.contains_key(&handle),
-            "the live generation's exhausted watchdog still abandons"
+        let old = c.nodes[0].driver.pulls.remove(&handle).expect("inserted");
+        SimSanitizer::release(old.token());
+        // The new user of the handle, due at 600 µs.
+        c.nodes[0].driver.pulls.insert(handle, pull_state());
+        c.arm_pull_watchdog(&mut sim, node, handle, 0, 0, Ps::us(100));
+        sim.run_until(&mut c, Ps::us(500));
+        let p = c.nodes[0].driver.pulls.get(&handle).expect("not abandoned");
+        assert_eq!(
+            (p.watchdog_at, p.watchdog_stalls, p.rto),
+            (Ps::us(600), 0, Ps::us(500)),
+            "the previous user's deadline checked the new pull"
         );
+        assert_eq!(c.stats.pull_retransmissions, 0);
+        // At its own deadline the stalled pull re-requests both blocks
+        // and counts its first stall.
+        sim.run_until(&mut c, Ps::us(600));
+        let p = c.nodes[0].driver.pulls.get(&handle).expect("not abandoned");
+        assert_eq!(p.watchdog_stalls, 1);
+        assert!(p.watchdog_at > Ps::us(600));
+        assert_eq!(c.stats.pull_retransmissions, 2);
+        let p = c.nodes[0].driver.pulls.remove(&handle).expect("alive");
+        SimSanitizer::release(p.token());
     }
 
     /// Satellite-3 regression: a block re-requested by the RTO
@@ -1050,7 +1085,7 @@ mod tests {
     /// indices likewise must be inert, not a panic.
     #[test]
     fn duplicate_fragment_never_double_decrements_a_block() {
-        let mut p = pull_state(1);
+        let mut p = pull_state();
         let bf = 8;
         for i in 0..8 {
             let prog = p.note_frag(i, bf).expect("fresh fragment");
@@ -1106,8 +1141,6 @@ mod tests {
                 block_remaining,
                 0,
                 0,
-                Ps::ZERO,
-                1,
                 Ps::us(500),
                 &mut crate::driver::DriverScratch::default(),
             );

@@ -5,6 +5,7 @@
 use crate::app::Completion;
 use crate::cluster::Cluster;
 use crate::config::MsgClass;
+use crate::endpoint::{ReqTable, SendState};
 use crate::events::Event;
 use crate::proto::Packet;
 use crate::{EpAddr, EpIdx, NodeId, ReqId};
@@ -20,6 +21,14 @@ use omx_sim::{Ps, Sim};
 /// Give up retransmitting after this many attempts (a real stack would
 /// declare the peer dead).
 const MAX_RETX_ATTEMPTS: u32 = 10;
+
+/// Whether `req` still awaits the resend check it was armed for at
+/// `at`: it is outstanding, unacked and records that deadline.
+fn resend_due(sends: &ReqTable<SendState>, req: ReqId, at: Ps) -> bool {
+    sends
+        .get(&req)
+        .is_some_and(|st| !st.acked && st.resend_at == at)
+}
 
 impl Cluster {
     /// CPU cost of the BH copying `bytes` out of an skbuff with page
@@ -279,6 +288,7 @@ impl Cluster {
     /// `cfg.retransmit_timeout` and doubles (with jitter) on every
     /// actual retransmission, so a lossy or congested path sees
     /// exponentially spaced re-sends instead of a fixed-period hammer.
+    /// A send already acked or reaped needs no check.
     pub(crate) fn schedule_eager_retx(
         &mut self,
         sim: &mut Sim<Cluster>,
@@ -286,15 +296,54 @@ impl Cluster {
         req: ReqId,
         from: Ps,
     ) {
-        let timeout = self
+        let Some(rto) = self
             .ep(me)
             .sends
             .get(&req)
+            .filter(|st| !st.acked)
             .map(|st| st.rto)
-            .unwrap_or(self.p.cfg.retransmit_timeout);
-        sim.schedule_at(from + timeout, move |c: &mut Cluster, s| {
-            c.eager_retx_check(s, me, req);
-        });
+        else {
+            return;
+        };
+        self.arm_resend(sim, me, req, from + rto);
+    }
+
+    /// Record that the send `req` is due a check at `at`, and set the
+    /// endpoint's one resend timer for `at` if it would fire later.
+    fn arm_resend(&mut self, sim: &mut Sim<Cluster>, me: EpAddr, req: ReqId, at: Ps) {
+        let ep = self.ep_mut(me);
+        if let Some(st) = ep.sends.get_mut(&req) {
+            st.resend_at = at;
+        }
+        if ep.resends.arm(at, req) {
+            sim.schedule_at(at, move |c: &mut Cluster, s| c.resend_timer(s, me));
+        }
+    }
+
+    /// The endpoint's resend timer: check every send due now, in
+    /// (deadline, arm order), then set the timer for the earliest
+    /// deadline left, or leave it idle when no send is outstanding.
+    fn resend_timer(&mut self, sim: &mut Sim<Cluster>, me: EpAddr) {
+        let now = sim.now();
+        if !self.ep(me).resends.fires_at(now) {
+            return; // superseded by an earlier arm
+        }
+        loop {
+            let ep = self.ep_mut(me);
+            let sends = &ep.sends;
+            let Some(req) = ep
+                .resends
+                .pop_due(now, |req, at| resend_due(sends, req, at))
+            else {
+                break;
+            };
+            self.eager_retx_check(sim, me, req);
+        }
+        let ep = self.ep_mut(me);
+        let sends = &ep.sends;
+        if let Some(at) = ep.resends.rearm(now, |req, at| resend_due(sends, req, at)) {
+            sim.schedule_at(at, move |c: &mut Cluster, s| c.resend_timer(s, me));
+        }
     }
 
     fn eager_retx_check(&mut self, sim: &mut Sim<Cluster>, me: EpAddr, req: ReqId) {
@@ -308,9 +357,7 @@ impl Cluster {
         // is alive: push the deadline out instead of retransmitting.
         let deadline = st.last_activity + st.rto;
         if sim.now() < deadline {
-            sim.schedule_at(deadline, move |c: &mut Cluster, s| {
-                c.eager_retx_check(s, me, req);
-            });
+            self.arm_resend(sim, me, req, deadline);
             return;
         }
         let attempts = st.retx_attempts;

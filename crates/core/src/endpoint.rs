@@ -14,7 +14,9 @@ use crate::matching::Matcher;
 use crate::region::{Region, RegionTable};
 use crate::{EpAddr, ReqId};
 use omx_hw::CoreId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use omx_sim::Ps;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
 
 /// An outstanding send request.
@@ -49,11 +51,14 @@ pub struct SendState {
     pub retx_attempts: u32,
     /// Last proof of life from the receiver for this request (pull
     /// requests reset it); the retransmission timer keys off this.
-    pub last_activity: omx_sim::Ps,
+    pub last_activity: Ps,
     /// Current adaptive retransmission timeout: starts at
     /// `cfg.retransmit_timeout`, doubles (with jitter) on every
     /// retransmission up to `cfg.rto_max`, resets on peer liveness.
-    pub rto: omx_sim::Ps,
+    pub rto: Ps,
+    /// When the endpoint's resend timer next checks this send
+    /// (`Ps::MAX` until the driver first hands it to the NIC).
+    pub resend_at: Ps,
 }
 
 /// An outstanding receive request.
@@ -189,6 +194,9 @@ pub struct Endpoint {
     pub regions: RegionTable,
     /// Outstanding sends.
     pub sends: ReqTable<SendState>,
+    /// The sends' resend deadlines, behind the endpoint's one resend
+    /// timer.
+    pub resends: Deadlines<ReqId>,
     /// Outstanding receives.
     pub recvs: ReqTable<RecvState>,
     /// In-flight medium reassemblies keyed by (source, sequence).
@@ -240,6 +248,7 @@ impl Endpoint {
             slots: SlotPool::new(recvq_slots, slot_bytes),
             regions: RegionTable::new(regcache),
             sends: ReqTable::new(),
+            resends: Deadlines::default(),
             recvs: ReqTable::new(),
             assemblies: BTreeMap::new(),
             seq_tx: BTreeMap::new(),
@@ -488,6 +497,99 @@ impl<K: CounterKey, T> CounterTable<K, T> {
 impl<K: CounterKey, T: fmt::Debug> fmt::Debug for CounterTable<K, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// The deadlines behind one timer: an endpoint's resend checks (keyed
+/// by request) or a driver's pull watchdog checks (keyed by pull
+/// handle), RFC 6298's one retransmission timer per connection.
+///
+/// Each item records its own deadline; [`Deadlines::arm`] adds it here
+/// as well, and the one timer event fires at the earliest. A deadline
+/// an item no longer records (it was acked, finished or re-armed
+/// since) is dropped when it reaches the front, so nothing is ever
+/// removed from the middle, and the engine needs no cancellation: an
+/// event superseded by an earlier arm finds the timer set elsewhere
+/// and returns. Due items pop in (deadline, arm order), the order in
+/// which one engine event per deadline would have fired.
+#[derive(Debug)]
+pub struct Deadlines<K> {
+    /// `(deadline, arm number, key)`, earliest first.
+    heap: BinaryHeap<Reverse<(Ps, u64, K)>>,
+    /// Arms so far (the arm number of the latest).
+    arms: u64,
+    /// Instant of the live timer event, or `None` while idle.
+    timer: Option<Ps>,
+}
+
+impl<K> Default for Deadlines<K> {
+    fn default() -> Self {
+        Deadlines {
+            heap: BinaryHeap::new(),
+            arms: 0,
+            timer: None,
+        }
+    }
+}
+
+impl<K: Copy + Ord + fmt::Debug> Deadlines<K> {
+    /// Record that `key` is due at `at`. Returns `true` when the timer
+    /// event must be scheduled at `at`: the timer was idle, or set for
+    /// a later instant.
+    pub fn arm(&mut self, at: Ps, key: K) -> bool {
+        self.arms += 1;
+        self.heap.push(Reverse((at, self.arms, key)));
+        if self.timer.is_some_and(|t| t <= at) {
+            return false;
+        }
+        self.timer = Some(at);
+        true
+    }
+
+    /// Whether a timer event firing at `now` is the live one.
+    pub fn fires_at(&self, now: Ps) -> bool {
+        self.timer == Some(now)
+    }
+
+    /// The next key due at or before `now` whose item still records
+    /// the deadline it was armed with (`records(key, deadline)`);
+    /// deadlines no item records are dropped on the way.
+    pub fn pop_due(&mut self, now: Ps, records: impl Fn(K, Ps) -> bool) -> Option<K> {
+        while let Some(&Reverse((at, _, key))) = self.heap.peek() {
+            if at > now {
+                return None;
+            }
+            self.heap.pop();
+            if records(key, at) {
+                return Some(key);
+            }
+        }
+        None
+    }
+
+    /// End a fire at `now`: drop the deadlines no item records from the
+    /// front and set the timer to the earliest one left. Returns that
+    /// instant, at which the caller schedules the timer event, or
+    /// `None` when nothing is outstanding and the timer goes idle.
+    ///
+    /// # Panics
+    ///
+    /// If a recorded deadline at or before `now` is left: the fire
+    /// skipped an item that was due.
+    pub fn rearm(&mut self, now: Ps, records: impl Fn(K, Ps) -> bool) -> Option<Ps> {
+        while let Some(&Reverse((at, _, key))) = self.heap.peek() {
+            if records(key, at) {
+                assert!(
+                    at > now,
+                    "{key:?} due at {at} was left behind by the fire at {now}"
+                );
+                self.timer = Some(at);
+                return Some(at);
+            }
+            self.heap.pop();
+        }
+        self.timer = None;
+        None
     }
 }
 

@@ -120,14 +120,14 @@ fn one_fragment_medium_runs_are_unchanged() {
         ..cfg
     };
     let cases = [
-        (OmxConfig::default(), 2000, (1292, 903_145_952, 86, 0)),
-        (kmatch.clone(), 2000, (1292, 820_543_958, 86, 0)),
+        (OmxConfig::default(), 2000, (1210, 903_145_952, 86, 0)),
+        (kmatch.clone(), 2000, (1210, 820_543_958, 86, 0)),
         (
             dup(OmxConfig::default()),
             3000,
-            (1302, 1_080_816_248, 88, 2),
+            (1222, 1_080_816_248, 88, 2),
         ),
-        (dup(kmatch), 3000, (1300, 914_855_514, 88, 2)),
+        (dup(kmatch), 3000, (1218, 914_855_514, 88, 2)),
     ];
     for (cfg, size, want) in cases {
         let mut c = PingPongConfig::new(ClusterParams::with_cfg(cfg), size, net());
