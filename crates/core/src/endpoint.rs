@@ -57,7 +57,8 @@ pub struct SendState {
     /// retransmission up to `cfg.rto_max`, resets on peer liveness.
     pub rto: Ps,
     /// When the endpoint's resend timer next checks this send
-    /// (`Ps::MAX` until the driver first hands it to the NIC).
+    /// (`Ps::MAX` until the driver arms its first check; intranode
+    /// sends never arm one).
     pub resend_at: Ps,
 }
 
@@ -1148,6 +1149,60 @@ mod tests {
         assert_eq!(t.remove(&held), Some(1));
         assert!(t.is_empty());
         assert!(t.heap_bytes() < 1024, "window kept {} B", t.heap_bytes());
+    }
+
+    /// A timer fire at `now` against items recording `recorded`:
+    /// the keys it checks, in order, and where it re-arms.
+    fn fire(
+        d: &mut Deadlines<u32>,
+        now: Ps,
+        recorded: &BTreeMap<u32, Ps>,
+    ) -> (Vec<u32>, Option<Ps>) {
+        let records = |k: u32, at: Ps| recorded.get(&k) == Some(&at);
+        let mut due = Vec::new();
+        while let Some(k) = d.pop_due(now, records) {
+            due.push(k);
+        }
+        (due, d.rearm(now, records))
+    }
+
+    #[test]
+    fn deadlines_fire_due_items_in_deadline_then_arm_order() {
+        let mut d = Deadlines::default();
+        let mut recorded = BTreeMap::new();
+        // Only the first arm, and an arm earlier than the timer, ask
+        // for a timer event.
+        for (k, at, schedule) in [(1, 30, true), (2, 20, true), (3, 20, false), (4, 40, false)] {
+            recorded.insert(k, Ps::us(at));
+            assert_eq!(d.arm(Ps::us(at), k), schedule, "arm {k}");
+        }
+        // Key 2 was acked, key 4 re-armed later: neither is checked at
+        // its old deadline, and the re-arm supersedes nothing.
+        recorded.remove(&2);
+        recorded.insert(4, Ps::us(50));
+        assert!(!d.arm(Ps::us(50), 4));
+        assert!(!d.fires_at(Ps::us(30)), "the event at 30 µs was superseded");
+        assert!(d.fires_at(Ps::us(20)));
+        assert_eq!(
+            fire(&mut d, Ps::us(20), &recorded),
+            (vec![3], Some(Ps::us(30)))
+        );
+        assert!(d.fires_at(Ps::us(30)));
+        assert_eq!(
+            fire(&mut d, Ps::us(30), &recorded),
+            (vec![1], Some(Ps::us(50)))
+        );
+        assert_eq!(fire(&mut d, Ps::us(50), &recorded), (vec![4], None));
+        assert!(!d.fires_at(Ps::us(50)), "idle once nothing is outstanding");
+        assert!(d.arm(Ps::us(60), 5), "an idle timer is armed again");
+    }
+
+    #[test]
+    #[should_panic(expected = "left behind")]
+    fn deadlines_panic_when_a_fire_skips_a_due_item() {
+        let mut d = Deadlines::default();
+        d.arm(Ps::us(10), 1u32);
+        d.rearm(Ps::us(10), |_, _| true);
     }
 
     #[test]
