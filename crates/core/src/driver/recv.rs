@@ -323,10 +323,28 @@ impl Cluster {
     /// The endpoint's resend timer: check every send due now, in
     /// (deadline, arm order), then set the timer for the earliest
     /// deadline left, or leave it idle when no send is outstanding.
+    ///
+    /// An eager ack processed less than one base timeout ago shows the
+    /// path delivering, so the fire is first held until one timeout
+    /// after that ack, as RFC 6298 §5.3 restarts the timer on an ack of
+    /// new data. It holds once per fire, so a send is checked at most
+    /// one timeout after its own deadline.
     fn resend_timer(&mut self, sim: &mut Sim<Cluster>, me: EpAddr) {
         let now = sim.now();
-        if !self.ep(me).resends.fires_at(now) {
+        let base_rto = self.p.cfg.retransmit_timeout;
+        let ep = self.ep_mut(me);
+        if !ep.resends.fires_at(now) {
             return; // superseded by an earlier arm
+        }
+        if let Some(until) = ep.last_ack.map(|t| t + base_rto) {
+            let sends = &ep.sends;
+            if ep
+                .resends
+                .hold(now, until, |req, at| resend_due(sends, req, at))
+            {
+                sim.schedule_at(until, move |c: &mut Cluster, s| c.resend_timer(s, me));
+                return;
+            }
         }
         loop {
             let ep = self.ep_mut(me);
@@ -1132,6 +1150,7 @@ impl Cluster {
             st.acked = true;
             (st.class, st.completed)
         };
+        self.ep_mut(me).last_ack = Some(fin);
         if completed {
             self.ep_mut(me).sends.remove(&req);
         } else if matches!(class, MsgClass::Medium) {

@@ -198,6 +198,10 @@ pub struct Endpoint {
     /// The sends' resend deadlines, behind the endpoint's one resend
     /// timer.
     pub resends: Deadlines<ReqId>,
+    /// When the driver last processed an ack of one of this endpoint's
+    /// tiny, small or medium sends (`None` before the first): the
+    /// progress that holds the resend timer.
+    pub last_ack: Option<Ps>,
     /// Outstanding receives.
     pub recvs: ReqTable<RecvState>,
     /// In-flight medium reassemblies keyed by (source, sequence).
@@ -250,6 +254,7 @@ impl Endpoint {
             regions: RegionTable::new(regcache),
             sends: ReqTable::new(),
             resends: Deadlines::default(),
+            last_ack: None,
             recvs: ReqTable::new(),
             assemblies: BTreeMap::new(),
             seq_tx: BTreeMap::new(),
@@ -513,6 +518,11 @@ impl<K: CounterKey, T: fmt::Debug> fmt::Debug for CounterTable<K, T> {
 /// event superseded by an earlier arm finds the timer set elsewhere
 /// and returns. Due items pop in (deadline, arm order), the order in
 /// which one engine event per deadline would have fired.
+///
+/// A fire may instead be held once, as RFC 6298 §5.3 restarts the
+/// timer on progress ([`Deadlines::hold`]): its due items stay here
+/// and the timer is set later, and the fire that ends the hold pops
+/// them. A fire cycle is one hold at most, from one re-arm to the next.
 #[derive(Debug)]
 pub struct Deadlines<K> {
     /// `(deadline, arm number, key)`, earliest first.
@@ -521,6 +531,8 @@ pub struct Deadlines<K> {
     arms: u64,
     /// Instant of the live timer event, or `None` while idle.
     timer: Option<Ps>,
+    /// Whether the timer held since it last re-armed.
+    held: bool,
 }
 
 impl<K> Default for Deadlines<K> {
@@ -529,6 +541,7 @@ impl<K> Default for Deadlines<K> {
             heap: BinaryHeap::new(),
             arms: 0,
             timer: None,
+            held: false,
         }
     }
 }
@@ -550,6 +563,24 @@ impl<K: Copy + Ord + fmt::Debug> Deadlines<K> {
     /// Whether a timer event firing at `now` is the live one.
     pub fn fires_at(&self, now: Ps) -> bool {
         self.timer == Some(now)
+    }
+
+    /// Hold the fire at `now` until `until`: pop nothing and set the
+    /// timer for `until`. Returns `true` when held; the caller then
+    /// schedules the timer event at `until` and ends the fire. Declines,
+    /// and the fire goes on, when `until` is not after `now`, when the
+    /// timer already held since it last re-armed, or when no recorded
+    /// deadline lies before `until` (nothing is outstanding, or the
+    /// earliest deadline is at or past `until`, so a hold would only
+    /// add an event). Deadlines no item records are dropped from the
+    /// front on the way.
+    pub fn hold(&mut self, now: Ps, until: Ps, records: impl Fn(K, Ps) -> bool) -> bool {
+        if self.held || until <= now || self.earliest(records).is_none_or(|(at, _)| at >= until) {
+            return false;
+        }
+        self.held = true;
+        self.timer = Some(until);
+        true
     }
 
     /// The next key due at or before `now` whose item still records
@@ -578,18 +609,26 @@ impl<K: Copy + Ord + fmt::Debug> Deadlines<K> {
     /// If a recorded deadline at or before `now` is left: the fire
     /// skipped an item that was due.
     pub fn rearm(&mut self, now: Ps, records: impl Fn(K, Ps) -> bool) -> Option<Ps> {
+        self.held = false;
+        self.timer = self.earliest(records).map(|(at, key)| {
+            assert!(
+                at > now,
+                "{key:?} due at {at} was left behind by the fire at {now}"
+            );
+            at
+        });
+        self.timer
+    }
+
+    /// The earliest deadline an item still records, and its key, after
+    /// dropping the deadlines no item records from the front.
+    fn earliest(&mut self, records: impl Fn(K, Ps) -> bool) -> Option<(Ps, K)> {
         while let Some(&Reverse((at, _, key))) = self.heap.peek() {
             if records(key, at) {
-                assert!(
-                    at > now,
-                    "{key:?} due at {at} was left behind by the fire at {now}"
-                );
-                self.timer = Some(at);
-                return Some(at);
+                return Some((at, key));
             }
             self.heap.pop();
         }
-        self.timer = None;
         None
     }
 }
@@ -1203,6 +1242,118 @@ mod tests {
         let mut d = Deadlines::default();
         d.arm(Ps::us(10), 1u32);
         d.rearm(Ps::us(10), |_, _| true);
+    }
+
+    /// A timer fire at `now` that first tries to hold until `until`:
+    /// `None` when it held, otherwise what [`fire`] returns.
+    fn fire_or_hold(
+        d: &mut Deadlines<u32>,
+        now: Ps,
+        until: Ps,
+        recorded: &BTreeMap<u32, Ps>,
+    ) -> Option<(Vec<u32>, Option<Ps>)> {
+        let records = |k: u32, at: Ps| recorded.get(&k) == Some(&at);
+        if d.hold(now, until, records) {
+            return None;
+        }
+        Some(fire(d, now, recorded))
+    }
+
+    #[test]
+    fn a_hold_keeps_due_items_for_the_fire_that_ends_it() {
+        let mut d = Deadlines::default();
+        let mut recorded = BTreeMap::new();
+        for (k, at) in [(1, 30), (2, 20), (3, 20), (4, 60)] {
+            recorded.insert(k, Ps::us(at));
+            d.arm(Ps::us(at), k);
+        }
+        assert_eq!(
+            fire_or_hold(&mut d, Ps::us(20), Ps::us(50), &recorded),
+            None
+        );
+        assert_eq!(d.heap.len(), 4, "the due items stay");
+        assert!(d.fires_at(Ps::us(50)), "the timer is set for the hold");
+        assert!(!d.arm(Ps::us(70), 5), "a later arm keeps the hold");
+        recorded.insert(5, Ps::us(70));
+        assert_eq!(
+            fire_or_hold(&mut d, Ps::us(50), Ps::us(80), &recorded),
+            Some((vec![2, 3, 1], Some(Ps::us(60)))),
+            "(deadline, arm order), and no second hold"
+        );
+    }
+
+    #[test]
+    fn the_timer_holds_once_per_fire_cycle() {
+        let mut d = Deadlines::default();
+        let recorded = BTreeMap::from([(1, Ps::us(20)), (2, Ps::us(100))]);
+        d.arm(Ps::us(20), 1);
+        d.arm(Ps::us(100), 2);
+        assert_eq!(
+            fire_or_hold(&mut d, Ps::us(20), Ps::us(50), &recorded),
+            None
+        );
+        // An ack during the hold moves the hold instant, but the fire
+        // that ends the hold checks what is due.
+        assert_eq!(
+            fire_or_hold(&mut d, Ps::us(50), Ps::us(90), &recorded),
+            Some((vec![1], Some(Ps::us(100))))
+        );
+        // The re-arm began a new cycle, which may hold again.
+        assert_eq!(
+            fire_or_hold(&mut d, Ps::us(100), Ps::us(130), &recorded),
+            None
+        );
+        assert!(d.fires_at(Ps::us(130)));
+    }
+
+    #[test]
+    fn a_hold_with_nothing_outstanding_goes_idle() {
+        let mut d = Deadlines::default();
+        d.arm(Ps::us(20), 1);
+        // Key 1 was acked: nothing is left to hold for.
+        let recorded = BTreeMap::new();
+        assert_eq!(
+            fire_or_hold(&mut d, Ps::us(20), Ps::us(50), &recorded),
+            Some((vec![], None))
+        );
+        assert!(!d.fires_at(Ps::us(50)), "no event at the hold instant");
+        assert!(d.arm(Ps::us(60), 2), "an idle timer is armed again");
+    }
+
+    #[test]
+    fn no_hold_past_the_earliest_outstanding_deadline() {
+        for later in [70, 50] {
+            let mut d = Deadlines::default();
+            // Key 1 was acked; key 2 is due at or after the hold instant.
+            let recorded = BTreeMap::from([(2, Ps::us(later))]);
+            d.arm(Ps::us(20), 1);
+            d.arm(Ps::us(later), 2);
+            assert_eq!(
+                fire_or_hold(&mut d, Ps::us(20), Ps::us(50), &recorded),
+                Some((vec![], Some(Ps::us(later)))),
+                "deadline {later} µs"
+            );
+        }
+        // A hold instant not after the fire holds nothing either.
+        let mut d = Deadlines::default();
+        let recorded = BTreeMap::from([(1, Ps::us(20))]);
+        d.arm(Ps::us(20), 1);
+        assert_eq!(
+            fire_or_hold(&mut d, Ps::us(20), Ps::us(20), &recorded),
+            Some((vec![1], None))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "left behind")]
+    fn deadlines_panic_when_a_fire_neither_holds_nor_pops_a_due_item() {
+        let mut d = Deadlines::default();
+        d.arm(Ps::us(10), 1u32);
+        assert!(d.hold(Ps::us(10), Ps::us(40), |_, _| true));
+        // The fire that ends the hold may not hold again, so leaving
+        // the due item behind is caught.
+        assert!(!d.hold(Ps::us(40), Ps::us(70), |_, _| true));
+        d.rearm(Ps::us(40), |_, _| true);
     }
 
     #[test]

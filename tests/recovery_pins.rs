@@ -8,10 +8,14 @@
 //! are kept may move engine event counts, but not one of these values:
 //! a resend or re-request at another instant would move the timings.
 
+use openmx_repro::ethernet::fault::LinkFaultParams;
 use openmx_repro::hw::CoreId;
+use openmx_repro::mpi::ops::{Phase, RecvOp, SendOp};
+use openmx_repro::mpi::runner::run_scripts;
+use openmx_repro::mpi::Layout;
 use openmx_repro::omx::cluster::ClusterParams;
 use openmx_repro::omx::config::OmxConfig;
-use openmx_repro::omx::fault::FaultPlan;
+use openmx_repro::omx::fault::{FaultPlan, LinkFaultOverride};
 use openmx_repro::omx::harness::{
     run_incast, run_pingpong, run_stream, IncastConfig, PingPongConfig, Placement, RunReport,
     StreamConfig,
@@ -23,8 +27,12 @@ use openmx_repro::sim::Ps;
 type Pin = (u64, u64, u64, u64, u64, u64);
 
 fn cfg(plan: &str) -> OmxConfig {
+    with_plan(FaultPlan::named(plan).expect("known plan"))
+}
+
+fn with_plan(fault_plan: FaultPlan) -> OmxConfig {
     OmxConfig {
-        fault_plan: FaultPlan::named(plan).expect("known plan"),
+        fault_plan,
         seed: 17,
         regcache: false,
         ..OmxConfig::with_ioat()
@@ -101,6 +109,61 @@ fn incast(plan: &str, parts: usize) -> Pin {
     pin(&r.run, &[r.elapsed, r.per_msg])
 }
 
+/// A 64-rank burst Alltoall of 1 KiB messages, every send and receive
+/// posted at once in rank order, while the link from node 1 to node 0
+/// drops every other frame. Every other link is clean, so node 1 keeps
+/// processing acks from its other peers and its resend timer holds:
+/// each resend of its lost message to node 0 leaves up to one timeout
+/// after its deadline.
+fn hold_under_loss(parts: usize) -> Pin {
+    let every_other = LinkFaultParams {
+        p_enter_bad: 1.0,
+        p_exit_bad: 1.0,
+        loss_bad: 1.0,
+        ..LinkFaultParams::default()
+    };
+    let cfg = with_plan(FaultPlan {
+        links: vec![LinkFaultOverride {
+            src: 1,
+            dst: 0,
+            params: every_other,
+        }],
+        ..FaultPlan::default()
+    });
+    let np = 64;
+    let burst = |rank: usize| {
+        let peers = (0..np).filter(|&p| p != rank);
+        vec![Phase {
+            sends: peers
+                .clone()
+                .map(|to| SendOp {
+                    to,
+                    bytes: 1 << 10,
+                    tag: 0,
+                })
+                .collect(),
+            recvs: peers
+                .map(|from| RecvOp {
+                    from,
+                    bytes: 1 << 10,
+                    tag: 0,
+                })
+                .collect(),
+            ..Phase::default()
+        }
+        .marked()]
+    };
+    let r = run_scripts(
+        params(cfg, parts),
+        Layout::Nodes(np),
+        (0..np).map(burst).collect(),
+    );
+    // `run_scripts` asserts that every rank finished, so every receive
+    // completed.
+    assert!(r.verified, "a send of the lossy burst failed");
+    pin(&r.run, &r.marks)
+}
+
 fn case(name: &str, parts: usize) -> Pin {
     match name {
         "flaky-10g pingpong" => pingpong(cfg("flaky-10g"), 256 << 10, 16, parts),
@@ -108,6 +171,7 @@ fn case(name: &str, parts: usize) -> Pin {
         "ring-pressure incast" => incast("ring-pressure", parts),
         "flaky-10g incast" => incast("flaky-10g", parts),
         "dup-storm medium pingpong" => pingpong(cfg("dup-storm"), 3000, 40, parts),
+        "hold under loss" => hold_under_loss(parts),
         _ => unreachable!("unknown case {name}"),
     }
 }
@@ -116,7 +180,7 @@ fn case(name: &str, parts: usize) -> Pin {
 /// between partitions 1 and 2 (a known defect of same-instant arrival
 /// order at partitions 1, DESIGN.md §7), so each count is pinned on
 /// its own.
-const PINS: [(&str, usize, Pin); 10] = [
+const PINS: [(&str, usize, Pin); 12] = [
     (
         "flaky-10g pingpong",
         1,
@@ -166,6 +230,16 @@ const PINS: [(&str, usize, Pin); 10] = [
         "dup-storm medium pingpong",
         2,
         (0, 0, 0, 1, 16325218005475456667, 1030618808),
+    ),
+    (
+        "hold under loss",
+        1,
+        (2, 0, 2, 0, 6522746229078188607, 1878546780),
+    ),
+    (
+        "hold under loss",
+        2,
+        (2, 0, 2, 0, 6522746229078188607, 1878546780),
     ),
 ];
 

@@ -5,14 +5,17 @@
 //! its pull progressing. Whatever a run reports must then be the same
 //! at any `retransmit_timeout` long enough that nothing is resent.
 //! This runs one small clean-wire cell of each harness shape the
-//! reduced grid uses at the default 500 µs and at 5 ms, checks that
-//! nothing is retransmitted at 500 µs, and compares the `Stats`, the
-//! harness's own outputs, the component breakdown and `RunReport::end`
-//! byte for byte. Engine event counts and peak pending are left out:
-//! they count timer fires, which the timeout may move.
+//! reduced grid uses, and a burst Alltoall whose acks wait behind busy
+//! receivers for longer than the default timeout, at the default
+//! 500 µs and at 5 ms. It checks that nothing is retransmitted at
+//! 500 µs, and compares the `Stats`, the harness's own outputs, the
+//! component breakdown and `RunReport::end` byte for byte. Engine
+//! event counts and peak pending are left out: they count timer fires,
+//! which the timeout may move.
 
 use openmx_repro::hw::CoreId;
 use openmx_repro::mpi::nas::is_scripts;
+use openmx_repro::mpi::ops::{Phase, RecvOp, Script, SendOp};
 use openmx_repro::mpi::runner::run_scripts;
 use openmx_repro::mpi::{run_kernel, Kernel, KernelResult, Layout};
 use openmx_repro::omx::cluster::ClusterParams;
@@ -21,7 +24,7 @@ use openmx_repro::omx::harness::{
     run_fanin, run_pingpong, run_stream, FaninConfig, PingPongConfig, Placement, RunReport,
     StreamConfig,
 };
-use openmx_repro::sim::Ps;
+use openmx_repro::sim::{Ps, SplitMix64};
 
 /// The default resend timeout, and one ten times longer.
 const TIMEOUTS: [Ps; 2] = [Ps::us(500), Ps::ms(5)];
@@ -65,6 +68,33 @@ const NET: Placement = Placement::TwoNodes {
     core_a: CoreId(2),
     core_b: CoreId(2),
 };
+
+/// Rank `rank`'s one phase of a burst Alltoall among `np` ranks: a
+/// receive from every peer, and a send of `bytes` to every peer in an
+/// order shuffled from `seed`, all posted at once. Every rank marks
+/// the phase's end, so the marks time each rank.
+fn burst_script(rank: usize, np: usize, bytes: u64, seed: u64) -> Script {
+    let mut peers: Vec<usize> = (0..np).filter(|&p| p != rank).collect();
+    SplitMix64::new(seed)
+        .derive(rank as u64)
+        .shuffle(&mut peers);
+    let phase = Phase {
+        sends: peers
+            .iter()
+            .map(|&to| SendOp { to, bytes, tag: 0 })
+            .collect(),
+        recvs: peers
+            .iter()
+            .map(|&from| RecvOp {
+                from,
+                bytes,
+                tag: 0,
+            })
+            .collect(),
+        ..Phase::default()
+    };
+    vec![phase.marked()]
+}
 
 /// Each cell's report at one timeout, labelled.
 fn cells(timeout: Ps) -> Vec<(&'static str, Report)> {
@@ -134,9 +164,19 @@ fn cells(timeout: Ps) -> Vec<(&'static str, Report)> {
         Layout::Nodes(32),
         256,
         2,
-        ClusterParams::with_cfg(base),
+        ClusterParams::with_cfg(base.clone()),
     );
     out.push(("scale_ablation Alltoall, 32 ranks", kernel_report(&scale)));
+    // The benchmark's `alltoall_256` pattern at a size a debug build
+    // runs quickly: acks queue behind each node's receive backlog for
+    // longer than the default timeout.
+    let np = 64;
+    let burst = run_scripts(
+        ClusterParams::with_cfg(base),
+        Layout::Nodes(np),
+        (0..np).map(|r| burst_script(r, np, 8 << 10, 17)).collect(),
+    );
+    out.push(("burst Alltoall, 64 ranks × 8 KiB", kernel_report(&burst)));
     out
 }
 
