@@ -21,7 +21,6 @@ use omx_hw::cpu::category;
 use omx_hw::ioat::ChannelProbe;
 use omx_hw::{CacheModel, CoreId, CpuSet, HwParams, IoatEngine, Topology};
 use omx_mx::MxParams;
-use omx_sim::instruments as ins;
 use omx_sim::{Metrics, Ps, Sim, SplitMix64};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -93,6 +92,9 @@ pub struct Node {
     /// Copy-duration predictor for the sleep-until-completion
     /// extension.
     pub predictor: crate::predict::CopyPredictor,
+    /// Fragments whose bottom half rode a GRO train (`cfg.gro`): the
+    /// tail skbuffs that skipped the header parse.
+    pub gro_coalesced: u64,
     /// This node's retransmit-backoff jitter stream, derived from the
     /// run seed and the node id alone — so concurrent retransmit
     /// timers desynchronize deterministically under any partitioning.
@@ -257,9 +259,10 @@ pub struct Cluster {
     pub apps: Vec<Option<Box<dyn App>>>,
     /// Counters.
     pub stats: Stats,
-    /// Shared metrics registry (disabled when `cfg.metrics` is off).
-    /// Every link, NIC, BH queue and I/OAT engine reports into it;
-    /// recording never charges simulated time.
+    /// Shared metrics registry (disabled when `cfg.metrics` is off):
+    /// the busy integrals of the component breakdown and the trace
+    /// ring. Links and I/OAT channels meter into it; recording never
+    /// charges simulated time.
     pub metrics: Metrics,
     /// Root of every derived fault/jitter stream, seeded from
     /// `cfg.seed`. Streams derive from it by a pure per-link or
@@ -442,11 +445,7 @@ impl Cluster {
                 nic.attach_metrics(metrics.clone(), i);
                 nic.bind_queue_cores(&omx_ethernet::spread_queue_cores(&nic_params, &p.topology));
                 let bh = (0..p.topology.num_cores())
-                    .map(|_| {
-                        let mut q = BottomHalfQueue::new();
-                        q.attach_metrics(metrics.clone(), i);
-                        q
-                    })
+                    .map(|_| BottomHalfQueue::new())
                     .collect();
                 Node {
                     id: NodeId(i),
@@ -459,6 +458,7 @@ impl Cluster {
                     endpoints: Vec::new(),
                     mx: MxNodeState::default(),
                     predictor: crate::predict::CopyPredictor::new(),
+                    gro_coalesced: 0,
                     backoff_rng: fault_root.derive(0x8000_0000_0000_0000 | u64::from(i)),
                 }
             })
@@ -549,20 +549,14 @@ impl Cluster {
     }
 
     /// The run's statistics with every endpoint's protocol counters
-    /// aggregated into [`Stats::counters`] and published to the
-    /// metrics registry (per node, as `counters.<field>` gauges).
+    /// aggregated into [`Stats::counters`].
     ///
     /// Harnesses call this instead of cloning `stats` so results and
     /// serialized reports always carry the full counter set.
     pub fn stats_snapshot(&self) -> Stats {
         let mut stats = self.stats.clone();
-        for (scope, n) in self.nodes.iter().enumerate() {
-            let mut node_total = crate::counters::Counters::default();
-            for e in &n.endpoints {
-                node_total.merge(&e.counters);
-            }
-            node_total.publish(&self.metrics, scope as u32);
-            stats.counters.merge(&node_total);
+        for e in self.nodes.iter().flat_map(|n| &n.endpoints) {
+            stats.counters.merge(&e.counters);
         }
         // Surface the per-queue ring high watermarks (the credit
         // controller's occupancy input) whenever the run exercised the
@@ -644,8 +638,6 @@ impl Cluster {
         );
         let next = (rto * 2 + jitter).min(self.p.cfg.rto_max);
         self.stats.backoff_escalations += 1;
-        self.metrics
-            .count(node.0, ins::DRIVER_BACKOFF_ESCALATIONS, 1);
         next
     }
 
@@ -688,8 +680,6 @@ impl Cluster {
     /// Count one offload-to-memcpy fallback of `bytes` bytes.
     pub(crate) fn record_ioat_fallback(&mut self, node: NodeId, at: Ps, bytes: u64) {
         self.stats.ioat_fallback_copies += 1;
-        self.metrics.count(node.0, ins::IOAT_FALLBACK_COPIES, 1);
-        self.metrics.count(node.0, ins::IOAT_FALLBACK_BYTES, bytes);
         self.metrics
             .trace(at, node.0, "ioat", "memcpy_fallback", bytes, 0);
     }
@@ -1021,16 +1011,14 @@ impl Cluster {
             };
             if disp.dropped {
                 c.stats.frames_lost += 1;
-                c.metrics.count(src.0, ins::FAULT_FRAMES_DROPPED, 1);
                 return;
             }
             let mut frame = EthFrame::new(src.0, dst.0, header, payload);
             if disp.corrupted {
                 frame.fcs_corrupt = true;
-                c.metrics.count(src.0, ins::FAULT_FRAMES_CORRUPTED, 1);
             }
             // Direct field access keeps the link borrow disjoint from
-            // the stats/metrics fields updated alongside it.
+            // the stats fields updated alongside it.
             let (params, metrics) = (c.p.link, &c.metrics);
             let link = c.links.get_or_insert_with(src, dst, || {
                 let mut link = Link::new(params);
@@ -1044,14 +1032,12 @@ impl Cluster {
                 // sent right behind it overtake it on arrival.
                 arrival += link.serialization_time(&frame) * disp.reorder_extra as u64;
                 c.stats.frames_reordered += 1;
-                c.metrics.count(src.0, ins::FAULT_FRAMES_REORDERED, 1);
             }
             let dup = if disp.duplicated {
                 // The duplicate occupies real wire time like any frame.
                 let dup = frame.clone();
                 let dup_arrival = link.transmit_with_overhead(s.now(), &dup, extra);
                 c.stats.frames_duplicated += 1;
-                c.metrics.count(src.0, ins::FAULT_FRAMES_DUPLICATED, 1);
                 Some((dup_arrival, dup))
             } else {
                 None
@@ -1184,7 +1170,7 @@ impl Cluster {
                 let same = key.is_some() && key == train;
                 train = key;
                 if same {
-                    self.metrics.count(node.0, ins::BH_GRO_COALESCED, 1);
+                    self.node_mut(node).gro_coalesced += 1;
                 }
                 same
             } else {
@@ -1434,8 +1420,8 @@ mod tests {
             assert_eq!(bh.backlog(), 0, "skbuff stranded in a BH queue");
             assert!(!bh.is_scheduled(), "BH left scheduled with no run");
         }
-        assert_eq!(c.metrics.counter(0, ins::NIC_IRQS), 1);
-        assert_eq!(c.metrics.counter(0, ins::NIC_IRQS_COALESCED), 1);
+        let irq = c.node_busy_in(NodeId(0), category::IRQ);
+        assert_eq!(irq, c.p.hw.irq_cpu_cost, "exactly one hard IRQ ran");
         assert_eq!(c.ep(rx).counters.rx_tiny, 2, "both frames delivered");
     }
 

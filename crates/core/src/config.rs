@@ -182,11 +182,12 @@ pub struct OmxConfig {
     pub wheel_levels: u32,
 
     // ---------------- observability ----------------
-    /// Enable the per-component metrics registry (counters, gauges and
-    /// busy-time integrals on links, NIC rings, BH queues, I/OAT
-    /// channels and driver copy paths). Recording never charges
-    /// simulated time, so timing results are identical either way;
-    /// disabling only removes the bookkeeping.
+    /// Enable the per-component metrics registry: the six busy-time
+    /// integrals a run's `ComponentBreakdown` splits receive time into
+    /// (wire, BH and shared-memory memcpy, I/OAT channel, descriptor
+    /// submission, completion polling), and the trace ring. Recording
+    /// never charges simulated time, so timing results and `Stats` are
+    /// identical either way; disabling only zeroes the breakdown.
     pub metrics: bool,
     /// Capacity of the structured event-trace ring (0 = tracing off).
     /// The ring is bounded: when full, the oldest events are evicted

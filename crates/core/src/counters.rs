@@ -7,17 +7,15 @@
 //! harnesses/tests read them to assert *how* data moved, not just that
 //! it arrived.
 //!
-//! The field list is the `omx_sim::endpoint_counters!` table, which
-//! also declares each field's `counters.<field>` gauge in the metrics
-//! registry.
+//! The fields are declared once, in the `endpoint_counters!` table
+//! below; their order is the serialized order of `Stats.counters` in
+//! every committed result.
 
-use omx_sim::{instruments, Metrics};
 use serde::{Deserialize, Serialize};
 
-/// Expands the endpoint counter table (`omx_sim::endpoint_counters!`)
-/// into the struct and the two per-field operations, so every field is
-/// merged and published without a hand-kept list.
-macro_rules! counters {
+/// Expands the endpoint counter table into the struct and its
+/// `merge`, so every field is merged without a hand-kept list.
+macro_rules! endpoint_counters {
     ($($(#[$doc:meta])* $field:ident,)*) => {
         /// Counters of one endpoint (sender and receiver sides).
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -31,20 +29,63 @@ macro_rules! counters {
             pub fn merge(&mut self, o: &Counters) {
                 $(self.$field += o.$field;)*
             }
-
-            /// Set every field's `counters.<field>` gauge of `scope` in
-            /// `metrics` (idempotent), so the counters show up in the
-            /// observability layer next to the busy/trace series.
-            pub fn publish(&self, metrics: &Metrics, scope: u32) {
-                for (k, v) in [$(self.$field),*].into_iter().enumerate() {
-                    metrics.gauge_set(scope, instruments::COUNTERS.at(k), v as i64);
-                }
-            }
         }
     };
 }
 
-omx_sim::endpoint_counters!(counters);
+endpoint_counters! {
+    /// Tiny messages sent.
+    tx_tiny,
+    /// Small messages sent.
+    tx_small,
+    /// Medium messages sent.
+    tx_medium,
+    /// Medium fragments sent.
+    tx_medium_frags,
+    /// Large (rendezvous) messages sent.
+    tx_large,
+    /// Large fragments sent (pull replies).
+    tx_large_frags,
+    /// Payload bytes sent.
+    tx_bytes,
+    /// Tiny messages received.
+    rx_tiny,
+    /// Small messages received.
+    rx_small,
+    /// Medium fragments received.
+    rx_medium_frags,
+    /// Large fragments received.
+    rx_large_frags,
+    /// Rendezvous announcements received.
+    rx_rndv,
+    /// Payload bytes delivered to the application.
+    rx_bytes,
+    /// Receive copies done by the CPU (memcpy path).
+    copies_memcpy,
+    /// Receive copies submitted to the I/OAT engine.
+    copies_offloaded,
+    /// Copies that fell back from the I/OAT engine to the CPU — either
+    /// steered away from a quarantined channel at submit time or
+    /// rescued after a stuck channel tripped the completion-poll
+    /// deadline.
+    copies_fallback,
+    /// Bytes copied by memcpy.
+    bytes_memcpy,
+    /// Bytes copied by the DMA engine.
+    bytes_offloaded,
+    /// Shared-memory (local) messages sent.
+    shm_tx,
+    /// Shared-memory one-copy transfers performed as the receiver.
+    shm_pulls,
+    /// Events pushed to this endpoint's ring.
+    events,
+    /// Messages that arrived with no matching receive posted.
+    unexpected,
+    /// Registration-cache hits.
+    regcache_hits,
+    /// Full registrations (cache misses).
+    regcache_misses,
+}
 
 impl Counters {
     /// Fraction of receive-copied bytes that the DMA engine moved.

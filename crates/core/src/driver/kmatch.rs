@@ -130,7 +130,6 @@ impl Cluster {
             let work = self.bh_frag_cost(coalesced) + copy;
             let (_, f) = self.run_core(node, core, now, work, category::BH);
             self.metrics.busy(node.0, ins::BH_COPY, copy);
-            self.metrics.count(node.0, ins::BH_COPY_BYTES, len);
             f
         };
         // Apply the bytes.

@@ -342,7 +342,6 @@ impl Cluster {
             let work = self.bh_frag_cost(coalesced) + copy;
             let (_, f) = self.run_core(node, core, now, work, category::BH);
             self.metrics.busy(node.0, ins::BH_COPY, copy);
-            self.metrics.count(node.0, ins::BH_COPY_BYTES, len);
             fin = f;
             let c = &mut self.ep_mut(me).counters;
             c.copies_memcpy += 1;
@@ -799,7 +798,6 @@ impl Cluster {
         d.credits.waiters.push_back(handle);
         if d.credits.outstanding >= d.credits.budget {
             self.stats.credit_stalls += 1;
-            self.metrics.count(node.0, ins::CREDIT_STALLS, 1);
         }
     }
 
@@ -936,7 +934,6 @@ impl Cluster {
         cr.budget += 1;
         cr.last_regrow = now;
         self.stats.credit_regrows += 1;
-        self.metrics.count(node.0, ins::CREDIT_REGROWS, 1);
     }
 
     /// The RX ring dropped a frame: shed load. Shrinks the budget
@@ -956,7 +953,6 @@ impl Cluster {
             return;
         }
         self.stats.credit_shrinks += 1;
-        self.metrics.count(node.0, ins::CREDIT_SHRINKS, 1);
         let Some((frag_src_ep, frag_dst_ep, recv_handle)) = peek else {
             return;
         };
@@ -976,13 +972,11 @@ impl Cluster {
         };
         self.send_packet(sim, node, src_node, pkt, now);
         self.stats.credit_nacks += 1;
-        self.metrics.count(node.0, ins::CREDIT_NACKS, 1);
     }
 
     /// Occupancy probe on the frame-queued path: crossing the high
     /// watermark shrinks the budget *before* the ring actually
-    /// overflows (the PR-6 watermark gauge made this signal visible;
-    /// this is the controller that consumes it).
+    /// overflows.
     pub(crate) fn credit_occupancy_check(&mut self, node: NodeId, queue: usize, now: Ps) {
         let ring = self.node(node).nic.params().rx_ring_size;
         let pct = self.p.cfg.credit_high_watermark_pct as usize;
@@ -990,7 +984,6 @@ impl Cluster {
             && self.credit_shrink(node, now)
         {
             self.stats.credit_shrinks += 1;
-            self.metrics.count(node.0, ins::CREDIT_SHRINKS, 1);
         }
     }
 }

@@ -394,8 +394,6 @@ impl Cluster {
             st.rto = next_rto;
         }
         self.stats.retransmissions += 1;
-        self.metrics
-            .count(me.node.0, ins::DRIVER_RETRANSMISSIONS, 1);
         self.metrics.trace(
             sim.now(),
             me.node.0,
@@ -459,7 +457,6 @@ impl Cluster {
             self.node_mut(me.node).driver.tx_large.remove(&h);
         }
         self.stats.sends_failed += 1;
-        self.metrics.count(me.node.0, ins::DRIVER_SEND_FAILURES, 1);
         self.metrics.trace(
             sim.now(),
             me.node.0,
@@ -641,10 +638,6 @@ impl Cluster {
             self.p.cfg.bh_frag_process,
             category::BH,
         );
-        // Counted in the registry, not `Counters`: the counter struct
-        // is embedded verbatim in committed result JSON, and this path
-        // is unreachable with credits off (byte-identity).
-        self.metrics.count(node.0, ins::CREDIT_NACKS_RECEIVED, 1);
         let reqs: Vec<ReqId> = if sender_handle != 0 {
             self.node(node)
                 .driver
@@ -767,8 +760,6 @@ impl Cluster {
         let process = self.p.cfg.bh_frag_process + copy;
         let (_, fin) = self.run_core(node, core, sim.now(), process, category::BH);
         self.metrics.busy(node.0, ins::BH_COPY, copy);
-        self.metrics
-            .count(node.0, ins::BH_COPY_BYTES, data.len() as u64);
         {
             let c = &mut self.ep_mut(me).counters;
             c.copies_memcpy += 1;
@@ -910,7 +901,6 @@ impl Cluster {
                 let copy = self.bh_copy_cost(len);
                 let (_, f) = self.run_core(node, core, submit_fin, copy, category::BH);
                 self.metrics.busy(node.0, ins::BH_COPY, copy);
-                self.metrics.count(node.0, ins::BH_COPY_BYTES, len);
                 fin = f;
                 self.record_ioat_fallback(node, fin, len);
                 let c = &mut self.ep_mut(me).counters;
@@ -935,7 +925,6 @@ impl Cluster {
             work += copy;
             let (_, f) = self.run_core(node, core, now, work, category::BH);
             self.metrics.busy(node.0, ins::BH_COPY, copy);
-            self.metrics.count(node.0, ins::BH_COPY_BYTES, len);
             fin = f;
             let c = &mut self.ep_mut(me).counters;
             c.copies_memcpy += 1;

@@ -66,7 +66,6 @@ impl Cluster {
             cache.touch_exclusive(&hw, subchip, RegionKey(t), len);
         }
         self.metrics.busy(node.0, ins::SHM_COPY, cost);
-        self.metrics.count(node.0, ins::SHM_COPY_BYTES, len);
         cost
     }
 

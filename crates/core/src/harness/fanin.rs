@@ -14,7 +14,6 @@ use crate::cluster::{Cluster, ClusterParams};
 use crate::{EpAddr, EpIdx, NodeId};
 use omx_hw::cpu::category;
 use omx_hw::CoreId;
-use omx_sim::instruments as ins;
 use omx_sim::Ps;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -218,7 +217,7 @@ pub fn run_fanin(cfg: FaninConfig) -> FaninResult {
                 .cores()
                 .map(|c| cpus.core(c).busy_in(category::BH) + cpus.core(c).busy_in(category::IRQ))
                 .collect();
-            let gro_coalesced = cluster.metrics.counter(0, ins::BH_GRO_COALESCED);
+            let gro_coalesced = cluster.node(NodeId(0)).gro_coalesced;
             (shared.take(), bh_busy_per_core, gro_coalesced)
         })
     };
@@ -248,9 +247,14 @@ mod tests {
     use super::*;
 
     fn quick(num_queues: usize, gro: bool) -> FaninResult {
+        quick_with(num_queues, gro, true)
+    }
+
+    fn quick_with(num_queues: usize, gro: bool, metrics: bool) -> FaninResult {
         let mut params = ClusterParams::default();
         params.nic.num_queues = num_queues;
         params.cfg.gro = gro;
+        params.cfg.metrics = metrics;
         let mut cfg = FaninConfig::new(params, 16 << 10);
         cfg.count = 8;
         run_fanin(cfg)
@@ -312,6 +316,14 @@ mod tests {
             sum(&gro),
             sum(&plain)
         );
+    }
+
+    #[test]
+    fn gro_count_does_not_depend_on_metrics() {
+        let on = quick_with(4, true, true);
+        let off = quick_with(4, true, false);
+        assert!(on.gro_coalesced > 0, "trains must form under fan-in");
+        assert_eq!(off.gro_coalesced, on.gro_coalesced);
     }
 
     #[test]

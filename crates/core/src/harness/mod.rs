@@ -35,17 +35,20 @@ use serde::Serialize;
 
 /// Where the time of a run went, per component, in nanoseconds.
 ///
-/// Computed from the cluster's metrics registry after a run: wire
-/// serialization, BH/driver memcpy time (network receive copies plus
-/// the one-copy shared-memory path), I/OAT channel occupancy, the CPU
-/// cost of building and submitting descriptors, and whatever is left
-/// of the elapsed window (`idle_ns`, floored at zero — components on
-/// different resources overlap in time, so their sum may legitimately
-/// exceed the elapsed wall clock).
+/// Computed from the six busy integrals of the cluster's metrics
+/// registry ([`BusyTotals::of`]) after a run: wire serialization,
+/// BH/driver memcpy time (network receive copies plus the one-copy
+/// shared-memory path), I/OAT channel occupancy, the CPU cost of
+/// building and submitting descriptors, the CPU time spent polling
+/// for completions, and whatever is left of the elapsed window
+/// (`idle_ns`, floored at zero — components on different resources
+/// overlap in time, so their sum may legitimately exceed the elapsed
+/// wall clock).
 ///
 /// With `OmxConfig::metrics` disabled every component reads zero and
-/// `idle_ns == elapsed_ns`; throughput numbers are identical either
-/// way because recording never charges simulated time.
+/// `idle_ns == elapsed_ns`; throughput numbers and `Stats` are
+/// identical either way because recording never charges simulated
+/// time.
 #[derive(Debug, Clone, Serialize)]
 pub struct ComponentBreakdown {
     /// Elapsed window of the measurement.

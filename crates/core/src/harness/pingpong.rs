@@ -299,7 +299,9 @@ mod tests {
     fn metrics_and_tracing_never_perturb_timing() {
         // The observability layer must be a pure observer: the same
         // run with the registry off, on, or on with tracing produces
-        // byte-identical per-iteration timings.
+        // byte-identical per-iteration timings, counts and event
+        // totals, so a recording site that bumps a count or schedules
+        // an event fails here.
         let run_with = |metrics: bool, trace_capacity: usize| {
             let cfg = OmxConfig {
                 metrics,
@@ -314,6 +316,14 @@ mod tests {
         assert_eq!(off.rtts, on.rtts, "metrics changed timing");
         assert_eq!(off.rtts, traced.rtts, "tracing changed timing");
         assert_eq!(off.run.end, traced.run.end);
+        let stats = |r: &PingPongResult| serde_json::to_string(&r.run.stats).expect("serialize");
+        assert_eq!(stats(&off), stats(&on), "metrics changed the stats");
+        assert_eq!(stats(&off), stats(&traced), "tracing changed the stats");
+        assert_eq!(off.run.events, on.run.events, "metrics scheduled events");
+        assert_eq!(
+            off.run.events, traced.run.events,
+            "tracing scheduled events"
+        );
         // Disabled registry reads zero everywhere and attributes the
         // whole window to idle.
         assert_eq!(off.breakdown.wire_ns, 0.0);

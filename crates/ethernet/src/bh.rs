@@ -18,9 +18,7 @@
 //! hanging silently.
 
 use crate::skbuff::Skbuff;
-use omx_sim::instruments as ins;
 use omx_sim::sanitize::{Kind, SimSanitizer, Token};
-use omx_sim::Metrics;
 use std::collections::VecDeque;
 
 /// Per-core bottom-half state.
@@ -33,8 +31,6 @@ pub struct BottomHalfQueue {
     /// `finish_run` asks for a re-schedule), retired by `begin_run`.
     pending_run: Option<Token>,
     drained_total: u64,
-    metrics: Metrics,
-    scope: u32,
 }
 
 /// NAPI default weight: max skbuffs processed per BH invocation.
@@ -46,25 +42,12 @@ impl BottomHalfQueue {
         Self::default()
     }
 
-    /// Report enqueue/drain counters and the backlog high watermark to
-    /// `metrics` under `scope`.
-    pub fn attach_metrics(&mut self, metrics: Metrics, scope: u32) {
-        self.metrics = metrics;
-        self.scope = scope;
-    }
-
     /// IRQ path: enqueue a filled skbuff. Returns `true` when the
     /// caller must schedule a BH run (none was pending).
     #[track_caller]
     pub fn enqueue(&mut self, skb: Skbuff) -> bool {
         SimSanitizer::submit(skb.token());
         self.queue.push_back(skb);
-        self.metrics.count(self.scope, ins::BH_ENQUEUED, 1);
-        self.metrics.gauge_max(
-            self.scope,
-            ins::BH_BACKLOG_HIGH_WATERMARK,
-            self.queue.len() as i64,
-        );
         if self.scheduled {
             false
         } else {
@@ -91,7 +74,6 @@ impl BottomHalfQueue {
     pub fn pop_next(&mut self) -> Option<Skbuff> {
         let skb = self.queue.pop_front()?;
         self.drained_total += 1;
-        self.metrics.count(self.scope, ins::BH_DRAINED, 1);
         Some(skb)
     }
 

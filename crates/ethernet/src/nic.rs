@@ -25,13 +25,12 @@ use crate::bh::{BottomHalfQueue, NAPI_BUDGET};
 use crate::frame::EthFrame;
 use crate::skbuff::Skbuff;
 use omx_hw::{CoreId, Topology};
-use omx_sim::instruments as ins;
 use omx_sim::{Metrics, Ps};
 use serde::{Deserialize, Serialize};
 
-/// Hard cap on modeled RX queues (the per-queue instrument families
-/// have one member per queue).
-pub use omx_sim::instruments::MAX_QUEUES;
+/// Hard cap on modeled RX queues (no modeled host has more than 8
+/// cores, and each queue's bottom half needs a core of its own).
+pub const MAX_QUEUES: usize = 8;
 
 /// NIC configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -121,10 +120,8 @@ pub enum RxOutcome {
 struct QueueState {
     /// Skbuffs currently filled and waiting for the bottom half.
     pending: usize,
-    /// Highest `pending` ever reached — the occupancy signal the
-    /// credit controller and the per-queue watermark gauges read.
-    /// Tracked on the NIC itself (not only in the metrics registry)
-    /// so the signal survives `Metrics::disabled()` runs.
+    /// Highest `pending` ever reached: the per-queue occupancy peak
+    /// that `Stats::ring_high_watermarks` reports.
     hwm: usize,
     /// Time of the last raised interrupt on this queue.
     last_irq: Option<Ps>,
@@ -135,8 +132,9 @@ struct QueueState {
 /// NIC receive-side state.
 ///
 /// Deliberately not `Clone`: a cloned NIC would silently fork the
-/// ring occupancy and drop counters while still publishing into the
-/// same metrics scope, double-counting every frame.
+/// ring occupancy, moderation windows and frame counts that the host's
+/// wakeups and the credit controller read, and a frame would then fill
+/// a slot only one of the copies ever replenishes.
 #[derive(Debug)]
 pub struct Nic {
     params: NicParams,
@@ -228,8 +226,7 @@ impl Nic {
         }
     }
 
-    /// Report frame/drop/IRQ counters and the ring high watermark to
-    /// `metrics` under `scope`.
+    /// Trace ring and FCS drops into `metrics` under `scope`.
     pub fn attach_metrics(&mut self, metrics: Metrics, scope: u32) {
         self.metrics = metrics;
         self.scope = scope;
@@ -315,7 +312,6 @@ impl Nic {
         assert!(queue < self.queues.len(), "RX queue {queue} out of range");
         if frame.fcs_corrupt {
             self.frames_corrupt_dropped += 1;
-            self.metrics.count(self.scope, ins::NIC_CORRUPT_DROPS, 1);
             self.metrics.trace(
                 now,
                 self.scope,
@@ -328,9 +324,6 @@ impl Nic {
         }
         if self.q(queue).pending >= self.params.rx_ring_size {
             self.frames_dropped += 1;
-            self.metrics.count(self.scope, ins::NIC_RING_DROPS, 1);
-            self.metrics
-                .count(self.scope, ins::NIC_Q_RING_DROPS.at(queue), 1);
             self.metrics
                 .trace(now, self.scope, "nic", "ring_drop", frame.payload_len(), 0);
             return RxOutcome::DroppedRingFull;
@@ -341,30 +334,12 @@ impl Nic {
             self.q_mut(queue).hwm = pending;
         }
         self.frames_received += 1;
-        self.metrics.count(self.scope, ins::NIC_FRAMES, 1);
-        self.metrics
-            .count(self.scope, ins::NIC_Q_FRAMES.at(queue), 1);
-        self.metrics
-            .count(self.scope, ins::NIC_BYTES, frame.payload_len());
-        self.metrics
-            .gauge_max(self.scope, ins::NIC_RING_HIGH_WATERMARK, pending as i64);
-        self.metrics.gauge_max(
-            self.scope,
-            ins::NIC_Q_RING_HIGH_WATERMARK.at(queue),
-            pending as i64,
-        );
         let skb = Skbuff::new(frame.src, frame.header, frame.payload, now);
         let core = self.q(queue).core;
         let coalesced = matches!(self.q(queue).last_irq, Some(t)
             if now.saturating_sub(t) < self.params.irq_coalesce);
-        if coalesced {
-            self.metrics.count(self.scope, ins::NIC_IRQS_COALESCED, 1);
-            self.metrics
-                .count(self.scope, ins::NIC_Q_IRQS_COALESCED.at(queue), 1);
-        } else {
+        if !coalesced {
             self.q_mut(queue).last_irq = Some(now);
-            self.metrics.count(self.scope, ins::NIC_IRQS, 1);
-            self.metrics.count(self.scope, ins::NIC_Q_IRQS.at(queue), 1);
         }
         let bh_wake = bh.enqueue(skb);
         let wake = match (coalesced, bh_wake) {
@@ -394,9 +369,7 @@ impl Nic {
         self.queues[queue].pending
     }
 
-    /// Highest ring occupancy `queue` ever reached (matches the
-    /// `nic.q<i>.ring_high_watermark` gauge, but readable even with
-    /// metrics disabled).
+    /// Highest ring occupancy `queue` ever reached.
     pub fn ring_high_watermark(&self, queue: usize) -> usize {
         self.queues[queue].hwm
     }
@@ -737,31 +710,30 @@ mod tests {
             ..NicParams::default()
         });
         nic.bind_queue_cores(&[CoreId(0), CoreId(2)]);
-        let metrics = Metrics::new(8);
-        nic.attach_metrics(metrics.clone(), 7);
         let mut bh0 = BottomHalfQueue::new();
         let mut bh1 = BottomHalfQueue::new();
-        nic.deliver(Ps::ZERO, 0, frame(10), &mut bh0);
-        nic.deliver(Ps::ZERO, 0, frame(10), &mut bh0);
-        nic.deliver(Ps::ZERO, 0, frame(10), &mut bh0);
+        // (raised, coalesced) interrupts per queue, from each wake.
+        let mut irqs = [(0, 0); 2];
+        let mut deliver = |nic: &mut Nic, at: Ps, queue: usize, bh: &mut BottomHalfQueue| {
+            let RxOutcome::Queued { wake, .. } = nic.deliver(at, queue, frame(10), bh) else {
+                panic!("frame dropped");
+            };
+            match wake {
+                RxWake::Irq(_) | RxWake::IrqPending(_) => irqs[queue].0 += 1,
+                RxWake::Pending | RxWake::TimerKick(_) => irqs[queue].1 += 1,
+            }
+            wake
+        };
+        deliver(&mut nic, Ps::ZERO, 0, &mut bh0);
+        deliver(&mut nic, Ps::ZERO, 0, &mut bh0);
+        deliver(&mut nic, Ps::ZERO, 0, &mut bh0);
         // Queue 1's first frame arrives *inside* queue 0's window but
         // still raises its own IRQ: moderation is per queue.
-        let out = nic.deliver(Ps::us(1), 1, frame(10), &mut bh1);
-        assert!(matches!(
-            out,
-            RxOutcome::Queued {
-                queue: 1,
-                wake: RxWake::Irq(CoreId(2)),
-            }
-        ));
-        let hwm = ins::NIC_Q_RING_HIGH_WATERMARK;
-        assert_eq!(metrics.gauge(7, hwm.at(0)), Some(3));
-        assert_eq!(metrics.gauge(7, hwm.at(1)), Some(1));
-        assert_eq!(metrics.gauge(7, ins::NIC_RING_HIGH_WATERMARK), Some(3));
-        assert_eq!(metrics.counter(7, ins::NIC_Q_IRQS.at(0)), 1);
-        assert_eq!(metrics.counter(7, ins::NIC_Q_IRQS_COALESCED.at(0)), 2);
-        assert_eq!(metrics.counter(7, ins::NIC_Q_IRQS.at(1)), 1);
-        assert_eq!(metrics.counter(7, ins::NIC_IRQS), 2);
+        let wake = deliver(&mut nic, Ps::us(1), 1, &mut bh1);
+        assert_eq!(wake, RxWake::Irq(CoreId(2)));
+        assert_eq!(irqs, [(1, 2), (1, 0)]);
+        assert_eq!(nic.ring_high_watermark(0), 3);
+        assert_eq!(nic.ring_high_watermark(1), 1);
     }
 
     #[test]

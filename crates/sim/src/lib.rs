@@ -17,10 +17,9 @@
 //! * [`stats`] — busy meters, throughput series and summary statistics,
 //! * [`instruments`] — the table declaring every instrument once, with
 //!   dense compile-time ids,
-//! * [`metrics`] — a cross-crate metrics registry (counters, gauges,
-//!   busy-time integrals) stored densely per scope, plus an optional
-//!   bounded event trace; purely observational, it never charges
-//!   simulated time,
+//! * [`metrics`] — a cross-crate registry of busy-time integrals stored
+//!   densely per scope, plus an optional bounded event trace; purely
+//!   observational, it never charges simulated time,
 //! * [`rng`] — a tiny deterministic SplitMix64 generator,
 //! * [`sanitize`] — debug-build lifecycle state machines (skbuffs,
 //!   pinned regions, I/OAT descriptors, pull handles) that turn leaks
@@ -41,7 +40,7 @@ pub mod walltime;
 pub(crate) mod wheel;
 
 pub use engine::Sim;
-pub use metrics::{Metrics, MetricsSnapshot, TraceEvent};
+pub use metrics::{Metrics, TraceEvent};
 pub use partition::{run_shards, Shard, ShardBuilder};
 pub use reference::ReferenceSim;
 pub use resource::FifoServer;

@@ -435,46 +435,36 @@ fn pooled_closures_recycle_their_slots() {
 #[test]
 fn metrics_recording_allocates_nothing() {
     // Recording is an array add into slots allocated when the registry
-    // is built: once built, no kind, scope or family member may touch
-    // the heap.
-    use omx_sim::instruments::{self as ins, MAX_QUEUES};
+    // is built: once built, no instrument or scope may touch the heap.
+    use omx_sim::instruments as ins;
     use omx_sim::Metrics;
     const SCOPES: u32 = 4;
-    const ROUNDS: i64 = 400;
+    const ROUNDS: u64 = 4200;
     let m = Metrics::new(SCOPES as usize);
+    let ids = [
+        ins::LINK_WIRE,
+        ins::BH_COPY,
+        ins::SHM_COPY,
+        ins::IOAT_CHANNEL,
+        ins::IOAT_SUBMIT_CPU,
+        ins::IOAT_POLL_WAIT,
+    ];
     let a0 = allocations();
     let mut recorded = 0u64;
-    for round in 0..ROUNDS {
+    for _ in 0..ROUNDS {
         for scope in 0..SCOPES {
-            for q in 0..MAX_QUEUES {
-                m.count(scope, ins::NIC_Q_FRAMES.at(q), 1);
-                m.count(scope, ins::NIC_Q_IRQS.at(q), 1);
-                m.count(scope, ins::NIC_Q_IRQS_COALESCED.at(q), 1);
-                m.count(scope, ins::NIC_Q_RING_DROPS.at(q), 1);
-                m.gauge_max(scope, ins::NIC_Q_RING_HIGH_WATERMARK.at(q), round);
-                recorded += 5;
-            }
-            for k in 0..ins::COUNTERS.width() {
-                m.gauge_set(scope, ins::COUNTERS.at(k), round);
+            for id in ids {
+                m.busy(scope, id, Ps::ns(3));
                 recorded += 1;
             }
-            m.count(scope, ins::NIC_FRAMES, 1);
-            m.count(scope, ins::IOAT_BYTES, 4096);
-            m.gauge_max(scope, ins::BH_BACKLOG_HIGH_WATERMARK, round);
-            m.gauge_set(scope, ins::NIC_RING_HIGH_WATERMARK, round);
-            m.busy(scope, ins::BH_COPY, Ps::ns(40));
-            m.busy(scope, ins::IOAT_POLL_WAIT, Ps::ns(3));
-            m.meter(scope, ins::LINK_WIRE, Ps::ns(800));
-            m.meter(scope, ins::IOAT_CHANNEL, Ps::ns(900));
-            recorded += 8;
         }
     }
     let delta = allocations() - a0;
     assert!(recorded >= 100_000, "only {recorded} recordings");
     assert_eq!(delta, 0, "{recorded} recordings allocated {delta} times");
     assert_eq!(
-        m.counter_all_scopes(ins::NIC_Q_FRAMES.at(MAX_QUEUES - 1)),
-        ROUNDS as u64 * u64::from(SCOPES)
+        m.busy_total_all_scopes(ins::IOAT_POLL_WAIT),
+        Ps::ns(3) * ROUNDS * u64::from(SCOPES)
     );
 }
 
