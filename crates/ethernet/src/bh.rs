@@ -30,7 +30,6 @@ pub struct BottomHalfQueue {
     /// The live run promise: minted when `scheduled` flips on (or
     /// `finish_run` asks for a re-schedule), retired by `begin_run`.
     pending_run: Option<Token>,
-    drained_total: u64,
 }
 
 /// NAPI default weight: max skbuffs processed per BH invocation.
@@ -72,9 +71,7 @@ impl BottomHalfQueue {
     /// drains up to its budget one skbuff at a time (no per-run batch
     /// allocation) and then calls [`Self::finish_run`].
     pub fn pop_next(&mut self) -> Option<Skbuff> {
-        let skb = self.queue.pop_front()?;
-        self.drained_total += 1;
-        Some(skb)
+        self.queue.pop_front()
     }
 
     /// Mark the current BH run finished. Returns `true` when skbuffs
@@ -104,11 +101,6 @@ impl BottomHalfQueue {
     /// Whether a BH run is pending.
     pub fn is_scheduled(&self) -> bool {
         self.scheduled
-    }
-
-    /// Total skbuffs ever drained (diagnostics).
-    pub fn drained_total(&self) -> u64 {
-        self.drained_total
     }
 
     #[track_caller]
@@ -165,9 +157,10 @@ mod tests {
         bh.begin_run();
         let batch = drain(&mut bh, NAPI_BUDGET);
         assert_eq!(batch.len(), 2);
+        assert_eq!(batch[1].len(), 5, "all five drained, in order");
+        assert!(bh.pop_next().is_none());
         assert!(!bh.finish_run());
         assert!(!bh.is_scheduled());
-        assert_eq!(bh.drained_total(), 5);
     }
 
     #[test]

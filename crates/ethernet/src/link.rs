@@ -37,33 +37,40 @@ impl Default for LinkParams {
     }
 }
 
-/// A unidirectional link with FIFO serialization.
-#[derive(Debug, Clone)]
+impl LinkParams {
+    /// Wire serialization time of one frame at this rate. The fault
+    /// injector uses multiples of this as the hold-back unit for
+    /// reordered frames, so "reorder depth k" means "overtaken by up
+    /// to k same-sized frames".
+    pub fn serialization_time(&self, frame: &EthFrame) -> Ps {
+        self.rate.time_for(frame.wire_bytes())
+    }
+
+    /// Achievable steady-state payload rate for `payload`-sized frames
+    /// (analytic helper for tests and the MX baseline).
+    pub fn payload_rate(&self, payload: u64) -> Rate {
+        let data = bytes::Bytes::from(vec![0u8; payload as usize]);
+        let f = EthFrame::new(0, 1, FrameHeader::default(), data);
+        Rate::from_transfer(payload, self.serialization_time(&f))
+            .expect("nonzero serialization time")
+    }
+}
+
+/// A unidirectional link with FIFO serialization. Every link of a
+/// cluster shares one [`LinkParams`], which each transmission is
+/// given, so a link holds only its transmitter's state.
+#[derive(Debug, Clone, Default)]
 pub struct Link {
-    params: LinkParams,
     server: FifoServer,
-    frames: u64,
-    payload_bytes: u64,
 }
 
 impl Link {
     /// An idle link.
-    pub fn new(params: LinkParams) -> Link {
-        Link {
-            params,
-            server: FifoServer::new(),
-            frames: 0,
-            payload_bytes: 0,
-        }
+    pub fn new() -> Link {
+        Link::default()
     }
 
-    /// The link parameters.
-    pub fn params(&self) -> &LinkParams {
-        &self.params
-    }
-
-    /// Report wire serialization busy time and frame/byte counters to
-    /// `metrics` under `scope`.
+    /// Report wire serialization busy time to `metrics` under `scope`.
     pub fn attach_metrics(&mut self, metrics: Metrics, scope: u32) {
         self.server
             .attach_meter(metrics, scope, omx_sim::instruments::LINK_WIRE);
@@ -74,50 +81,24 @@ impl Link {
         self.server.busy_total()
     }
 
-    /// Transmit `frame` handed to the NIC at `now`; returns the time
-    /// the frame is fully received into the remote NIC (ready for ring
-    /// DMA). Frames queue FIFO behind earlier transmissions.
-    pub fn transmit(&mut self, now: Ps, frame: &EthFrame) -> Ps {
-        self.transmit_with_overhead(now, frame, Ps::ZERO)
-    }
-
-    /// Like [`Self::transmit`] but with `extra` per-frame transmitter
-    /// occupancy beyond wire serialization — models NIC firmware that
-    /// spends time on each fragment (the MXoE baseline's ≈100 ns/frag,
-    /// which caps its large-message rate at ≈1140 MiB/s).
-    pub fn transmit_with_overhead(&mut self, now: Ps, frame: &EthFrame, extra: Ps) -> Ps {
-        let serialize = self.params.rate.time_for(frame.wire_bytes()) + extra;
-        let (_start, tx_done) = self.server.admit(now + self.params.tx_latency, serialize);
-        self.frames += 1;
-        self.payload_bytes += frame.payload_len();
-        tx_done + self.params.propagation + self.params.rx_latency
-    }
-
-    /// Wire serialization time of one frame at this link's rate. The
-    /// fault injector uses multiples of this as the hold-back unit for
-    /// reordered frames, so "reorder depth k" means "overtaken by up
-    /// to k same-sized frames".
-    pub fn serialization_time(&self, frame: &EthFrame) -> Ps {
-        self.params.rate.time_for(frame.wire_bytes())
-    }
-
-    /// Frames sent so far.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames
-    }
-
-    /// Payload bytes sent so far.
-    pub fn payload_bytes_sent(&self) -> u64 {
-        self.payload_bytes
-    }
-
-    /// Achievable steady-state payload rate for `payload`-sized frames
-    /// (analytic helper for tests and the MX baseline).
-    pub fn payload_rate(&self, payload: u64) -> Rate {
-        let data = bytes::Bytes::from(vec![0u8; payload as usize]);
-        let f = EthFrame::new(0, 1, FrameHeader::default(), data);
-        let t = self.params.rate.time_for(f.wire_bytes());
-        Rate::from_transfer(payload, t).expect("nonzero serialization time")
+    /// Transmit `frame` handed to the NIC at `now` over a link with
+    /// timing `params`; returns the time the frame is fully received
+    /// into the remote NIC (ready for ring DMA). Frames queue FIFO
+    /// behind earlier transmissions. `extra` is per-frame transmitter
+    /// occupancy beyond wire serialization — it models NIC firmware
+    /// that spends time on each fragment (the MXoE baseline's
+    /// ≈100 ns/frag, which caps its large-message rate at
+    /// ≈1140 MiB/s); Open-MX frames pass zero.
+    pub fn transmit_with_overhead(
+        &mut self,
+        params: &LinkParams,
+        now: Ps,
+        frame: &EthFrame,
+        extra: Ps,
+    ) -> Ps {
+        let serialize = params.serialization_time(frame) + extra;
+        let (_start, tx_done) = self.server.admit(now + params.tx_latency, serialize);
+        tx_done + params.propagation + params.rx_latency
     }
 }
 
@@ -130,21 +111,26 @@ mod tests {
         EthFrame::new(0, 1, FrameHeader::default(), Bytes::from(vec![0u8; n]))
     }
 
+    /// Send an `n`-byte frame at `now` with no firmware overhead.
+    fn send(l: &mut Link, p: &LinkParams, now: Ps, n: usize) -> Ps {
+        l.transmit_with_overhead(p, now, &frame(n), Ps::ZERO)
+    }
+
     #[test]
     fn line_rate_matches_paper() {
-        let l = Link::new(LinkParams::default());
-        let mib = l.params().rate.as_mib_per_sec();
+        let p = LinkParams::default();
+        let mib = p.rate.as_mib_per_sec();
         assert!((mib - 1186.5).abs() < 1.0, "line rate {mib} MiB/s");
         // Page-sized frames reach ≈98 % of line rate.
-        let pr = l.payload_rate(4096).as_mib_per_sec();
+        let pr = p.payload_rate(4096).as_mib_per_sec();
         assert!((1160.0..1180.0).contains(&pr), "payload rate {pr}");
     }
 
     #[test]
     fn single_frame_latency_components() {
         let p = LinkParams::default();
-        let mut l = Link::new(p);
-        let arrival = l.transmit(Ps::ZERO, &frame(4096));
+        let mut l = Link::new();
+        let arrival = send(&mut l, &p, Ps::ZERO, 4096);
         let serialize = p.rate.time_for(4096 + 38);
         assert_eq!(
             arrival,
@@ -155,23 +141,26 @@ mod tests {
     #[test]
     fn frames_serialize_fifo() {
         let p = LinkParams::default();
-        let mut l = Link::new(p);
-        let a1 = l.transmit(Ps::ZERO, &frame(4096));
-        let a2 = l.transmit(Ps::ZERO, &frame(4096));
+        let mut l = Link::new();
+        let a1 = send(&mut l, &p, Ps::ZERO, 4096);
+        let a2 = send(&mut l, &p, Ps::ZERO, 4096);
         let serialize = p.rate.time_for(4096 + 38);
         assert_eq!(a2 - a1, serialize, "second frame waits for the first");
-        assert_eq!(l.frames_sent(), 2);
-        assert_eq!(l.payload_bytes_sent(), 8192);
+        assert_eq!(
+            l.wire_busy_total(),
+            serialize * 2,
+            "both frames on the wire"
+        );
     }
 
     #[test]
     fn back_to_back_stream_hits_wire_rate() {
         let p = LinkParams::default();
-        let mut l = Link::new(p);
+        let mut l = Link::new();
         let n = 1000u64;
         let mut last = Ps::ZERO;
         for _ in 0..n {
-            last = l.transmit(Ps::ZERO, &frame(4096));
+            last = send(&mut l, &p, Ps::ZERO, 4096);
         }
         let rate = Rate::from_transfer(n * 4096, last).unwrap();
         let mib = rate.as_mib_per_sec();
@@ -181,10 +170,10 @@ mod tests {
     #[test]
     fn gaps_do_not_accumulate_idle_time() {
         let p = LinkParams::default();
-        let mut l = Link::new(p);
-        l.transmit(Ps::ZERO, &frame(100));
+        let mut l = Link::new();
+        send(&mut l, &p, Ps::ZERO, 100);
         // A frame sent much later starts immediately.
-        let a = l.transmit(Ps::ms(1), &frame(100));
+        let a = send(&mut l, &p, Ps::ms(1), 100);
         let serialize = p.rate.time_for(100 + 38);
         assert_eq!(
             a,

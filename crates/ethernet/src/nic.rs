@@ -139,9 +139,7 @@ struct QueueState {
 pub struct Nic {
     params: NicParams,
     queues: Vec<QueueState>,
-    frames_received: u64,
     frames_dropped: u64,
-    frames_corrupt_dropped: u64,
     metrics: Metrics,
     scope: u32,
 }
@@ -200,9 +198,7 @@ impl Nic {
                 })
                 .collect(),
             params,
-            frames_received: 0,
             frames_dropped: 0,
-            frames_corrupt_dropped: 0,
             metrics: Metrics::disabled(),
             scope: 0,
         }
@@ -311,7 +307,6 @@ impl Nic {
     ) -> RxOutcome {
         assert!(queue < self.queues.len(), "RX queue {queue} out of range");
         if frame.fcs_corrupt {
-            self.frames_corrupt_dropped += 1;
             self.metrics.trace(
                 now,
                 self.scope,
@@ -333,7 +328,6 @@ impl Nic {
         if pending > self.q(queue).hwm {
             self.q_mut(queue).hwm = pending;
         }
-        self.frames_received += 1;
         let skb = Skbuff::new(frame.src, frame.header, frame.payload, now);
         let core = self.q(queue).core;
         let coalesced = matches!(self.q(queue).last_irq, Some(t)
@@ -374,19 +368,9 @@ impl Nic {
         self.queues[queue].hwm
     }
 
-    /// Frames accepted so far.
-    pub fn frames_received(&self) -> u64 {
-        self.frames_received
-    }
-
     /// Frames dropped on ring overflow so far.
     pub fn frames_dropped(&self) -> u64 {
         self.frames_dropped
-    }
-
-    /// Frames discarded by the hardware FCS check so far.
-    pub fn frames_corrupt_dropped(&self) -> u64 {
-        self.frames_corrupt_dropped
     }
 }
 
@@ -425,7 +409,6 @@ mod tests {
         assert_eq!(skb.data[0], 0xAB);
         assert_eq!(skb.rx_time, Ps::us(1));
         assert_eq!(nic.pending(), 1);
-        assert_eq!(nic.frames_received(), 1);
     }
 
     #[test]
@@ -587,10 +570,9 @@ mod tests {
         f.fcs_corrupt = true;
         let out = nic.deliver(Ps::ZERO, 0, f, &mut bh);
         assert_eq!(out, RxOutcome::DroppedCorrupt);
-        // FCS drops never consume a ring slot and are counted apart
-        // from ring overflow.
+        // FCS drops never consume a ring slot and are not ring
+        // overflow drops.
         assert_eq!(nic.pending(), 0);
-        assert_eq!(nic.frames_corrupt_dropped(), 1);
         assert_eq!(nic.frames_dropped(), 0);
         assert_eq!(bh.backlog(), 0);
         let out = nic.deliver(Ps::ZERO, 0, frame(10), &mut bh);

@@ -26,8 +26,6 @@ pub struct FifoServer {
     busy_until: Ps,
     /// Total busy time integrated over all admitted jobs.
     busy_total: Ps,
-    /// Number of jobs admitted.
-    jobs: u64,
     /// Optional metrics destination for admitted jobs.
     meter: Option<Meter>,
 }
@@ -51,7 +49,6 @@ impl FifoServer {
         FifoServer {
             busy_until: Ps::ZERO,
             busy_total: Ps::ZERO,
-            jobs: 0,
             meter: None,
         }
     }
@@ -75,7 +72,6 @@ impl FifoServer {
         let finish = start + service;
         self.busy_until = finish;
         self.busy_total += service;
-        self.jobs += 1;
         if let Some(meter) = &self.meter {
             meter.metrics.busy(meter.scope, meter.id, service);
         }
@@ -106,12 +102,6 @@ impl FifoServer {
     #[inline]
     pub fn busy_total(&self) -> Ps {
         self.busy_total
-    }
-
-    /// Number of jobs admitted so far.
-    #[inline]
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 
     /// Fraction of `[0, horizon]` the server spent busy. The horizon is
@@ -155,9 +145,12 @@ mod tests {
     fn busy_accounting_integrates_service_only() {
         let mut s = FifoServer::new();
         s.admit(Ps::ZERO, Ps::ns(100));
-        s.admit(Ps::ns(300), Ps::ns(100)); // idle gap 100..300 not counted
+        // The idle gap 100..300 is not counted.
+        assert_eq!(
+            s.admit(Ps::ns(300), Ps::ns(100)),
+            (Ps::ns(300), Ps::ns(400))
+        );
         assert_eq!(s.busy_total(), Ps::ns(200));
-        assert_eq!(s.jobs(), 2);
         let u = s.utilization(Ps::ns(400));
         assert!((u - 0.5).abs() < 1e-9, "got {u}");
     }

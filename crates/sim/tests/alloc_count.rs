@@ -301,9 +301,16 @@ mod driver_paths {
         }
     }
 
-    /// Run `total` round trips of `size` bytes and return the heap
-    /// allocation count across the measured (post-warm-up) span.
+    /// Run `total` round trips of `size` bytes between node 0 and node
+    /// 1 and return the heap allocation count across the measured
+    /// (post-warm-up) span.
     fn measured_allocs(size: u64, cfg: OmxConfig) -> u64 {
+        measured_allocs_at(size, cfg, NodeId(1), CoreId(2))
+    }
+
+    /// [`measured_allocs`] with the ponger on core `pong_core` of
+    /// `pong_node` (the pinger stays on core 2 of node 0).
+    fn measured_allocs_at(size: u64, cfg: OmxConfig, pong_node: NodeId, pong_core: CoreId) -> u64 {
         // The warm-up must outlast every high-water mark, including the
         // slowest one: every retransmit timer holds its level-1 wheel
         // node until it fires, one retransmission timeout after it was
@@ -325,8 +332,8 @@ mod driver_paths {
             ep: EpIdx(0),
         };
         let b = EpAddr {
-            node: NodeId(1),
-            ep: EpIdx(0),
+            node: pong_node,
+            ep: EpIdx(if pong_node == NodeId(0) { 1 } else { 0 }),
         };
         let mut cluster = Cluster::new(ClusterParams::with_cfg(cfg));
         let mut sim: Sim<Cluster> = Sim::with_wheel_levels(cluster.p.cfg.wheel_levels);
@@ -344,8 +351,8 @@ mod driver_paths {
             }),
         );
         cluster.add_endpoint(
-            NodeId(1),
-            CoreId(2),
+            pong_node,
+            pong_core,
             Box::new(Ponger {
                 peer: a,
                 size,
@@ -400,6 +407,23 @@ mod driver_paths {
         // bookkeeping all travel through pooled scratch.
         let d = measured_allocs(256 << 10, OmxConfig::with_ioat());
         assert_eq!(d, 0, "warmed 256 KiB I/OAT ping-pong allocated {d} times");
+    }
+
+    #[test]
+    fn warmed_intranode_pingpong_allocates_nothing() {
+        // Shared-memory path between two subchips of one host: every
+        // round trip's copies read `hit_fraction` and write the cache
+        // model with `touch` and `touch_exclusive`.
+        for cfg in [OmxConfig::default(), OmxConfig::with_ioat()] {
+            for size in [16, 16 << 10, 256 << 10, 2 << 20] {
+                let d = measured_allocs_at(size, cfg.clone(), NodeId(0), CoreId(5));
+                assert_eq!(
+                    d, 0,
+                    "warmed {size} B intranode ping-pong (ioat {}) allocated {d} times",
+                    cfg.ioat_enabled
+                );
+            }
+        }
     }
 }
 
