@@ -21,7 +21,7 @@ use omx_hw::cpu::category;
 use omx_hw::ioat::ChannelProbe;
 use omx_hw::{CacheModel, CoreId, CpuSet, HwParams, IoatEngine, Topology};
 use omx_mx::MxParams;
-use omx_sim::{Metrics, Ps, Sim, SplitMix64};
+use omx_sim::{Ps, Sim, SplitMix64};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -259,11 +259,16 @@ pub struct Cluster {
     pub apps: Vec<Option<Box<dyn App>>>,
     /// Counters.
     pub stats: Stats,
-    /// Shared metrics registry (disabled when `cfg.metrics` is off):
-    /// the busy integrals of the component breakdown and the trace
-    /// ring. Links and I/OAT channels meter into it; recording never
-    /// charges simulated time.
-    pub metrics: Metrics,
+    /// CPU time of receive-path memcpy, summed over this world's
+    /// nodes: BH copies of network fragments and shared-memory copies.
+    /// This sum and the next two are read by
+    /// [`crate::harness::BusyTotals::of`] and stay out of [`Stats`],
+    /// which results and fingerprints serialize.
+    pub(crate) bh_copy_busy: Ps,
+    /// CPU time spent building and submitting I/OAT descriptors.
+    pub(crate) submit_cpu_busy: Ps,
+    /// CPU time spent busy-polling I/OAT completions.
+    pub(crate) poll_wait_busy: Ps,
     /// Root of every derived fault/jitter stream, seeded from
     /// `cfg.seed`. Streams derive from it by a pure per-link or
     /// per-node tag, so fault patterns are identical under any
@@ -415,14 +420,6 @@ impl Cluster {
     }
 
     fn build_world(p: ClusterParams, my: usize, parts: usize) -> Self {
-        // One dense slot per (node, instrument), allocated here once.
-        let metrics = if !p.cfg.metrics {
-            Metrics::disabled()
-        } else if p.cfg.trace_capacity > 0 {
-            Metrics::with_trace(p.nodes, p.cfg.trace_capacity)
-        } else {
-            Metrics::new(p.nodes)
-        };
         // The one place the user-supplied seed enters the simulation;
         // every other stream derives from this root by a pure tag.
         // omx-lint: allow(ad-hoc-rng) root seeding point for the run; every derived stream is pinned by the bit-determinism suite [test: tests/determinism.rs::pingpong_is_bit_deterministic_under_every_plan]
@@ -431,7 +428,6 @@ impl Cluster {
             .map(|i| {
                 let node_faults = p.cfg.fault_plan.node_params(i);
                 let mut ioat = IoatEngine::new(&p.hw);
-                ioat.attach_metrics(metrics.clone(), i);
                 let mut nic_params = p.nic;
                 if let Some(nf) = node_faults {
                     for f in &nf.ioat_faults {
@@ -442,7 +438,6 @@ impl Cluster {
                     }
                 }
                 let mut nic = Nic::new(nic_params);
-                nic.attach_metrics(metrics.clone(), i);
                 nic.bind_queue_cores(&omx_ethernet::spread_queue_cores(&nic_params, &p.topology));
                 let bh = (0..p.topology.num_cores())
                     .map(|_| BottomHalfQueue::new())
@@ -481,7 +476,9 @@ impl Cluster {
             nodes,
             apps: Vec::new(),
             stats: Stats::default(),
-            metrics,
+            bh_copy_busy: Ps::ZERO,
+            submit_cpu_busy: Ps::ZERO,
+            poll_wait_busy: Ps::ZERO,
             fault_root,
             link_faults_possible,
             link_faults: BTreeMap::new(),
@@ -675,13 +672,6 @@ impl Cluster {
         if self.nodes[node.0 as usize].ioat.quarantine(channel, until) {
             self.stats.ioat_quarantines += 1;
         }
-    }
-
-    /// Count one offload-to-memcpy fallback of `bytes` bytes.
-    pub(crate) fn record_ioat_fallback(&mut self, node: NodeId, at: Ps, bytes: u64) {
-        self.stats.ioat_fallback_copies += 1;
-        self.metrics
-            .trace(at, node.0, "ioat", "memcpy_fallback", bytes, 0);
     }
 
     /// Charge `work` on a node core; returns `(start, finish)`.
@@ -1019,13 +1009,8 @@ impl Cluster {
             }
             // Direct field access keeps the link borrow disjoint from
             // the parameters and stats fields used alongside it.
-            let (params, metrics) = (&c.p.link, &c.metrics);
-            let link = c.links.get_or_insert_with(src, dst, || {
-                let mut link = Link::new();
-                // Wire busy time is attributed to the *sending* node.
-                link.attach_metrics(metrics.clone(), src.0);
-                link
-            });
+            let params = &c.p.link;
+            let link = c.links.get_or_insert_with(src, dst, Link::new);
             let mut arrival = link.transmit_with_overhead(params, s.now(), &frame, extra);
             if disp.reorder_extra > 0 {
                 // Hold the frame back by k serialization times: frames

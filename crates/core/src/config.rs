@@ -182,17 +182,13 @@ pub struct OmxConfig {
     pub wheel_levels: u32,
 
     // ---------------- observability ----------------
-    /// Enable the per-component metrics registry: the six busy-time
-    /// integrals a run's `ComponentBreakdown` splits receive time into
-    /// (wire, BH and shared-memory memcpy, I/OAT channel, descriptor
-    /// submission, completion polling), and the trace ring. Recording
-    /// never charges simulated time, so timing results and `Stats` are
-    /// identical either way; disabling only zeroes the breakdown.
+    /// Report the busy totals a run's `ComponentBreakdown` splits
+    /// receive time into (wire, BH and shared-memory memcpy, I/OAT
+    /// channel, descriptor submission, completion polling). The totals
+    /// are kept either way, where the work is charged; off, the
+    /// breakdown reads zero. Timing results and `Stats` are identical
+    /// either way.
     pub metrics: bool,
-    /// Capacity of the structured event-trace ring (0 = tracing off).
-    /// The ring is bounded: when full, the oldest events are evicted
-    /// and counted as dropped.
-    pub trace_capacity: usize,
 
     // ---------------- calibrated Open-MX software costs ----------------
     /// BH cost to decode and route one incoming fragment (header
@@ -259,7 +255,6 @@ impl Default for OmxConfig {
             seed: 0x0031_4159_2653_5897,
             wheel_levels: 2,
             metrics: true,
-            trace_capacity: 0,
             bh_frag_process: Ps::ns(1900),
             bh_copy_slowdown: 1.18,
             tx_frag_cost: Ps::ns(500),

@@ -16,7 +16,6 @@ use bytes::Bytes;
 use omx_hw::cpu::category;
 use omx_hw::ioat::CopyHandle;
 use omx_hw::CoreId;
-use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
@@ -102,7 +101,7 @@ impl Cluster {
         if offload {
             ch = self.pick_healthy_channel(node, now);
             if !self.ioat_channel_usable(node, ch, now) {
-                self.record_ioat_fallback(node, now, len);
+                self.stats.ioat_fallback_copies += 1;
                 self.ep_mut(me).counters.copies_fallback += 1;
                 offload = false;
             }
@@ -112,7 +111,7 @@ impl Cluster {
             let submit = self.ioat_submit_cost(ndesc, coalesced);
             let work = self.bh_frag_cost(coalesced) + submit;
             let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, ins::IOAT_SUBMIT_CPU, submit);
+            self.submit_cpu_busy += submit;
             let hw = self.p.hw.clone();
             let n = self.node_mut(node);
             let h = n.ioat.submit(&hw, submit_fin, ch, len, ndesc);
@@ -129,7 +128,7 @@ impl Cluster {
             let copy = self.bh_copy_cost(len);
             let work = self.bh_frag_cost(coalesced) + copy;
             let (_, f) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, ins::BH_COPY, copy);
+            self.bh_copy_busy += copy;
             f
         };
         // Apply the bytes.
@@ -171,7 +170,7 @@ impl Cluster {
         if let Some(t) = last {
             let wait = t.saturating_sub(fin) + self.p.hw.ioat_poll_cost;
             let (_, f) = self.run_core(node, core, fin, wait, category::BH);
-            self.metrics.busy(node.0, ins::IOAT_POLL_WAIT, wait);
+            self.poll_wait_busy += wait;
             fin = f;
         }
         let asm = self

@@ -20,7 +20,6 @@ use crate::{EpAddr, NodeId, ReqId};
 use bytes::Bytes;
 use omx_hw::cpu::category;
 use omx_hw::CoreId;
-use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
@@ -316,7 +315,7 @@ impl Cluster {
         };
         let channel_ok = !offload || self.ioat_channel_usable(node, ch, now);
         if offload && !channel_ok {
-            self.record_ioat_fallback(node, now, len);
+            self.stats.ioat_fallback_copies += 1;
             self.ep_mut(me).counters.copies_fallback += 1;
         }
         let offload = offload && channel_ok;
@@ -327,7 +326,7 @@ impl Cluster {
             let submit = self.ioat_submit_cost(ndesc, coalesced);
             let work = self.bh_frag_cost(coalesced) + submit;
             let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, ins::IOAT_SUBMIT_CPU, submit);
+            self.submit_cpu_busy += submit;
             fin = submit_fin;
             let hw = self.p.hw.clone();
             let n = self.node_mut(node);
@@ -341,7 +340,7 @@ impl Cluster {
             let copy = self.bh_copy_cost_chunked(len, chunk_eff);
             let work = self.bh_frag_cost(coalesced) + copy;
             let (_, f) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, ins::BH_COPY, copy);
+            self.bh_copy_busy += copy;
             fin = f;
             let c = &mut self.ep_mut(me).counters;
             c.copies_memcpy += 1;
@@ -480,9 +479,9 @@ impl Cluster {
         for pc in stuck.drain(..) {
             let copy = self.bh_copy_cost(pc.bytes);
             let (_, f) = self.run_core(node, core, fin, copy, category::BH);
-            self.metrics.busy(node.0, ins::BH_COPY, copy);
+            self.bh_copy_busy += copy;
             fin = f;
-            self.record_ioat_fallback(node, fin, pc.bytes);
+            self.stats.ioat_fallback_copies += 1;
             if let Some(ep) = ep {
                 self.ep_mut(EpAddr { node, ep }).counters.copies_fallback += 1;
             }
@@ -518,7 +517,7 @@ impl Cluster {
             // Busy-poll until every pending copy completed.
             let wait = t.saturating_sub(fin) + self.p.hw.ioat_poll_cost;
             let (_, f) = self.run_core(node, core, fin, wait, category::BH);
-            self.metrics.busy(node.0, ins::IOAT_POLL_WAIT, wait);
+            self.poll_wait_busy += wait;
             fin = f;
         }
         let pull = self

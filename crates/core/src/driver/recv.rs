@@ -14,7 +14,6 @@ use omx_ethernet::Skbuff;
 use omx_hw::cpu::category;
 use omx_hw::mem::{CopyContext, MemModel};
 use omx_hw::{CoreId, Distance, IoatEngine};
-use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
@@ -394,14 +393,6 @@ impl Cluster {
             st.rto = next_rto;
         }
         self.stats.retransmissions += 1;
-        self.metrics.trace(
-            sim.now(),
-            me.node.0,
-            "driver",
-            "retransmit",
-            req.0,
-            u64::from(attempts + 1),
-        );
         let now = sim.now();
         let fin = match class {
             MsgClass::Large => {
@@ -457,14 +448,6 @@ impl Cluster {
             self.node_mut(me.node).driver.tx_large.remove(&h);
         }
         self.stats.sends_failed += 1;
-        self.metrics.trace(
-            sim.now(),
-            me.node.0,
-            "driver",
-            "send_failed",
-            req.0,
-            u64::from(st.retx_attempts),
-        );
         if !st.completed {
             // Tiny/small sends already delivered their (successful)
             // buffer-reuse completion at handoff; everything else gets
@@ -759,7 +742,7 @@ impl Cluster {
         let copy = self.bh_copy_cost(data.len() as u64);
         let process = self.p.cfg.bh_frag_process + copy;
         let (_, fin) = self.run_core(node, core, sim.now(), process, category::BH);
-        self.metrics.busy(node.0, ins::BH_COPY, copy);
+        self.bh_copy_busy += copy;
         {
             let c = &mut self.ep_mut(me).counters;
             c.copies_memcpy += 1;
@@ -882,7 +865,7 @@ impl Cluster {
             let submit = self.ioat_submit_cost(ndesc, coalesced);
             work += submit;
             let (_, submit_fin) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, ins::IOAT_SUBMIT_CPU, submit);
+            self.submit_cpu_busy += submit;
             let hw = self.p.hw.clone();
             let ch = self.pick_healthy_channel(node, submit_fin);
             let handle = self
@@ -900,9 +883,9 @@ impl Cluster {
                 SimSanitizer::release(handle.san);
                 let copy = self.bh_copy_cost(len);
                 let (_, f) = self.run_core(node, core, submit_fin, copy, category::BH);
-                self.metrics.busy(node.0, ins::BH_COPY, copy);
+                self.bh_copy_busy += copy;
                 fin = f;
-                self.record_ioat_fallback(node, fin, len);
+                self.stats.ioat_fallback_copies += 1;
                 let c = &mut self.ep_mut(me).counters;
                 c.copies_fallback += 1;
                 c.copies_memcpy += 1;
@@ -911,7 +894,7 @@ impl Cluster {
                 // Busy-poll until the copy completes.
                 let wait = handle.finish.saturating_sub(submit_fin) + self.p.hw.ioat_poll_cost;
                 let (_, f) = self.run_core(node, core, submit_fin, wait, category::BH);
-                self.metrics.busy(node.0, ins::IOAT_POLL_WAIT, wait);
+                self.poll_wait_busy += wait;
                 fin = f;
                 // Busy-polled to completion: reap the descriptor.
                 SimSanitizer::complete(handle.san);
@@ -924,7 +907,7 @@ impl Cluster {
             let copy = self.bh_copy_cost(len);
             work += copy;
             let (_, f) = self.run_core(node, core, now, work, category::BH);
-            self.metrics.busy(node.0, ins::BH_COPY, copy);
+            self.bh_copy_busy += copy;
             fin = f;
             let c = &mut self.ep_mut(me).counters;
             c.copies_memcpy += 1;

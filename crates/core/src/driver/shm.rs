@@ -20,7 +20,6 @@ use omx_hw::cache::RegionKey;
 use omx_hw::cpu::category;
 use omx_hw::mem::{CopyContext, MemModel};
 use omx_hw::{Distance, IoatEngine};
-use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
@@ -65,7 +64,7 @@ impl Cluster {
         if let Some(t) = dst_tag {
             cache.touch_exclusive(&hw, subchip, RegionKey(t), len);
         }
-        self.metrics.busy(node.0, ins::SHM_COPY, cost);
+        self.bh_copy_busy += cost;
         cost
     }
 
@@ -335,7 +334,7 @@ impl Cluster {
             // chain rings a single doorbell.
             let submit = self.ioat_submit_cost(ndesc, false);
             let (_, submit_fin) = self.run_core(node, core, fin, submit, category::DRIVER);
-            self.metrics.busy(node.0, ins::IOAT_SUBMIT_CPU, submit);
+            self.submit_cpu_busy += submit;
             let first_desc_at = fin + self.p.hw.ioat_submit_cpu;
             let hw = self.p.hw.clone();
             let single_ch = if multichannel {
@@ -397,7 +396,7 @@ impl Cluster {
                         self.quarantine_channel(node, h.channel, submit_fin + cooldown);
                     }
                 }
-                self.record_ioat_fallback(node, submit_fin, msg_len);
+                self.stats.ioat_fallback_copies += 1;
                 {
                     // The copy ends up on the CPU after all: move the
                     // bytes from the offload counters to the memcpy
@@ -424,7 +423,7 @@ impl Cluster {
                         let wait =
                             handle_finish.saturating_sub(submit_fin) + self.p.hw.ioat_poll_cost;
                         let (_, f) = self.run_core(node, core, submit_fin, wait, category::DRIVER);
-                        self.metrics.busy(node.0, ins::IOAT_POLL_WAIT, wait);
+                        self.poll_wait_busy += wait;
                         f
                     }
                     SyncWaitPolicy::SleepPredicted => {
@@ -443,17 +442,13 @@ impl Cluster {
                                 self.p.hw.ioat_poll_cost,
                                 category::DRIVER,
                             );
-                            self.metrics.busy(
-                                node.0,
-                                ins::IOAT_POLL_WAIT,
-                                self.p.hw.ioat_poll_cost,
-                            );
+                            self.poll_wait_busy += self.p.hw.ioat_poll_cost;
                             f
                         } else {
                             let wait =
                                 handle_finish.saturating_sub(wake) + self.p.hw.ioat_poll_cost;
                             let (_, f) = self.run_core(node, core, wake, wait, category::DRIVER);
-                            self.metrics.busy(node.0, ins::IOAT_POLL_WAIT, wait);
+                            self.poll_wait_busy += wait;
                             f
                         };
                         let actual = handle_finish.saturating_sub(submit_fin);

@@ -104,7 +104,6 @@ pub enum Event {
 #[derive(Debug, Default)]
 pub struct EventRing {
     queue: VecDeque<Event>,
-    pushed: u64,
 }
 
 impl EventRing {
@@ -115,7 +114,6 @@ impl EventRing {
 
     /// Driver side: publish an event.
     pub fn push(&mut self, ev: Event) {
-        self.pushed += 1;
         self.queue.push_back(ev);
     }
 
@@ -132,11 +130,6 @@ impl EventRing {
     /// Whether no events wait.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total events ever pushed (diagnostics).
-    pub fn pushed_total(&self) -> u64 {
-        self.pushed
     }
 }
 
@@ -261,7 +254,6 @@ mod tests {
         }
         assert!(r.pop().is_none());
         assert!(r.is_empty());
-        assert_eq!(r.pushed_total(), 2);
     }
 
     #[test]

@@ -28,27 +28,25 @@ pub use pingpong::{run_pingpong, PingPongConfig, PingPongResult, Placement};
 pub use stream::{run_stream, StreamConfig, StreamResult};
 
 use crate::cluster::{Cluster, ClusterParams, Stats};
-use omx_sim::instruments as ins;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 use serde::Serialize;
 
 /// Where the time of a run went, per component, in nanoseconds.
 ///
-/// Computed from the six busy integrals of the cluster's metrics
-/// registry ([`BusyTotals::of`]) after a run: wire serialization,
-/// BH/driver memcpy time (network receive copies plus the one-copy
-/// shared-memory path), I/OAT channel occupancy, the CPU cost of
-/// building and submitting descriptors, the CPU time spent polling
-/// for completions, and whatever is left of the elapsed window
-/// (`idle_ns`, floored at zero — components on different resources
-/// overlap in time, so their sum may legitimately exceed the elapsed
-/// wall clock).
+/// Computed from the busy totals [`BusyTotals::of`] reads after a
+/// run: wire serialization, BH/driver memcpy time (network receive
+/// copies plus the one-copy shared-memory path), I/OAT channel
+/// occupancy, the CPU cost of building and submitting descriptors, the
+/// CPU time spent polling for completions, and whatever is left of the
+/// elapsed window (`idle_ns`, floored at zero — components on different
+/// resources overlap in time, so their sum may legitimately exceed the
+/// elapsed wall clock).
 ///
 /// With `OmxConfig::metrics` disabled every component reads zero and
 /// `idle_ns == elapsed_ns`; throughput numbers and `Stats` are
-/// identical either way because recording never charges simulated
-/// time.
+/// identical either way, because the knob only decides whether the
+/// totals are reported.
 #[derive(Debug, Clone, Serialize)]
 pub struct ComponentBreakdown {
     /// Elapsed window of the measurement.
@@ -90,15 +88,27 @@ pub struct BusyTotals {
 }
 
 impl BusyTotals {
-    /// Read the totals out of one cluster's metrics registry.
+    /// Read one world's totals where they are kept: the wire from its
+    /// links' transmitters, the DMA channels from its nodes' I/OAT
+    /// engines, and the three CPU sums the drivers add to as they
+    /// charge a core. A shard's links are those its own nodes transmit
+    /// on, and its other nodes never run, so the sums over shards are
+    /// the whole cluster's. All zero with `OmxConfig::metrics` off.
     pub fn of(cluster: &Cluster) -> Self {
-        let m = &cluster.metrics;
+        if !cluster.p.cfg.metrics {
+            return BusyTotals::default();
+        }
+        let wire = cluster.links.values().map(|l| l.wire_busy_total());
+        let ioat_channel = cluster
+            .nodes
+            .iter()
+            .flat_map(|n| (0..n.ioat.num_channels()).map(|ch| n.ioat.channel_busy_total(ch)));
         BusyTotals {
-            wire: m.busy_total_all_scopes(ins::LINK_WIRE),
-            bh_copy: m.busy_total_all_scopes(ins::BH_COPY) + m.busy_total_all_scopes(ins::SHM_COPY),
-            ioat_channel: m.busy_total_all_scopes(ins::IOAT_CHANNEL),
-            submit_cpu: m.busy_total_all_scopes(ins::IOAT_SUBMIT_CPU),
-            poll_wait: m.busy_total_all_scopes(ins::IOAT_POLL_WAIT),
+            wire: wire.fold(Ps::ZERO, |a, b| a + b),
+            bh_copy: cluster.bh_copy_busy,
+            ioat_channel: ioat_channel.fold(Ps::ZERO, |a, b| a + b),
+            submit_cpu: cluster.submit_cpu_busy,
+            poll_wait: cluster.poll_wait_busy,
         }
     }
 

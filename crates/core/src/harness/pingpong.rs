@@ -296,39 +296,30 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_tracing_never_perturb_timing() {
-        // The observability layer must be a pure observer: the same
-        // run with the registry off, on, or on with tracing produces
+    fn metrics_never_perturb_timing() {
+        // The `metrics` knob only decides whether the busy totals are
+        // reported: the same run with it off and on produces
         // byte-identical per-iteration timings, counts and event
-        // totals, so a recording site that bumps a count or schedules
-        // an event fails here.
-        let run_with = |metrics: bool, trace_capacity: usize| {
+        // totals.
+        let run_with = |metrics: bool| {
             let cfg = OmxConfig {
                 metrics,
-                trace_capacity,
                 ..OmxConfig::with_ioat()
             };
             quick(ClusterParams::with_cfg(cfg), 256 << 10)
         };
-        let off = run_with(false, 0);
-        let on = run_with(true, 0);
-        let traced = run_with(true, 4096);
+        let off = run_with(false);
+        let on = run_with(true);
         assert_eq!(off.rtts, on.rtts, "metrics changed timing");
-        assert_eq!(off.rtts, traced.rtts, "tracing changed timing");
-        assert_eq!(off.run.end, traced.run.end);
+        assert_eq!(off.run.end, on.run.end);
         let stats = |r: &PingPongResult| serde_json::to_string(&r.run.stats).expect("serialize");
         assert_eq!(stats(&off), stats(&on), "metrics changed the stats");
-        assert_eq!(stats(&off), stats(&traced), "tracing changed the stats");
         assert_eq!(off.run.events, on.run.events, "metrics scheduled events");
-        assert_eq!(
-            off.run.events, traced.run.events,
-            "tracing scheduled events"
-        );
-        // Disabled registry reads zero everywhere and attributes the
+        // Off, the breakdown reads zero everywhere and attributes the
         // whole window to idle.
         assert_eq!(off.breakdown.wire_ns, 0.0);
         assert_eq!(off.breakdown.elapsed_ns, off.breakdown.idle_ns);
-        // Enabled registry actually observed the run.
+        // On, it observed the run.
         assert!(on.breakdown.wire_ns > 0.0);
         assert!(on.breakdown.ioat_channel_ns > 0.0);
     }

@@ -6,7 +6,7 @@
 //! inter-node frame pays the full wire latency (sender NIC latency +
 //! propagation + receiver NIC latency) before it can touch the
 //! destination — that latency is the **lookahead** of the conservative
-//! window protocol in [`omx_sim::partition`]. [`Cluster::deliver_frame`]
+//! window protocol in [`omx_sim::partition`]. `Cluster::deliver_frame`
 //! routes frames for foreign nodes into the partition outbox as
 //! [`RemoteFrame`]s; the executor exchanges outboxes between windows
 //! and injects them in one canonical order, so the result is

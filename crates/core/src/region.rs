@@ -5,7 +5,7 @@
 //! can copy into them at any time (§II-C). Pinning costs CPU time per
 //! page; the classic optimization is a *registration cache* that
 //! defers deregistration and reuses pinned regions across messages
-//! (§IV-D, Fig 11's "regcache" toggle; [20] in the paper).
+//! (§IV-D, Fig 11's "regcache" toggle; \[20\] in the paper).
 //!
 //! Regions are identified to the application by a stable `tag` (the
 //! buffer identity) because the simulation has no virtual addresses.

@@ -8,7 +8,7 @@
 //! against.
 
 use crate::frame::{EthFrame, FrameHeader};
-use omx_sim::{FifoServer, Metrics, Ps, Rate};
+use omx_sim::{FifoServer, Ps, Rate};
 use serde::{Deserialize, Serialize};
 
 /// Link timing parameters.
@@ -64,16 +64,15 @@ pub struct Link {
     server: FifoServer,
 }
 
+// A cluster keeps one `Link` per talking (src, dst) pair, 65 280 of
+// them on a 256-node all-to-all: keep it at its transmitter's two
+// times.
+const _: () = assert!(std::mem::size_of::<Link>() == 16);
+
 impl Link {
     /// An idle link.
     pub fn new() -> Link {
         Link::default()
-    }
-
-    /// Report wire serialization busy time to `metrics` under `scope`.
-    pub fn attach_metrics(&mut self, metrics: Metrics, scope: u32) {
-        self.server
-            .attach_meter(metrics, scope, omx_sim::instruments::LINK_WIRE);
     }
 
     /// Total wire serialization time integrated over all frames.

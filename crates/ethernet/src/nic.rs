@@ -25,7 +25,7 @@ use crate::bh::{BottomHalfQueue, NAPI_BUDGET};
 use crate::frame::EthFrame;
 use crate::skbuff::Skbuff;
 use omx_hw::{CoreId, Topology};
-use omx_sim::{Metrics, Ps};
+use omx_sim::Ps;
 use serde::{Deserialize, Serialize};
 
 /// Hard cap on modeled RX queues (no modeled host has more than 8
@@ -140,8 +140,6 @@ pub struct Nic {
     params: NicParams,
     queues: Vec<QueueState>,
     frames_dropped: u64,
-    metrics: Metrics,
-    scope: u32,
 }
 
 /// The queue→core binding the cluster uses: queue 0 keeps the
@@ -199,8 +197,6 @@ impl Nic {
                 .collect(),
             params,
             frames_dropped: 0,
-            metrics: Metrics::disabled(),
-            scope: 0,
         }
     }
 
@@ -220,12 +216,6 @@ impl Nic {
             );
             self.queues[i].core = c;
         }
-    }
-
-    /// Trace ring and FCS drops into `metrics` under `scope`.
-    pub fn attach_metrics(&mut self, metrics: Metrics, scope: u32) {
-        self.metrics = metrics;
-        self.scope = scope;
     }
 
     /// The NIC parameters.
@@ -307,20 +297,10 @@ impl Nic {
     ) -> RxOutcome {
         assert!(queue < self.queues.len(), "RX queue {queue} out of range");
         if frame.fcs_corrupt {
-            self.metrics.trace(
-                now,
-                self.scope,
-                "nic",
-                "corrupt_drop",
-                frame.payload_len(),
-                0,
-            );
             return RxOutcome::DroppedCorrupt;
         }
         if self.q(queue).pending >= self.params.rx_ring_size {
             self.frames_dropped += 1;
-            self.metrics
-                .trace(now, self.scope, "nic", "ring_drop", frame.payload_len(), 0);
             return RxOutcome::DroppedRingFull;
         }
         self.q_mut(queue).pending += 1;

@@ -22,9 +22,8 @@
 //! cache pollution.
 
 use crate::params::HwParams;
-use omx_sim::instruments as ins;
 use omx_sim::sanitize::{Kind, SimSanitizer, Token};
-use omx_sim::{FifoServer, Metrics, Ps};
+use omx_sim::{FifoServer, Ps};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of one submitted copy (channel + in-channel cookie).
@@ -93,9 +92,6 @@ pub struct IoatEngine {
     rr_next: usize,
     bytes_copied: u64,
     descriptors: u64,
-    /// Observability sink (disabled by default; see [`Self::attach_metrics`]).
-    metrics: Metrics,
-    scope: u32,
 }
 
 impl IoatEngine {
@@ -108,20 +104,7 @@ impl IoatEngine {
             rr_next: 0,
             bytes_copied: 0,
             descriptors: 0,
-            metrics: Metrics::disabled(),
-            scope: 0,
         }
-    }
-
-    /// Report per-channel busy time to `metrics` under `scope`, and
-    /// trace each submit.
-    pub fn attach_metrics(&mut self, metrics: Metrics, scope: u32) {
-        for ch in &mut self.channels {
-            ch.server
-                .attach_meter(metrics.clone(), scope, ins::IOAT_CHANNEL);
-        }
-        self.metrics = metrics;
-        self.scope = scope;
     }
 
     /// Number of channels.
@@ -291,8 +274,6 @@ impl IoatEngine {
         }
         self.bytes_copied += bytes;
         self.descriptors += descriptors;
-        self.metrics
-            .trace(now, self.scope, "ioat", "submit", bytes, channel as u64);
         let san = SimSanitizer::alloc(Kind::IoatDescriptor);
         SimSanitizer::submit(san);
         CopyHandle {
@@ -444,24 +425,25 @@ mod tests {
     }
 
     #[test]
-    fn diagnostics_match_metrics_registry() {
+    fn zero_length_submit_leaves_diagnostics_alone() {
         let params = p();
-        let m = Metrics::new(6);
         let mut e = IoatEngine::new(&params);
-        e.attach_metrics(m.clone(), 5);
         e.submit(&params, Ps::ZERO, 0, 4096, 1);
         e.submit(&params, Ps::ZERO, 1, 1 << 20, 256);
-        let (bytes, descriptors) = (e.bytes_copied(), e.descriptors_submitted());
+        let before = (
+            e.bytes_copied(),
+            e.descriptors_submitted(),
+            e.channel_busy_total(0),
+        );
         e.submit(&params, Ps::ZERO, 0, 0, 0); // free, not counted
         assert_eq!(
-            (e.bytes_copied(), e.descriptors_submitted()),
-            (bytes, descriptors)
+            (
+                e.bytes_copied(),
+                e.descriptors_submitted(),
+                e.channel_busy_total(0)
+            ),
+            before
         );
-        let metered_busy = m.busy_total(5, ins::IOAT_CHANNEL);
-        let engine_busy =
-            (0..e.num_channels()).fold(Ps::ZERO, |acc, ch| acc + e.channel_busy_total(ch));
-        assert!(engine_busy > Ps::ZERO);
-        assert_eq!(metered_busy, engine_busy);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub struct HwParams {
     /// Aggregate copy bandwidth of the whole engine across all
     /// channels: the memory/chipset port is shared, which is why using
     /// multiple channels only buys "up to 40 %" more throughput
-    /// (related work [22] cited in §V), not 4×.
+    /// (related work \[22\] cited in §V), not 4×.
     pub ioat_aggregate_rate: Rate,
     /// CPU time for one completion poll (a read of the in-order
     /// completion word in host memory). Paper §IV-A: "very cheap".

@@ -11,7 +11,7 @@
 //! the rules), types are skimmed, expressions are never parsed.
 //!
 //! The parser is *total*: it never fails. Anything it does not
-//! understand is attributed to an [`ItemKind::Other`] and skimmed with
+//! understand is attributed to an [`Item::Other`] and skimmed with
 //! balanced-bracket matching. Every token index is marked in a
 //! consumption map, and `tests/parser_roundtrip.rs` property-tests
 //! that the map has no holes — the "round-trips without loss"

@@ -23,7 +23,7 @@
 //!   scheduling into the executing slot (`now`, or anything else
 //!   within its ~131 ns) is an O(1) append in the common monotone case
 //!   and a binary-search insert otherwise.
-//! * **timing wheel** ([`crate::wheel`]) — 512 slots of ~131 ns
+//! * **timing wheel** (`crate::wheel`) — 512 slots of ~131 ns
 //!   covering ≈ 67 µs past the last executed instant. In-window
 //!   scheduling is an O(1) intrusive-list push into a shared node
 //!   slab; finding the next instant is a bitmap scan plus a cached
@@ -37,7 +37,7 @@
 //!   [`Sim::with_wheel_levels`]`(1)` wheel). They cascade into the
 //!   wheel as the cursor advances.
 //!
-//! Closures are packed by [`crate::event::EventFn`]: up to three words
+//! Closures are packed by `crate::event::EventFn`: up to three words
 //! inline in the queue node, medium captures in pooled free-list
 //! slots, so steady-state scheduling performs no heap allocation.
 //!
@@ -140,7 +140,7 @@ impl<W> Sim<W> {
 
     /// Earliest pending instant — the timestamp of the next event that
     /// would fire — or `None` when the queue is empty. Unlike the
-    /// internal [`Sim::next_instant`] this includes entries a bounded
+    /// internal `Sim::next_instant` this includes entries a bounded
     /// [`Sim::run_until`] left behind in the cursor slot, so it is safe
     /// to use as the horizon base of a conservative time-window
     /// protocol (`crates/sim/src/partition.rs`).

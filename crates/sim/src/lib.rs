@@ -3,23 +3,23 @@
 //! The whole reproduction runs on this engine: the cluster, its NICs,
 //! wires, CPU cores, I/OAT DMA channels and the Open-MX protocol state
 //! machines are all driven by events on a single integer-picosecond
-//! clock. The engine is deliberately single-threaded so that every
-//! experiment regenerates bit-identically; parallelism in the benchmark
-//! harness happens *across* independent simulations, never inside one.
+//! clock. One engine is single-threaded, so every experiment
+//! regenerates bit-identically. A simulation may also be split into
+//! shards, one engine each, that [`partition`] runs in conservative
+//! time windows on several threads; its output is byte-identical for
+//! any shard or thread count.
 //!
 //! Main pieces:
 //!
 //! * [`time::Ps`] — picosecond time points/durations and [`time::Rate`]
 //!   (bytes/second) with exact 128-bit arithmetic,
 //! * [`engine::Sim`] — the event queue, generic over a user world type,
+//! * [`partition`] — the conservative time-window executor of a
+//!   partitioned simulation,
 //! * [`resource::FifoServer`] — a serially-reusable resource (a wire, a
-//!   DMA channel, a CPU core) with busy-time integration,
+//!   DMA channel, a CPU core) with busy-time integration, which is
+//!   where a wire's or a DMA channel's busy time is kept,
 //! * [`stats`] — busy meters, throughput series and summary statistics,
-//! * [`instruments`] — the table declaring every instrument once, with
-//!   dense compile-time ids,
-//! * [`metrics`] — a cross-crate registry of busy-time integrals stored
-//!   densely per scope, plus an optional bounded event trace; purely
-//!   observational, it never charges simulated time,
 //! * [`rng`] — a tiny deterministic SplitMix64 generator,
 //! * [`sanitize`] — debug-build lifecycle state machines (skbuffs,
 //!   pinned regions, I/OAT descriptors, pull handles) that turn leaks
@@ -27,8 +27,6 @@
 
 pub mod engine;
 pub(crate) mod event;
-pub mod instruments;
-pub mod metrics;
 pub mod partition;
 pub mod reference;
 pub mod resource;
@@ -40,7 +38,6 @@ pub mod walltime;
 pub(crate) mod wheel;
 
 pub use engine::Sim;
-pub use metrics::{Metrics, TraceEvent};
 pub use partition::{run_shards, Shard, ShardBuilder};
 pub use reference::ReferenceSim;
 pub use resource::FifoServer;

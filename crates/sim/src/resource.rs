@@ -6,35 +6,20 @@
 //! integrates its busy time so utilization can be reported afterwards
 //! (that integral is what Figure 9 of the paper plots, per category).
 
-use crate::instruments::Busy;
-use crate::metrics::Metrics;
 use crate::time::Ps;
 
 /// A FIFO single-server queue with busy-time integration.
 ///
 /// The server itself holds no job payloads; callers keep their own state
-/// and use the returned completion times to schedule events.
-///
-/// A server can optionally carry a meter ([`Self::attach_meter`]): each
-/// admitted job's service time then also accumulates into a busy
-/// instrument of a shared [`Metrics`] registry, so per-resource
-/// occupancy is summed per node without the owner exposing every
-/// internal server.
+/// and use the returned completion times to schedule events. Its busy
+/// integral is the only record of a resource's busy time: a run's
+/// wire and I/OAT channel breakdown is summed from it.
 #[derive(Debug, Clone)]
 pub struct FifoServer {
     /// Time at which the server next becomes idle.
     busy_until: Ps,
     /// Total busy time integrated over all admitted jobs.
     busy_total: Ps,
-    /// Optional metrics destination for admitted jobs.
-    meter: Option<Meter>,
-}
-
-#[derive(Debug, Clone)]
-struct Meter {
-    metrics: Metrics,
-    scope: u32,
-    id: Busy,
 }
 
 impl Default for FifoServer {
@@ -49,18 +34,7 @@ impl FifoServer {
         FifoServer {
             busy_until: Ps::ZERO,
             busy_total: Ps::ZERO,
-            meter: None,
         }
-    }
-
-    /// Report every admitted job's service time to instrument `id` of
-    /// `scope` in `metrics`. Replaces any earlier meter.
-    pub fn attach_meter(&mut self, metrics: Metrics, scope: u32, id: Busy) {
-        self.meter = if metrics.is_enabled() {
-            Some(Meter { metrics, scope, id })
-        } else {
-            None
-        };
     }
 
     /// Admit a job of length `service` at time `now`.
@@ -72,9 +46,6 @@ impl FifoServer {
         let finish = start + service;
         self.busy_until = finish;
         self.busy_total += service;
-        if let Some(meter) = &self.meter {
-            meter.metrics.busy(meter.scope, meter.id, service);
-        }
         (start, finish)
     }
 
@@ -83,19 +54,6 @@ impl FifoServer {
     #[inline]
     pub fn busy_until(&self) -> Ps {
         self.busy_until
-    }
-
-    /// Whether a job admitted at `now` would have to queue.
-    #[inline]
-    pub fn is_busy_at(&self, now: Ps) -> bool {
-        self.busy_until > now
-    }
-
-    /// Backlog seen by an arrival at `now`: how long it would wait
-    /// before starting service.
-    #[inline]
-    pub fn backlog_at(&self, now: Ps) -> Ps {
-        self.busy_until.saturating_sub(now)
     }
 
     /// Total integrated busy time.
@@ -164,32 +122,5 @@ mod tests {
         s.admit(Ps::ZERO, Ps::ns(100));
         // Horizon shorter than busy time clamps to 1.0.
         assert_eq!(s.utilization(Ps::ns(50)), 1.0);
-    }
-
-    #[test]
-    fn attached_meter_mirrors_busy_time() {
-        use crate::instruments::LINK_WIRE;
-        let m = Metrics::new(4);
-        let mut s = FifoServer::new();
-        s.attach_meter(m.clone(), 3, LINK_WIRE);
-        s.admit(Ps::ZERO, Ps::ns(100));
-        s.admit(Ps::ns(500), Ps::ns(50));
-        assert_eq!(m.busy_total(3, LINK_WIRE), s.busy_total());
-        // A disabled registry never attaches, keeping admit at two
-        // compares and three adds.
-        let mut s2 = FifoServer::new();
-        s2.attach_meter(Metrics::disabled(), 0, LINK_WIRE);
-        s2.admit(Ps::ZERO, Ps::ns(1));
-        assert!(s2.meter.is_none());
-    }
-
-    #[test]
-    fn backlog_reports_waiting_time() {
-        let mut s = FifoServer::new();
-        s.admit(Ps::ZERO, Ps::ns(100));
-        assert_eq!(s.backlog_at(Ps::ns(40)), Ps::ns(60));
-        assert_eq!(s.backlog_at(Ps::ns(100)), Ps::ZERO);
-        assert!(s.is_busy_at(Ps::ns(99)));
-        assert!(!s.is_busy_at(Ps::ns(100)));
     }
 }

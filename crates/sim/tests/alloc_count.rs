@@ -457,42 +457,6 @@ fn pooled_closures_recycle_their_slots() {
 }
 
 #[test]
-fn metrics_recording_allocates_nothing() {
-    // Recording is an array add into slots allocated when the registry
-    // is built: once built, no instrument or scope may touch the heap.
-    use omx_sim::instruments as ins;
-    use omx_sim::Metrics;
-    const SCOPES: u32 = 4;
-    const ROUNDS: u64 = 4200;
-    let m = Metrics::new(SCOPES as usize);
-    let ids = [
-        ins::LINK_WIRE,
-        ins::BH_COPY,
-        ins::SHM_COPY,
-        ins::IOAT_CHANNEL,
-        ins::IOAT_SUBMIT_CPU,
-        ins::IOAT_POLL_WAIT,
-    ];
-    let a0 = allocations();
-    let mut recorded = 0u64;
-    for _ in 0..ROUNDS {
-        for scope in 0..SCOPES {
-            for id in ids {
-                m.busy(scope, id, Ps::ns(3));
-                recorded += 1;
-            }
-        }
-    }
-    let delta = allocations() - a0;
-    assert!(recorded >= 100_000, "only {recorded} recordings");
-    assert_eq!(delta, 0, "{recorded} recordings allocated {delta} times");
-    assert_eq!(
-        m.busy_total_all_scopes(ins::IOAT_POLL_WAIT),
-        Ps::ns(3) * ROUNDS * u64::from(SCOPES)
-    );
-}
-
-#[test]
 fn empty_bytes_allocate_nothing() {
     // Every control frame (rendezvous and pull requests, notifies,
     // acks, credit NACKs) carries an empty payload, so making, cloning,

@@ -7,9 +7,8 @@ use openmx_repro::mx::curve::pingpong_throughput_mibs;
 use openmx_repro::omx::app::{App, AppCtx, Completion};
 use openmx_repro::omx::cluster::{Cluster, ClusterParams};
 use openmx_repro::omx::config::{OmxConfig, StackKind, SyncWaitPolicy};
-use openmx_repro::omx::harness::{run_pingpong, PingPongConfig, Placement};
+use openmx_repro::omx::harness::{run_pingpong, BusyTotals, PingPongConfig, Placement};
 use openmx_repro::omx::{EpAddr, EpIdx, NodeId};
-use openmx_repro::sim::instruments as ins;
 use openmx_repro::sim::{Ps, Sim};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -448,8 +447,5 @@ fn split_intranode_copy_is_charged_per_submitted_descriptor() {
     assert_eq!(ioat.num_channels(), 4);
     let submitted = ioat.descriptors_submitted();
     assert_eq!(submitted, 516, "4 shares of 512 KiB + 25 B");
-    assert_eq!(
-        cluster.metrics.busy_total(0, ins::IOAT_SUBMIT_CPU),
-        submit_cpu * submitted
-    );
+    assert_eq!(BusyTotals::of(&cluster).submit_cpu, submit_cpu * submitted);
 }

@@ -1,9 +1,9 @@
-//! The metrics registry against the simulator's own bookkeeping, on
-//! whole runs at one and two partitions: the wire and I/OAT channel
-//! busy integrals must equal the busy time the links and channels they
-//! meter keep for themselves. The result goldens read the integrals
-//! only summed over every node, so one metered under the wrong node or
-//! instrument could pass them; these per-node sums would not.
+//! Whole fan-in runs at one and two partitions against the
+//! simulator's own bookkeeping: the ring drops the NICs count must sum
+//! to `Stats::frames_ring_dropped`, every bottom half must drain, and
+//! RSS must spread a multi-queue incast. The checks run on each
+//! drained shard, so a drop counted on the wrong shard or a backlog a
+//! shard leaves behind fails here even when the merged results agree.
 
 use openmx_repro::hw::CoreId;
 use openmx_repro::omx::app::{App, AppCtx, Completion};
@@ -11,8 +11,6 @@ use openmx_repro::omx::cluster::{Cluster, ClusterParams};
 use openmx_repro::omx::config::OmxConfig;
 use openmx_repro::omx::fault::FaultPlan;
 use openmx_repro::omx::{run_partitioned, EpAddr, EpIdx, NodeId};
-use openmx_repro::sim::instruments as ins;
-use openmx_repro::sim::Ps;
 
 const TAG: u64 = 0x6D65;
 
@@ -115,28 +113,20 @@ fn run_fan_in(params: ClusterParams, endpoints: u32, size: u64, count: u32, chec
     }
 }
 
-/// The metered busy integrals against the components' own figures.
-fn assert_registry_consistent(c: &Cluster) {
-    let m = &c.metrics;
+/// Every bottom half drained, and the NICs' ring drops match `Stats`.
+fn assert_drained_and_counted(c: &Cluster) {
     for n in &c.nodes {
-        let s = n.id.0;
-        let channels = (0..n.ioat.num_channels()).map(|ch| n.ioat.channel_busy_total(ch));
-        let channel_busy = channels.fold(Ps::ZERO, |a, b| a + b);
-        assert_eq!(m.busy_total(s, ins::IOAT_CHANNEL), channel_busy, "node {s}");
         for bh in &n.bh {
             assert_eq!(
                 bh.backlog(),
                 0,
-                "node {s}: a bottom half left skbuffs behind"
+                "node {}: a bottom half left skbuffs behind",
+                n.id.0
             );
         }
     }
     let ring_drops: u64 = c.nodes.iter().map(|n| n.nic.frames_dropped()).sum();
     assert_eq!(ring_drops, c.stats_snapshot().frames_ring_dropped);
-    let wire = c.links.values().map(|l| l.wire_busy_total());
-    let wire = wire.fold(Ps::ZERO, |a, b| a + b);
-    assert!(wire > Ps::ZERO);
-    assert_eq!(m.busy_total_all_scopes(ins::LINK_WIRE), wire);
 }
 
 #[test]
@@ -159,7 +149,7 @@ fn multi_queue_credit_incast_under_ring_pressure_is_consistent() {
             let busy_queues = (0..4).filter(|&q| nic.ring_high_watermark(q) > 0).count();
             assert!(busy_queues > 1, "RSS must spread the flows");
         }
-        assert_registry_consistent(c);
+        assert_drained_and_counted(c);
     });
 }
 
@@ -179,6 +169,6 @@ fn ioat_stream_is_consistent() {
                 "the stream must offload"
             );
         }
-        assert_registry_consistent(c);
+        assert_drained_and_counted(c);
     });
 }
