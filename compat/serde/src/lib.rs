@@ -4,11 +4,10 @@
 //! converts a value into a simple JSON-like [`Value`] tree, which is
 //! all the serialization this workspace performs (`serde_json`
 //! pretty-printing of figure series and metric snapshots). The derive
-//! macros are re-exported from the sibling `serde_derive` stub.
-//! [`Deserialize`] is a marker trait: nothing in the workspace
-//! deserializes, but the derives still compile.
+//! macro is re-exported from the sibling `serde_derive` stub. Nothing
+//! in the workspace deserializes, so the stub only serializes.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -39,15 +38,11 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Marker for types the derive stub can notionally deserialize.
-pub trait Deserialize: Sized {}
-
 macro_rules! ser_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::U64(*self as u64) }
         }
-        impl Deserialize for $t {}
     )*};
 }
 ser_unsigned!(u8, u16, u32, u64, usize);
@@ -57,7 +52,6 @@ macro_rules! ser_signed {
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::I64(*self as i64) }
         }
-        impl Deserialize for $t {}
     )*};
 }
 ser_signed!(i8, i16, i32, i64, isize);
@@ -67,28 +61,24 @@ impl Serialize for f32 {
         Value::F64(*self as f64)
     }
 }
-impl Deserialize for f32 {}
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::F64(*self)
     }
 }
-impl Deserialize for f64 {}
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
 }
-impl Deserialize for bool {}
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
 }
-impl Deserialize for String {}
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
@@ -101,7 +91,6 @@ impl Serialize for char {
         Value::Str(self.to_string())
     }
 }
-impl Deserialize for char {}
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
@@ -117,14 +106,12 @@ impl<T: Serialize> Serialize for Option<T> {
         }
     }
 }
-impl<T: Deserialize> Deserialize for Option<T> {}
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
 }
-impl<T: Deserialize> Deserialize for Vec<T> {}
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {

@@ -1,4 +1,4 @@
-//! Derive macros for the offline `serde` stub.
+//! The `Serialize` derive for the offline `serde` stub.
 //!
 //! Implemented without `syn`/`quote` (the build environment has no
 //! registry access): the input item is parsed directly from the
@@ -217,13 +217,4 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     )
     .parse()
     .expect("serde stub derive: generated impl parses")
-}
-
-/// Derive `serde::Deserialize` (marker impl only).
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let (name, _shape) = parse_item(input);
-    format!("impl ::serde::Deserialize for {name} {{}}")
-        .parse()
-        .expect("serde stub derive: generated impl parses")
 }

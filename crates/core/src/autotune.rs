@@ -24,10 +24,10 @@
 
 use crate::config::OmxConfig;
 use omx_hw::HwParams;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Thresholds derived from startup calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TunedThresholds {
     /// Minimum fragment size to offload.
     pub frag_threshold: u64,

@@ -420,6 +420,13 @@ impl Cluster {
     }
 
     fn build_world(p: ClusterParams, my: usize, parts: usize) -> Self {
+        // The MXoE model sends no acks and resends nothing (its eager
+        // sends complete at NIC hand-off), so it cannot survive a lost
+        // or duplicated frame.
+        assert!(
+            p.cfg.stack == StackKind::OpenMx || !p.cfg.fault_plan.has_link_faults(),
+            "StackKind::Mxoe takes no link fault plan (FaultPlan::has_link_faults): its model neither acks nor resends"
+        );
         // The one place the user-supplied seed enters the simulation;
         // every other stream derives from this root by a pure tag.
         // omx-lint: allow(ad-hoc-rng) root seeding point for the run; every derived stream is pinned by the bit-determinism suite [test: tests/determinism.rs::pingpong_is_bit_deterministic_under_every_plan]
@@ -991,14 +998,10 @@ impl Cluster {
         let (header, payload) = pkt.encode();
         sim.schedule_at(at, move |c: &mut Cluster, s| {
             c.stats.frames_sent += 1;
-            // Fault injection targets the Open-MX reliability machinery;
-            // the MXoE baseline has none (its reliability lives in the
-            // NIC firmware, out of scope), so its frames are exempt.
-            let disp = if c.p.cfg.stack == StackKind::OpenMx {
-                c.link_fault_next(src, dst)
-            } else {
-                omx_ethernet::fault::FrameDisposition::CLEAN
-            };
+            // An MXoE cluster has no link faults (`build_world` rejects
+            // them), so only Open-MX frames can be dropped, corrupted or
+            // duplicated here.
+            let disp = c.link_fault_next(src, dst);
             if disp.dropped {
                 c.stats.frames_lost += 1;
                 return;

@@ -7,10 +7,10 @@
 
 use crate::fault::FaultPlan;
 use omx_sim::Ps;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which message-passing stack the cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StackKind {
     /// Open-MX over the generic Ethernet layer (the paper's subject).
     OpenMx,
@@ -19,7 +19,7 @@ pub enum StackKind {
 }
 
 /// How synchronous copies wait for I/OAT completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SyncWaitPolicy {
     /// Busy-poll the completion word (what the paper implemented;
     /// §IV-C "rely on busy polling ... with no overlap for now").
@@ -31,7 +31,7 @@ pub enum SyncWaitPolicy {
 }
 
 /// Full stack configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct OmxConfig {
     /// Stack selector.
     pub stack: StackKind,
@@ -319,7 +319,7 @@ impl OmxConfig {
 }
 
 /// The four Open-MX message classes (Fig 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MsgClass {
     /// Payload rides inside the event itself.
     Tiny,

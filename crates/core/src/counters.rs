@@ -11,14 +11,14 @@
 //! below; their order is the serialized order of `Stats.counters` in
 //! every committed result.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Expands the endpoint counter table into the struct and its
 /// `merge`, so every field is merged without a hand-kept list.
 macro_rules! endpoint_counters {
     ($($(#[$doc:meta])* $field:ident,)*) => {
         /// Counters of one endpoint (sender and receiver sides).
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
         pub struct Counters {
             $($(#[$doc])* pub $field: u64,)*
         }

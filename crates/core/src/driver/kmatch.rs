@@ -9,9 +9,9 @@
 //! module implements that plan behind `OmxConfig::kernel_matching`.
 
 use crate::cluster::Cluster;
+use crate::endpoint::MediumAssembly;
 use crate::events::Event;
-use crate::matching::PostedRecv;
-use crate::{EpAddr, NodeId, ReqId};
+use crate::{EpAddr, NodeId};
 use bytes::Bytes;
 use omx_hw::cpu::category;
 use omx_hw::ioat::CopyHandle;
@@ -19,18 +19,13 @@ use omx_hw::CoreId;
 use omx_sim::sanitize::SimSanitizer;
 use omx_sim::{Ps, Sim};
 
-/// Driver-side reassembly of one medium message under kernel matching.
+/// Driver-side reassembly of one medium message under kernel matching:
+/// the shared assembly plus the fragment copies still in flight.
 #[derive(Debug)]
 pub struct KernelAssembly {
-    /// Matched receive, or `None` while the message is unexpected (the
-    /// driver then buffers it in `data`).
-    pub req: Option<ReqId>,
-    /// Match information.
-    pub match_info: u64,
-    /// Total message length.
-    pub total: u32,
-    /// Kernel buffer for unexpected data.
-    pub data: Option<Vec<u8>>,
+    /// The message's assembly; an unmatched one moves to
+    /// `Endpoint::assemblies` once complete.
+    pub asm: MediumAssembly,
     /// Outstanding asynchronous fragment copies.
     pub pending: Vec<CopyHandle>,
 }
@@ -49,45 +44,25 @@ impl Cluster {
         match_info: u64,
         msg_seq: u32,
         msg_len: u32,
-        _frag_idx: u16,
-        frag_count: u16,
         offset: u32,
         data: Bytes,
         coalesced: bool,
     ) -> Ps {
-        let _ = frag_count;
         let now = sim.now();
         let key = (me.ep, src, msg_seq);
         // First fragment: match in the driver.
         if !self.node(node).driver.kmatch.contains_key(&key) {
-            let matched = self.ep_mut(me).matcher.match_incoming(match_info);
-            let (req, buf) = match matched {
-                Some(PostedRecv { req, .. }) => {
-                    if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req) {
-                        rs.total = msg_len as u64;
-                        rs.matched_info = Some(match_info);
-                    }
-                    (Some(req), None)
-                }
-                // omx-lint: allow(hot-path-alloc) unexpected-message buffer: only taken when no receive was posted, never in a pre-posted steady loop [test: tests/end_to_end.rs::extension_paths_stay_correct]
-                None => (None, Some(vec![0u8; msg_len as usize])),
-            };
+            let asm = MediumAssembly::start(self.ep_mut(me), match_info, u64::from(msg_len));
             self.node_mut(node).driver.kmatch.insert(
                 key,
                 KernelAssembly {
-                    req,
-                    match_info,
-                    total: msg_len,
-                    data: buf,
+                    asm,
                     // omx-lint: allow(hot-path-alloc) Vec::new is capacity-zero and touches no allocator; growth happens only on the offload path's first pends [test: tests/end_to_end.rs::extension_paths_stay_correct]
                     pending: Vec::new(),
                 },
             );
         }
-        let (req, matched) = {
-            let a = self.node(node).driver.kmatch.get(&key).expect("ensured");
-            (a.req, a.req.is_some())
-        };
+        let matched = self.node(node).driver.kmatch[&key].asm.req.is_some();
         // Copy path: matched fragments may be offloaded asynchronously
         // — the whole point of this extension.
         let len = data.len() as u64;
@@ -131,63 +106,32 @@ impl Cluster {
             self.bh_copy_busy += copy;
             f
         };
-        // Apply the bytes.
-        {
-            let asm_data_needed = !matched;
-            if asm_data_needed {
-                let a = self
-                    .node_mut(node)
-                    .driver
-                    .kmatch
-                    .get_mut(&key)
-                    .expect("present");
-                let buf = a.data.as_mut().expect("unmatched buffers data");
-                let end = ((offset as usize) + data.len()).min(buf.len());
-                let start = (offset as usize).min(end);
-                buf[start..end].copy_from_slice(&data[..end - start]);
-            } else if let Some(rs) = self.ep_mut(me).recvs.get_mut(&req.expect("matched")) {
-                rs.buf.write(u64::from(offset), &data);
-            }
-        }
-        // Complete?
-        let all_seen = self
-            .ep(me)
-            .drv_medium
-            .get(&(src, msg_seq))
-            .is_some_and(|v| v.iter().all(|&b| b));
-        if !all_seen {
+        // Apply the bytes; the message is done once all of them arrived.
+        let n = self.node_mut(node);
+        let ka = n.driver.kmatch.get_mut(&key).expect("present");
+        let recvs = &mut n.endpoints[me.ep.0 as usize].recvs;
+        if !ka.asm.apply(recvs, u64::from(offset), &data) {
             return fin;
         }
+        let ka = n.driver.kmatch.remove(&key).expect("present");
         // Drain pending copies (only the last fragment waits, as in the
         // large path).
         let mut fin = fin;
-        let last = self
-            .node(node)
-            .driver
-            .kmatch
-            .get(&key)
-            .and_then(|a| a.pending.iter().map(|h| h.finish).max());
-        if let Some(t) = last {
+        if let Some(t) = ka.pending.iter().map(|h| h.finish).max() {
             let wait = t.saturating_sub(fin) + self.p.hw.ioat_poll_cost;
             let (_, f) = self.run_core(node, core, fin, wait, category::BH);
             self.poll_wait_busy += wait;
             fin = f;
         }
-        let asm = self
-            .node_mut(node)
-            .driver
-            .kmatch
-            .remove(&key)
-            .expect("present");
         // The busy-poll above waited out the latest finish time, so
         // every pending descriptor is done: reap them.
-        for h in &asm.pending {
+        for h in &ka.pending {
             SimSanitizer::complete(h.san);
             SimSanitizer::release(h.san);
         }
         self.node_mut(node)
             .driver
-            .release_skbuffs(asm.pending.len() as u64);
+            .release_skbuffs(ka.pending.len() as u64);
         if let Some(b) = self.ep_mut(me).drv_medium.remove(&(src, msg_seq)) {
             self.node_mut(node).driver.scratch.put_bitmap(b);
         }
@@ -202,35 +146,16 @@ impl Cluster {
         fin = f;
         self.stats.acks_sent += 1;
         self.send_packet(sim, node, src.node, pkt, fin);
-        match asm.req {
+        match ka.asm.req {
             Some(req) => {
                 // One event per message — the extension's payoff.
-                self.push_event_at(
-                    sim,
-                    me,
-                    Event::RecvMediumDone {
-                        req,
-                        len: asm.total,
-                    },
-                    fin,
-                );
+                let len = ka.asm.total as u32;
+                self.push_event_at(sim, me, Event::RecvMediumDone { req, len }, fin);
             }
             None => {
                 // Hand the buffered unexpected message to the library
                 // as a complete assembly; adoption copies it out.
-                let buf = asm.data.expect("unmatched buffers data");
-                self.ep_mut(me).assemblies.insert(
-                    (src, msg_seq),
-                    crate::endpoint::MediumAssembly {
-                        req: None,
-                        match_info: asm.match_info,
-                        // omx-lint: allow(hot-path-alloc) Vec::new is capacity-zero; the driver already deduplicated, the library never consults frag_seen for a complete assembly [test: tests/end_to_end.rs::extension_paths_stay_correct]
-                        frag_seen: Vec::new(),
-                        arrived: asm.total as u64,
-                        total: asm.total as u64,
-                        data: buf,
-                    },
-                );
+                self.ep_mut(me).assemblies.insert((src, msg_seq), ka.asm);
             }
         }
         fin

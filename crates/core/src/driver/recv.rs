@@ -802,9 +802,8 @@ impl Cluster {
         }
         // A message that fits in one fragment is complete on arrival:
         // it needs no reassembly bitmap, and `seq_completed` above is
-        // its whole duplicate check. Kernel matching keeps its
-        // per-message path.
-        let whole = frag_count == 1 && frag_idx == 0 && !self.p.cfg.kernel_matching;
+        // its whole duplicate check.
+        let whole = frag_count == 1 && frag_idx == 0;
         // Duplicate fragment of an in-progress message?
         if !whole {
             let frag_slot = frag_idx as usize;
@@ -844,8 +843,7 @@ impl Cluster {
         }
         if self.p.cfg.kernel_matching {
             return self.rx_medium_kernel_match(
-                sim, node, core, src, me, match_info, msg_seq, msg_len, frag_idx, frag_count,
-                offset, data, coalesced,
+                sim, node, core, src, me, match_info, msg_seq, msg_len, offset, data, coalesced,
             );
         }
         // Synchronous copy into a statically pinned ring slot: memcpy,
@@ -938,7 +936,6 @@ impl Cluster {
                 match_info,
                 msg_seq,
                 msg_len,
-                frag_idx,
                 frag_count,
                 offset,
                 slot,

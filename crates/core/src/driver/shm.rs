@@ -211,7 +211,6 @@ impl Cluster {
                             match_info,
                             msg_seq,
                             msg_len: total as u32,
-                            frag_idx: i as u16,
                             frag_count: count as u16,
                             offset: lo as u32,
                             slot,

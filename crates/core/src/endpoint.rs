@@ -153,7 +153,13 @@ impl RecvBuf {
     }
 }
 
-/// Reassembly of a multi-fragment eager message, matched or not.
+/// Reassembly of one medium message, matched or not: the library's
+/// (fed one ring slot per fragment), the driver's under kernel
+/// matching (`KernelAssembly`) and the MXoE firmware's. Which
+/// fragments arrived is recorded once, by the driver
+/// (`Endpoint::drv_medium`), which hands each fragment on once; an
+/// MXoE cluster takes no link faults, so its fragments arrive once.
+/// An assembly only counts bytes.
 #[derive(Debug)]
 pub struct MediumAssembly {
     /// The receive it was matched to, if any. Unmatched assemblies
@@ -161,8 +167,6 @@ pub struct MediumAssembly {
     pub req: Option<ReqId>,
     /// Match information (for adoption by later receives).
     pub match_info: u64,
-    /// Fragments already applied (duplicate suppression).
-    pub frag_seen: Vec<bool>,
     /// Bytes applied.
     pub arrived: u64,
     /// Total length.
@@ -172,9 +176,61 @@ pub struct MediumAssembly {
 }
 
 impl MediumAssembly {
+    /// Start the assembly of a `total`-byte message on its first
+    /// fragment: match it against `ep`'s posted receives, or buffer it
+    /// unmatched in a zeroed image of the whole message.
+    pub fn start(ep: &mut Endpoint, match_info: u64, total: u64) -> MediumAssembly {
+        let req = ep.matcher.match_incoming(match_info).map(|p| p.req);
+        let data = match req {
+            // omx-lint: allow(hot-path-alloc) Vec::new is capacity-zero and touches no allocator; matched data lands in the posted buffer [test: crates/sim/tests/alloc_count.rs::warmed_medium_pingpong_allocates_nothing]
+            Some(_) => Vec::new(),
+            // omx-lint: allow(hot-path-alloc) unexpected-message buffer: only taken when no receive was posted, never in a pre-posted steady loop [test: crates/sim/tests/alloc_count.rs::warmed_medium_pingpong_allocates_nothing]
+            None => vec![0u8; total as usize],
+        };
+        MediumAssembly {
+            req,
+            match_info,
+            arrived: 0,
+            total,
+            data,
+        }
+    }
+
+    /// Apply one fragment's bytes at `offset`, into the matched
+    /// receive in `recvs` or the unmatched buffer; returns whether
+    /// every byte has now arrived. The matched receive learns the
+    /// message's length and match information here, with the bytes,
+    /// so a one-fragment message looks its receive up once. Panics in
+    /// every build if the fragment would take the assembly past its
+    /// length: a fragment applied twice.
+    pub fn apply(&mut self, recvs: &mut ReqTable<RecvState>, offset: u64, bytes: &[u8]) -> bool {
+        self.arrived += bytes.len() as u64;
+        assert!(
+            self.arrived <= self.total,
+            "medium assembly overrun: {} of {} bytes applied",
+            self.arrived,
+            self.total
+        );
+        match self.req {
+            Some(req) => {
+                if let Some(rs) = recvs.get_mut(&req) {
+                    rs.total = self.total;
+                    rs.matched_info = Some(self.match_info);
+                    rs.buf.write(offset, bytes);
+                }
+            }
+            None => {
+                let end = (offset as usize + bytes.len()).min(self.data.len());
+                let start = (offset as usize).min(end);
+                self.data[start..end].copy_from_slice(&bytes[..end - start]);
+            }
+        }
+        self.is_complete()
+    }
+
     /// Whether every byte arrived.
     pub fn is_complete(&self) -> bool {
-        self.arrived >= self.total
+        self.arrived == self.total
     }
 }
 
@@ -216,8 +272,11 @@ pub struct Endpoint {
     /// Driver-side duplicate suppression: message sequences already
     /// fully received per partner.
     pub completed_seqs: BTreeMap<EpAddr, SeqWindow>,
-    /// Driver-side medium reassembly progress (for ack generation):
-    /// (src, seq) → fragments seen bitmap.
+    /// The one record of which fragments of each multi-fragment
+    /// medium message arrived, (src, seq) → bitmap, until the message
+    /// completes: the driver drops a fragment already set here, so
+    /// each fragment reaches an assembly once. Without kernel
+    /// matching, the driver acks the message when every bit is set.
     pub drv_medium: BTreeMap<(EpAddr, u32), Vec<bool>>,
     /// Network rendezvous announcements from their arrival until their
     /// pull finishes or is abandoned: duplicates (sender
@@ -287,6 +346,30 @@ impl Endpoint {
         self.completed_seqs
             .get(&src)
             .is_some_and(|s| s.contains(seq))
+    }
+
+    /// Apply one fragment of the medium message `key` (source,
+    /// sequence) to its assembly in `assemblies`, starting the assembly
+    /// on the message's first fragment. Returns the matched receive
+    /// once every byte arrived, retiring the assembly; a complete
+    /// unmatched one stays until a receive adopts it.
+    pub(crate) fn apply_medium(
+        &mut self,
+        key: (EpAddr, u32),
+        match_info: u64,
+        total: u64,
+        offset: u64,
+        bytes: &[u8],
+    ) -> Option<ReqId> {
+        if !self.assemblies.contains_key(&key) {
+            let asm = MediumAssembly::start(self, match_info, total);
+            self.assemblies.insert(key, asm);
+        }
+        let asm = self.assemblies.get_mut(&key)?;
+        let done = asm.apply(&mut self.recvs, offset, bytes);
+        let req = asm.req.filter(|_| done)?;
+        self.assemblies.remove(&key);
+        Some(req)
     }
 }
 

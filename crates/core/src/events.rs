@@ -51,8 +51,6 @@ pub enum Event {
         msg_seq: u32,
         /// Total message length.
         msg_len: u32,
-        /// Fragment index.
-        frag_idx: u16,
         /// Total fragments.
         frag_count: u16,
         /// Offset of this fragment in the message.

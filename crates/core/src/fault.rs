@@ -23,12 +23,12 @@
 
 use omx_ethernet::fault::LinkFaultParams;
 use omx_sim::Ps;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One scheduled I/OAT channel fault on a node: the channel stops
 /// retiring descriptors at `at`, for `duration` (`None` = it never
 /// comes back).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IoatChannelFault {
     /// Channel index on the node's engine.
     pub channel: usize,
@@ -39,7 +39,7 @@ pub struct IoatChannelFault {
 }
 
 /// Per-node hardware faults.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct NodeFaultParams {
     /// Node this entry applies to.
     pub node: u32,
@@ -51,7 +51,7 @@ pub struct NodeFaultParams {
 }
 
 /// Per-link override: fault parameters for one directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LinkFaultOverride {
     /// Sending node.
     pub src: u32,
@@ -63,7 +63,7 @@ pub struct LinkFaultOverride {
 
 /// The full fault plan for a run (see module docs). The default plan
 /// is empty and inert.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct FaultPlan {
     /// Fault parameters applied to every directed link unless
     /// overridden in `links`.

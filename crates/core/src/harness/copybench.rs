@@ -10,10 +10,10 @@
 use omx_hw::mem::{CopyContext, MemModel};
 use omx_hw::{Distance, HwParams};
 use omx_sim::Ps;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which engine moves the bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CopyEngine {
     /// CPU memcpy (uncached stream, the Fig 7 condition).
     Memcpy,

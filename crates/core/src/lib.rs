@@ -47,22 +47,18 @@ pub use cluster::{Cluster, ClusterParams};
 pub use config::{MsgClass, OmxConfig, StackKind, SyncWaitPolicy};
 pub use partition::{lookahead, run_partitioned};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Host identifier within the cluster.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct NodeId(pub u32);
 
 /// Endpoint index within one host.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct EpIdx(pub u8);
 
 /// Globally unique address of an endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct EpAddr {
     /// Host.
     pub node: NodeId,
@@ -71,5 +67,5 @@ pub struct EpAddr {
 }
 
 /// Request handle returned by isend/irecv.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ReqId(pub u64);

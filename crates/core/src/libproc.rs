@@ -79,7 +79,6 @@ impl Cluster {
                 match_info,
                 msg_seq,
                 msg_len,
-                frag_idx,
                 frag_count,
                 offset,
                 slot,
@@ -94,7 +93,6 @@ impl Cluster {
                     match_info,
                     msg_seq,
                     msg_len as u64,
-                    frag_idx as u32,
                     frag_count as u32,
                     offset as u64,
                     slot,
@@ -241,9 +239,8 @@ impl Cluster {
     }
 
     /// Apply one medium fragment to its (matched or unexpected)
-    /// assembly, copying straight out of the pinned ring slot; the
-    /// slot is released once the fragment has been applied (or
-    /// recognized as a duplicate).
+    /// assembly, copying straight out of the pinned ring slot, and
+    /// release the slot.
     #[allow(clippy::too_many_arguments)]
     fn lib_apply_medium_frag(
         &mut self,
@@ -253,7 +250,6 @@ impl Cluster {
         match_info: u64,
         msg_seq: u32,
         msg_len: u64,
-        frag_idx: u32,
         frag_count: u32,
         offset: u64,
         slot: usize,
@@ -261,99 +257,26 @@ impl Cluster {
         fin: Ps,
     ) {
         let key = (src, msg_seq);
-        // First fragment of a new message: match it. A message that
-        // fits in one fragment is complete on arrival, so it has no
-        // assembly yet, and a receive that matches it takes it
-        // straight from the ring slot. Unmatched, it is buffered as an
-        // assembly like any other medium message.
-        if frag_count == 1 || !self.ep(me).assemblies.contains_key(&key) {
-            let matched = self.ep_mut(me).matcher.match_incoming(match_info);
-            if let (1, Some(posted)) = (frag_count, &matched) {
-                let req = posted.req;
-                let ep = self.ep_mut(me);
-                if let Some(rs) = ep.recvs.get_mut(&req) {
-                    rs.total = msg_len;
-                    rs.matched_info = Some(match_info);
-                    rs.buf.write(offset, ep.slots.read(slot, len));
-                }
-                ep.slots.release(slot);
-                self.finish_recv(sim, me, req, fin);
-                return;
-            }
-            let (req, buf) = match matched {
-                Some(posted) => {
-                    if let Some(rs) = self.ep_mut(me).recvs.get_mut(&posted.req) {
-                        rs.total = msg_len;
-                        rs.matched_info = Some(match_info);
-                    }
-                    // omx-lint: allow(hot-path-alloc) Vec::new is capacity-zero and touches no allocator; matched data lands in the posted buffer [test: crates/sim/tests/alloc_count.rs::warmed_medium_pingpong_allocates_nothing]
-                    (Some(posted.req), Vec::new())
-                }
-                // omx-lint: allow(hot-path-alloc) unexpected-message buffer: only taken when no receive was posted, never in a pre-posted steady loop [test: crates/sim/tests/alloc_count.rs::warmed_medium_pingpong_allocates_nothing]
-                None => (None, vec![0u8; msg_len as usize]),
-            };
-            let frag_seen = self
-                .node_mut(me.node)
-                .driver
-                .scratch
-                .take_bitmap(frag_count as usize);
-            self.ep_mut(me).assemblies.insert(
-                key,
-                MediumAssembly {
-                    req,
-                    match_info,
-                    frag_seen,
-                    arrived: 0,
-                    total: msg_len,
-                    data: buf,
-                },
-            );
-        }
-        // Apply the fragment straight from the ring slot.
-        let (completed_req, done_unmatched) = {
-            let ep = self.ep_mut(me);
-            let asm = ep.assemblies.get_mut(&key).expect("just ensured");
-            let result = if asm.frag_seen[frag_idx as usize] {
-                (None, false)
-            } else {
-                asm.frag_seen[frag_idx as usize] = true;
-                asm.arrived += len as u64;
-                match asm.req {
-                    Some(req) => {
-                        if let Some(rs) = ep.recvs.get_mut(&req) {
-                            rs.buf.write(offset, ep.slots.read(slot, len));
-                        }
-                        let asm = ep.assemblies.get_mut(&key).expect("present");
-                        if asm.is_complete() {
-                            (Some(req), false)
-                        } else {
-                            (None, false)
-                        }
-                    }
-                    None => {
-                        let data = ep.slots.read(slot, len);
-                        let end = ((offset as usize) + len).min(asm.data.len());
-                        let start = (offset as usize).min(end);
-                        asm.data[start..end].copy_from_slice(&data[..end - start]);
-                        (None, asm.is_complete())
-                    }
-                }
-            };
+        let ep = self.ep_mut(me);
+        // A message that fits in one fragment is complete on arrival:
+        // a receive that matches it takes it straight from the ring
+        // slot, and only an unmatched one is kept, as an assembly.
+        if frag_count == 1 {
+            let mut asm = MediumAssembly::start(ep, match_info, msg_len);
+            asm.apply(&mut ep.recvs, offset, ep.slots.read(slot, len));
             ep.slots.release(slot);
-            result
-        };
-        if let Some(req) = completed_req {
-            if let Some(asm) = self.ep_mut(me).assemblies.remove(&key) {
-                self.node_mut(me.node)
-                    .driver
-                    .scratch
-                    .put_bitmap(asm.frag_seen);
+            match asm.req {
+                Some(req) => self.finish_recv(sim, me, req, fin),
+                None => {
+                    ep.assemblies.insert(key, asm);
+                }
             }
+            return;
+        }
+        let data = ep.slots.take(slot, len);
+        if let Some(req) = ep.apply_medium(key, match_info, msg_len, offset, &data) {
             self.finish_recv(sim, me, req, fin);
         }
-        // Complete-but-unmatched assemblies stay buffered until a
-        // receive adopts them.
-        let _ = done_unmatched;
     }
 
     /// A receive matched a rendezvous: record it and start the pull.
@@ -475,12 +398,7 @@ impl Cluster {
                         }
                     }
                     if complete {
-                        if let Some(asm) = self.ep_mut(me).assemblies.remove(&key) {
-                            self.node_mut(me.node)
-                                .driver
-                                .scratch
-                                .put_bitmap(asm.frag_seen);
-                        }
+                        self.ep_mut(me).assemblies.remove(&key);
                         self.finish_recv(sim, me, req, fin);
                     }
                 }

@@ -9,7 +9,6 @@
 //! the 1140 MiB/s the paper measures for MX.
 
 use crate::cluster::Cluster;
-use crate::endpoint::MediumAssembly;
 use crate::matching::Unexpected;
 use crate::proto::Packet;
 use crate::{EpAddr, EpIdx, NodeId, ReqId};
@@ -86,8 +85,6 @@ impl Cluster {
                     match_info,
                     msg_seq,
                     data.len() as u64,
-                    0,
-                    1,
                     0,
                     &data,
                     now,
@@ -167,10 +164,9 @@ impl Cluster {
                 match_info,
                 msg_seq,
                 msg_len,
-                frag_idx,
-                frag_count,
                 offset,
                 data,
+                ..
             } => {
                 let src = EpAddr {
                     node: src_node,
@@ -187,8 +183,6 @@ impl Cluster {
                     match_info,
                     msg_seq,
                     msg_len as u64,
-                    frag_idx as u32,
-                    frag_count as u32,
                     offset as u64,
                     &data,
                     now,
@@ -320,79 +314,13 @@ impl Cluster {
         match_info: u64,
         msg_seq: u32,
         msg_len: u64,
-        frag_idx: u32,
-        frag_count: u32,
         offset: u64,
         data: &[u8],
         now: Ps,
     ) {
-        let key = (src, msg_seq);
-        if !self.ep(me).assemblies.contains_key(&key) {
-            let matched = self.ep_mut(me).matcher.match_incoming(match_info);
-            let (req, buf) = match matched {
-                Some(posted) => {
-                    if let Some(rs) = self.ep_mut(me).recvs.get_mut(&posted.req) {
-                        rs.total = msg_len;
-                        rs.matched_info = Some(match_info);
-                    }
-                    (Some(posted.req), Vec::new())
-                }
-                None => (None, vec![0u8; msg_len as usize]),
-            };
-            let frag_seen = self
-                .node_mut(me.node)
-                .driver
-                .scratch
-                .take_bitmap(frag_count as usize);
-            self.ep_mut(me).assemblies.insert(
-                key,
-                MediumAssembly {
-                    req,
-                    match_info,
-                    frag_seen,
-                    arrived: 0,
-                    total: msg_len,
-                    data: buf,
-                },
-            );
-        }
-        let completed_req = {
-            let ep = self.ep_mut(me);
-            let asm = ep.assemblies.get_mut(&key).expect("ensured");
-            if asm.frag_seen[frag_idx as usize] {
-                None
-            } else {
-                asm.frag_seen[frag_idx as usize] = true;
-                asm.arrived += data.len() as u64;
-                match asm.req {
-                    Some(req) => {
-                        if let Some(rs) = ep.recvs.get_mut(&req) {
-                            rs.buf.write(offset, data);
-                        }
-                        let asm = ep.assemblies.get_mut(&key).expect("present");
-                        if asm.is_complete() {
-                            Some(req)
-                        } else {
-                            None
-                        }
-                    }
-                    None => {
-                        let end = ((offset as usize) + data.len()).min(asm.data.len());
-                        let start = (offset as usize).min(end);
-                        asm.data[start..end].copy_from_slice(&data[..end - start]);
-                        None
-                    }
-                }
-            }
-        };
-        if let Some(req) = completed_req {
-            if let Some(asm) = self.ep_mut(me).assemblies.remove(&key) {
-                self.node_mut(me.node)
-                    .driver
-                    .scratch
-                    .put_bitmap(asm.frag_seen);
-            }
-            let core = self.ep(me).core;
+        let ep = self.ep_mut(me);
+        if let Some(req) = ep.apply_medium((src, msg_seq), match_info, msg_len, offset, data) {
+            let core = ep.core;
             let at = now + self.p.mx.nic_match_latency;
             let (_, fin) = self.run_core(
                 me.node,

@@ -31,14 +31,14 @@
 //! partition count.
 
 use omx_sim::SplitMix64;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-link fault parameters (all probabilities per frame, in `[0,1]`).
 ///
 /// The all-zero default is inert: [`LinkFaultParams::is_active`]
 /// returns `false` and the cluster skips fault evaluation entirely for
 /// such links, so an empty plan costs nothing and perturbs nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct LinkFaultParams {
     /// Probability of transitioning good → bad before each frame.
     pub p_enter_bad: f64,

@@ -9,10 +9,10 @@
 
 use crate::frame::{EthFrame, FrameHeader};
 use omx_sim::{FifoServer, Ps, Rate};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Link timing parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LinkParams {
     /// Serialization rate on the wire.
     pub rate: Rate,

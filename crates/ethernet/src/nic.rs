@@ -26,14 +26,14 @@ use crate::frame::EthFrame;
 use crate::skbuff::Skbuff;
 use omx_hw::{CoreId, Topology};
 use omx_sim::Ps;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Hard cap on modeled RX queues (no modeled host has more than 8
 /// cores, and each queue's bottom half needs a core of its own).
 pub const MAX_QUEUES: usize = 8;
 
 /// NIC configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct NicParams {
     /// RX ring size in skbuffs **per queue** (myri10ge default is 512).
     pub rx_ring_size: usize,

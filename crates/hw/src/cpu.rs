@@ -109,14 +109,6 @@ impl CpuSet {
         }
         m
     }
-
-    /// Utilization of one category on one core over `[0, horizon]`.
-    pub fn utilization(&self, core: CoreId, cat: &str, horizon: Ps) -> f64 {
-        if horizon == Ps::ZERO {
-            return 0.0;
-        }
-        self.core(core).busy_in(cat).as_ps() as f64 / horizon.as_ps() as f64
-    }
 }
 
 #[cfg(test)]
@@ -147,15 +139,6 @@ mod tests {
         assert_eq!(merged.total(category::BH), Ps::us(16));
         assert_eq!(merged.total(category::DRIVER), Ps::us(4));
         assert_eq!(merged.total(category::USER_LIB), Ps::ZERO);
-    }
-
-    #[test]
-    fn utilization_per_core_category() {
-        let mut cpus = CpuSet::new(Topology::default());
-        cpus.run_on(CoreId(2), Ps::ZERO, Ps::us(95), category::BH);
-        let u = cpus.utilization(CoreId(2), category::BH, Ps::us(100));
-        assert!((u - 0.95).abs() < 1e-9, "the Fig 9 saturated-core case");
-        assert_eq!(cpus.utilization(CoreId(2), category::BH, Ps::ZERO), 0.0);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 use crate::params::HwParams;
 use omx_sim::sanitize::{Kind, SimSanitizer, Token};
 use omx_sim::{FifoServer, Ps};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of one submitted copy (channel + in-channel cookie).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CopyHandle {
     /// Channel the copy was queued on.
     pub channel: usize,

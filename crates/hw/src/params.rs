@@ -7,10 +7,10 @@
 //! modified `HwParams` — nothing else in the stack hard-codes a cost.
 
 use omx_sim::{Ps, Rate};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Calibration constants for one host (and the wire between hosts).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HwParams {
     // ---------------- memcpy ----------------
     /// CPU copy rate when the data is not cache-resident, source and

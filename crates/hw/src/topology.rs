@@ -6,18 +6,18 @@
 //! socket boundaries — is what decides the Fig 10 memcpy rates, so the
 //! central query here is [`Topology::distance`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Index of a CPU core on one host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct CoreId(pub u32);
 
 /// Index of a dual-core subchip on one host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct SubchipId(pub u32);
 
 /// Cache/socket relationship between two cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Distance {
     /// The same core.
     SameCore,
@@ -30,7 +30,7 @@ pub enum Distance {
 }
 
 /// Shape of one host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Topology {
     /// Number of sockets.
     pub sockets: u32,

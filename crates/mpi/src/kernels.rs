@@ -8,10 +8,10 @@
 //! power of two (2 or 4 in the paper's runs).
 
 use crate::ops::{reduce_cost, Phase, RecvOp, Script, SendOp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The IMB kernels of Figure 12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Kernel {
     /// Two-rank round trip.
     PingPong,

@@ -1,10 +1,10 @@
 //! Rank scripts and the rank state machine.
 
 use omx_sim::Ps;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One point-to-point send within a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SendOp {
     /// Destination rank.
     pub to: usize,
@@ -15,7 +15,7 @@ pub struct SendOp {
 }
 
 /// One point-to-point receive within a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RecvOp {
     /// Source rank.
     pub from: usize,
@@ -27,7 +27,7 @@ pub struct RecvOp {
 
 /// One phase of a rank's script: post everything, wait for everything
 /// (`MPI_Waitall`), then run local compute.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Phase {
     /// Non-blocking sends posted at phase entry.
     pub sends: Vec<SendOp>,

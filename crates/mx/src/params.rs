@@ -1,10 +1,10 @@
 //! MX/MXoE cost parameters.
 
 use omx_sim::Ps;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Calibrated per-operation costs of the native MX stack.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct MxParams {
     /// User-library cost to post a send or receive (OS-bypass: a few
     /// cache-line writes into the NIC doorbell region).

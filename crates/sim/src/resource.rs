@@ -61,17 +61,6 @@ impl FifoServer {
     pub fn busy_total(&self) -> Ps {
         self.busy_total
     }
-
-    /// Fraction of `[0, horizon]` the server spent busy. The horizon is
-    /// usually the experiment end time. Clamped to `[0, 1]` — a job that
-    /// overruns the horizon only counts up to it.
-    pub fn utilization(&self, horizon: Ps) -> f64 {
-        if horizon == Ps::ZERO {
-            return 0.0;
-        }
-        let busy = self.busy_total.min(horizon);
-        busy.as_ps() as f64 / horizon.as_ps() as f64
-    }
 }
 
 #[cfg(test)]
@@ -109,18 +98,5 @@ mod tests {
             (Ps::ns(300), Ps::ns(400))
         );
         assert_eq!(s.busy_total(), Ps::ns(200));
-        let u = s.utilization(Ps::ns(400));
-        assert!((u - 0.5).abs() < 1e-9, "got {u}");
-    }
-
-    #[test]
-    fn utilization_edge_cases() {
-        let s = FifoServer::new();
-        assert_eq!(s.utilization(Ps::ZERO), 0.0);
-        assert_eq!(s.utilization(Ps::ns(10)), 0.0);
-        let mut s = FifoServer::new();
-        s.admit(Ps::ZERO, Ps::ns(100));
-        // Horizon shorter than busy time clamps to 1.0.
-        assert_eq!(s.utilization(Ps::ns(50)), 1.0);
     }
 }

@@ -38,7 +38,7 @@
 //! `cargo test` runs each test on its own thread, which gives each
 //! test an isolated registry for free.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::fmt;
 
 /// Which lifecycle family a token belongs to (diagnostics only).
@@ -108,8 +108,6 @@ impl Serialize for Token {
         Value::U64(0)
     }
 }
-
-impl Deserialize for Token {}
 
 #[cfg(debug_assertions)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,7 +2,7 @@
 //! statistics used by the figure regenerators.
 
 use crate::time::Ps;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Integrates busy time per named category over a simulation run.
@@ -55,14 +55,6 @@ impl BusyMeter {
         self.rows.iter().map(|r| r.1).sum()
     }
 
-    /// Utilization of one category over `[0, horizon]`, in `[0, 1]`.
-    pub fn utilization(&self, category: &str, horizon: Ps) -> f64 {
-        if horizon == Ps::ZERO {
-            return 0.0;
-        }
-        self.total(category).as_ps() as f64 / horizon.as_ps() as f64
-    }
-
     /// Iterate `(category, busy)` pairs in category order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Ps)> + '_ {
         self.rows.iter().copied()
@@ -75,15 +67,10 @@ impl BusyMeter {
             self.charge(k, v);
         }
     }
-
-    /// Reset all categories to zero.
-    pub fn reset(&mut self) {
-        self.rows.clear();
-    }
 }
 
 /// One point of a figure series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Point {
     /// X value (message size in bytes for most figures).
     pub x: f64,
@@ -92,7 +79,7 @@ pub struct Point {
 }
 
 /// A named (x, y) series, e.g. one curve of one paper figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Series {
     /// Curve label as it appears in the figure legend.
     pub name: String,
@@ -183,7 +170,7 @@ pub fn format_bytes(bytes: f64) -> String {
 
 /// Summary statistics over a sample of durations (per-iteration times of
 /// a ping-pong, for instance).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     /// Number of samples.
     pub n: usize,
@@ -252,16 +239,6 @@ mod tests {
         m.merge(&other);
         assert_eq!(m.total("bh"), Ps::ns(160));
         assert_eq!(m.total("user"), Ps::ns(5));
-    }
-
-    #[test]
-    fn busy_meter_utilization() {
-        let mut m = BusyMeter::new();
-        m.charge("bh", Ps::ns(250));
-        assert!((m.utilization("bh", Ps::ns(1000)) - 0.25).abs() < 1e-12);
-        assert_eq!(m.utilization("bh", Ps::ZERO), 0.0);
-        m.reset();
-        assert_eq!(m.grand_total(), Ps::ZERO);
     }
 
     #[test]

@@ -7,15 +7,13 @@
 //! every run exactly reproducible: there is no accumulation of floating
 //! point rounding in the event queue.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A point in simulated time or a duration, in picoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Ps(pub u64);
 
 #[allow(clippy::self_named_constructors)]
@@ -192,7 +190,7 @@ impl fmt::Display for Ps {
 /// All conversions between byte counts and durations go through 128-bit
 /// integer arithmetic so that the result is exact to the picosecond and
 /// identical on every platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct Rate {
     bytes_per_sec: u64,
 }

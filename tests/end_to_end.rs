@@ -102,47 +102,62 @@ fn extension_paths_stay_correct() {
     );
 }
 
-/// A medium message that fits in one fragment is complete on arrival:
-/// the driver acks it without a reassembly bitmap and a matching
-/// receive takes it straight from the ring slot, except under kernel
-/// matching, which keeps its per-message path. Neither changes a
-/// simulated byte: each run's (events, end time, acks, duplicates
-/// dropped) was recorded while every medium message was reassembled
-/// through bitmaps, with and without duplicated frames.
+/// Medium runs, one fragment and several, are pinned by (events, end
+/// time, acks, duplicates dropped). A medium message that fits in one
+/// fragment is complete on arrival: the driver acks it without a
+/// reassembly bitmap and a matching receive takes it straight from the
+/// ring slot (under kernel matching, the driver writes it); the
+/// one-fragment cells were recorded while every medium message was
+/// reassembled through bitmaps. The 16 and 32 KiB
+/// network cells reassemble four and eight fragments, in the library
+/// or, under kernel matching, in the driver, and the same-node cell
+/// reassembles four from shared memory; they were recorded while the
+/// library kept a fragment bitmap of its own next to the driver's.
+/// `dup-storm` cells duplicate frames, so the driver's duplicate check
+/// is part of what they pin.
 #[test]
-fn one_fragment_medium_runs_are_unchanged() {
-    let kmatch = OmxConfig {
-        kernel_matching: true,
-        ..OmxConfig::with_ioat()
-    };
-    let dup = |cfg: OmxConfig| OmxConfig {
-        fault_plan: FaultPlan::dup_storm(),
-        ..cfg
-    };
-    let cases = [
-        (OmxConfig::default(), 2000, (1210, 903_145_952, 86, 0)),
-        (kmatch.clone(), 2000, (1210, 820_543_958, 86, 0)),
-        (
-            dup(OmxConfig::default()),
-            3000,
-            (1222, 1_080_816_248, 88, 2),
-        ),
-        (dup(kmatch), 3000, (1218, 914_855_514, 88, 2)),
-    ];
-    for (cfg, size, want) in cases {
-        let mut c = PingPongConfig::new(ClusterParams::with_cfg(cfg), size, net());
+fn medium_runs_are_unchanged() {
+    fn pin(cfg: OmxConfig, size: u64, placement: Placement) -> (u64, u64, u64, u64) {
+        let mut c = PingPongConfig::new(ClusterParams::with_cfg(cfg), size, placement);
         c.iters = 40;
         let r = run_pingpong(c);
         assert!(r.verified, "payload corrupted at {size} B");
         let s = &r.run.stats;
-        let got = (
-            r.run.events,
-            r.run.end.as_ps(),
-            s.acks_sent,
-            s.duplicates_dropped,
-        );
-        assert_eq!(got, want, "{size} B");
+        let end = r.run.end.as_ps();
+        (r.run.events, end, s.acks_sent, s.duplicates_dropped)
     }
+    let plain = OmxConfig::default();
+    let kmatch = OmxConfig {
+        kernel_matching: true,
+        ..OmxConfig::with_ioat()
+    };
+    let dup = |cfg: &OmxConfig| OmxConfig {
+        fault_plan: FaultPlan::dup_storm(),
+        ..cfg.clone()
+    };
+    let cases = [
+        (plain.clone(), 2000, (1210, 903_145_952, 86, 0)),
+        (kmatch.clone(), 2000, (1210, 820_543_958, 86, 0)),
+        (dup(&plain), 3000, (1222, 1_080_816_248, 88, 2)),
+        (dup(&kmatch), 3000, (1218, 914_855_514, 88, 2)),
+        (plain.clone(), 16 << 10, (2506, 2_506_806_664, 86, 0)),
+        (kmatch.clone(), 16 << 10, (1988, 1_881_107_224, 86, 0)),
+        (dup(&plain), 16 << 10, (2532, 2_514_456_767, 88, 6)),
+        (dup(&kmatch), 16 << 10, (2012, 1_894_620_340, 88, 6)),
+        (plain.clone(), 32 << 10, (4149, 4_190_991_280, 86, 0)),
+        (kmatch.clone(), 32 << 10, (3026, 3_031_622_104, 86, 0)),
+        (dup(&plain), 32 << 10, (4183, 4_210_024_682, 88, 12)),
+        (dup(&kmatch), 32 << 10, (3070, 3_065_202_340, 88, 12)),
+    ];
+    for (i, (cfg, size, want)) in cases.into_iter().enumerate() {
+        assert_eq!(pin(cfg, size, net()), want, "cell {i} ({size} B)");
+    }
+    let same_node = Placement::SameNode {
+        core_a: CoreId(0),
+        core_b: CoreId(1),
+    };
+    let want = (1034, 974_578_696, 0, 0);
+    assert_eq!(pin(plain, 16 << 10, same_node), want, "same node");
 }
 
 #[test]

@@ -10,12 +10,14 @@
 
 use openmx_repro::hw::CoreId;
 use openmx_repro::mpi::{run_kernel, Kernel, Layout};
-use openmx_repro::omx::cluster::ClusterParams;
-use openmx_repro::omx::config::OmxConfig;
+use openmx_repro::omx::cluster::{Cluster, ClusterParams};
+use openmx_repro::omx::config::{OmxConfig, StackKind};
+use openmx_repro::omx::endpoint::{Endpoint, MediumAssembly};
 use openmx_repro::omx::fault::{FaultPlan, IoatChannelFault, NodeFaultParams};
 use openmx_repro::omx::harness::{
     run_pingpong, run_stream, PingPongConfig, PingPongResult, Placement, StreamConfig,
 };
+use openmx_repro::omx::{EpAddr, EpIdx, NodeId};
 use openmx_repro::sim::Ps;
 
 const SEEDS: [u64; 3] = [11, 23, 47];
@@ -187,6 +189,52 @@ fn duplicate_everything_is_idempotent() {
         assert_eq!(r.run.skbuffs_held, 0, "{size} B: skbuff drift");
         assert_eq!(r.run.pinned_regions, 0, "{size} B: pinned-region drift");
     }
+}
+
+/// The driver's `drv_medium` bitmap hands each medium fragment on once,
+/// so an assembly counts bytes only: a fragment applied twice takes it
+/// past its length and panics in every build (CI runs this file in
+/// release).
+#[test]
+#[should_panic(expected = "medium assembly overrun: 6000 of 4096 bytes applied")]
+fn a_medium_fragment_applied_twice_panics() {
+    let addr = EpAddr {
+        node: NodeId(0),
+        ep: EpIdx(0),
+    };
+    let mut ep = Endpoint::new(addr, CoreId(0), 0, 8, 4096, false);
+    // No receive is posted: the message is buffered unmatched.
+    let mut asm = MediumAssembly::start(&mut ep, 7, 4096);
+    let frag = [1u8; 3000];
+    assert!(!asm.apply(&mut ep.recvs, 0, &frag));
+    asm.apply(&mut ep.recvs, 0, &frag);
+}
+
+/// The MXoE model sends no acks and resends nothing, so a cluster that
+/// runs it refuses a fault plan that can drop, corrupt or duplicate
+/// frames; node-only faults are still accepted.
+#[test]
+fn mxoe_cluster_rejects_a_link_fault_plan() {
+    let mxoe = |fault_plan: FaultPlan| {
+        ClusterParams::with_cfg(OmxConfig {
+            stack: StackKind::Mxoe,
+            fault_plan,
+            ..OmxConfig::default()
+        })
+    };
+    Cluster::new(mxoe(FaultPlan::ring_pressure()));
+    let Err(err) = std::panic::catch_unwind(|| Cluster::new(mxoe(FaultPlan::dup_storm()))) else {
+        panic!("an MXoE cluster with link faults must not build");
+    };
+    let msg = err
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| err.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(
+        msg.contains("StackKind::Mxoe") && msg.contains("FaultPlan::has_link_faults"),
+        "the message names the stack and the fault plan: {msg:?}"
+    );
 }
 
 #[test]
