@@ -1320,9 +1320,9 @@ mod tests {
         assert!(c.ep(rx).assemblies.is_empty());
     }
 
-    /// With kernel matching the driver still reassembles a
-    /// one-fragment medium through its bitmap and matches it in the
-    /// driver: one library event per message, matched or buffered.
+    /// With kernel matching the driver matches a one-fragment medium
+    /// itself, with no reassembly bitmap: one library event per
+    /// message, matched or buffered.
     #[test]
     fn kernel_matching_keeps_its_one_fragment_path() {
         let cfg = OmxConfig {
